@@ -14,6 +14,22 @@ semidefinite blocks.  The embedding makes infeasibility detectable: a
 vanishing homogenizing variable with positive duality-gap slack yields an
 improving-ray certificate for one of the two sides.
 
+Each iteration assembles the Schur complement M_ij = sum_b <A_ib, W_b A_jb W_b>
+for the NT scalings W_b.  The sparsity pattern does not change during a
+solve, so the assembly plan is built once per solve, before the first
+iteration.  Per block it keeps only the constraint rows with stored entries
+there, sorts them by their stored-entry count r and cuts them into chunks of
+at most ``_CHUNK_TARGET`` floats of vec(W A_i W) (at least one row).  Within
+a chunk, the rows of each count r are done in one batched numpy call: the
+thin product (W[:, p] * v) @ W[q, :] over the stored entries for r <= 2s,
+the full congruence W A_i W for denser rows.  One sparse product of the
+block's rows with the chunk then gives the chunk's rows of M.  Diagonal
+blocks use A diag(w)^2 A' on their rows.  Memory: the plan holds the rows
+with stored entries a second time plus two indices per thin-row entry;
+besides M, assembly holds one chunk, its transposed copy, the product with
+it, and thin-product operands of at most 6 * ``_CHUNK_TARGET`` floats (at
+r = 2s).
+
 Problems whose natural variables sit on the dual side (one free variable per
 monomial or subspace coordinate, constrained by a linear matrix inequality)
 are assembled through :class:`LmiBuilder`.
@@ -24,6 +40,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -40,7 +57,9 @@ DEFAULT_MAX_ITER = 200
 # desk-scale memory budget this solver is designed for.
 _MAX_CONSTRAINTS = 8000
 
-_CHUNK_TARGET = 2_500_000  # floats per densified constraint chunk
+# Floats of vec(W A_i W) per Schur assembly chunk: 2 MB, so the chunk and
+# the transposed copy the sparse product makes of it stay in cache.
+_CHUNK_TARGET = 250_000
 
 
 class SolveStatus(Enum):
@@ -141,11 +160,16 @@ class SdpProblem:
             out += a @ np.ravel(x)
         return out
 
+    @cached_property
+    def _a_t(self) -> list:
+        """CSR transposes of the constraint blocks, built on first use."""
+        return [a.T.tocsr() for a in self.a_blocks]
+
     def apply_at(self, y) -> list:
         """A*(y): list of blocks sum_i y_i A_{i,b}."""
         out = []
-        for size, a in zip(self.block_sizes, self.a_blocks):
-            v = a.T @ y
+        for size, a_t in zip(self.block_sizes, self._a_t):
+            v = a_t @ y
             if size > 0:
                 mat = v.reshape(size, size)
                 out.append((mat + mat.T) / 2.0)
@@ -292,44 +316,86 @@ def _block_ops(sizes):
 # Schur complement assembly
 
 
-def _schur_matrix(problem, ops, scal):
-    """M_ij = sum_b <A_ib, W_b A_jb W_b>, assembled blockwise."""
-    m = problem.m
-    mat = np.zeros((m, m))
-    for size, a, op, sc in zip(problem.block_sizes, problem.a_blocks, ops, scal):
-        if a.nnz == 0:
+@dataclass
+class _BlockPlan:
+    """Schur assembly plan of one block with stored entries.
+
+    ``rows`` are the constraint rows with stored entries in the block and
+    ``sub`` their CSR rows.  A diagonal block keeps ``sub_t``, the transpose
+    of ``sub``.  A dense block keeps ``chunks`` of (sel, parts): ``sel``
+    indexes ``rows`` and each part (lo, hi, p, q, vals) covers sel[lo:hi],
+    rows of one stored-entry count r.  A thin part (r <= 2s) holds the entry
+    positions p, q and values; a dense part (r > 2s) has p None and holds
+    the CSR rows in ``vals``.
+    """
+
+    block: int
+    rows: np.ndarray
+    sub: sp.csr_matrix
+    sub_t: sp.csr_matrix | None = None
+    chunks: list = field(default_factory=list)
+
+
+def _schur_plan(problem):
+    """Per-block assembly plan; it depends only on the sparsity pattern."""
+    plan = []
+    for bi, (size, a) in enumerate(zip(problem.block_sizes, problem.a_blocks)):
+        nnz_row = np.diff(a.indptr)
+        rows = np.flatnonzero(nnz_row)
+        if rows.size == 0:
             continue
+        sub = a[rows]
         if size < 0:
-            w2 = sc["w"] * sc["w"]
-            prod = (a.multiply(w2[None, :]) @ a.T).tocoo()
-            mat[prod.row, prod.col] += prod.data
+            plan.append(_BlockPlan(bi, rows, sub, sub_t=sub.T.tocsr()))
             continue
         s = size
-        w = sc["w"]
-        indptr, indices, data = a.indptr, a.indices, a.data
-        nnz_row = np.diff(indptr)
-        chunk = max(8, int(_CHUNK_TARGET // (s * s)) or 8)
-        u_chunk = np.empty((chunk, s * s))
-        for start in range(0, m, chunk):
-            stop = min(start + chunk, m)
-            u = u_chunk[:stop - start]
-            dense_rows = []
-            for local, i in enumerate(range(start, stop)):
-                lo, hi = indptr[i], indptr[i + 1]
-                if nnz_row[i] > 2 * s:
-                    dense_rows.append(local)
+        counts = nnz_row[rows]
+        order = np.argsort(counts, kind="stable")
+        cap = max(1, _CHUNK_TARGET // (s * s))
+        chunks = []
+        for start in range(0, order.size, cap):
+            sel = order[start:start + cap]
+            r_sel = counts[sel]
+            cuts = [0, *(np.flatnonzero(np.diff(r_sel)) + 1), sel.size]
+            parts = []
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                r = int(r_sel[lo])
+                if r > 2 * s:
+                    parts.append((lo, hi, None, None, sub[sel[lo:hi]]))
                     continue
-                cols = indices[lo:hi]
-                vals = data[lo:hi]
-                # W A_i W as a thin product over the stored entries; rows are
-                # fully mirrored so this covers both triangles.
-                u[local] = ((w[:, cols // s] * vals) @ w[cols % s, :]).ravel()
-            if dense_rows:
-                rows = np.asarray(
-                    a[start:stop][dense_rows].todense()).reshape(len(dense_rows), s, s)
-                u[dense_rows] = np.matmul(np.matmul(w, rows), w).reshape(
-                    len(dense_rows), s * s)
-            mat[:, start:stop] += a @ u.T
+                pos = sub.indptr[sel[lo:hi]][:, None] + np.arange(r)
+                cols = sub.indices[pos]
+                parts.append((lo, hi, cols // s, cols % s, sub.data[pos]))
+            chunks.append((sel, parts))
+        plan.append(_BlockPlan(bi, rows, sub, chunks=chunks))
+    return plan
+
+
+def _schur_matrix(m, plan, scal):
+    """M_ij = sum_b <A_ib, W_b A_jb W_b>, assembled blockwise from the plan."""
+    # Every block adds the transpose of its contribution, which the final
+    # symmetrization undoes exactly; a chunk then fills rows of ``mat``
+    # instead of scattering into columns.
+    mat = np.zeros((m, m))
+    for bp in plan:
+        w = scal[bp.block]["w"]
+        rows = bp.rows
+        if bp.sub_t is not None:
+            prod = (bp.sub.multiply((w * w)[None, :]) @ bp.sub_t).tocoo()
+            mat[rows[prod.col], rows[prod.row]] += prod.data
+            continue
+        s = w.shape[0]
+        for sel, parts in bp.chunks:
+            u = np.empty((sel.size, s, s))
+            for lo, hi, p, q, vals in parts:
+                if p is None:
+                    dense = vals.toarray().reshape(hi - lo, s, s)
+                    np.matmul(np.matmul(w, dense), w, out=u[lo:hi])
+                else:
+                    # W A_i W as thin products over the stored entries; rows
+                    # are fully mirrored so this covers both triangles.
+                    np.matmul((w[:, p] * vals).transpose(1, 0, 2), w[q], out=u[lo:hi])
+            mat[np.ix_(rows[sel], rows)] += (bp.sub @ u.reshape(sel.size, s * s).T).T
     return (mat + mat.T) / 2.0
 
 
@@ -371,6 +437,7 @@ def solve(problem: SdpProblem, tol_gap: float = DEFAULT_TOL_GAP,
                       base.a_blocks, base.b / sigma_b, "min", dict(base.metadata))
 
     ops = _block_ops(work.block_sizes)
+    plan = _schur_plan(work)
     nu = work.cone_dim + 1.0
     norm_b = work.norm_b()
     norm_c = work.norm_c()
@@ -491,7 +558,7 @@ def solve(problem: SdpProblem, tol_gap: float = DEFAULT_TOL_GAP,
                           "iterate left the cone interior; returning best iterate")
 
         try:
-            schur = _schur_matrix(work, ops, scal)
+            schur = _schur_matrix(work.m, plan, scal)
             l_schur = _chol_with_jitter(schur)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"Schur factorization failed at iteration {it}",
@@ -499,8 +566,7 @@ def solve(problem: SdpProblem, tol_gap: float = DEFAULT_TOL_GAP,
 
         wcw = [op.congruence(sc["w"], cb) for op, sc, cb in zip(ops, scal, work.c_blocks)]
         v_vec = work.apply_a(wcw)
-        gb = sla.cho_solve((l_schur, True), work.b)
-        gv = sla.cho_solve((l_schur, True), v_vec)
+        gb, gv = sla.cho_solve((l_schur, True), np.column_stack((work.b, v_vec))).T
         g2 = gb + gv
         # den = kappa/tau + b'M^{-1}b + (<C,WCW> - v'M^{-1}v); the bracket is a
         # squared distance to a subspace, so clamping it at zero only removes

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+
+from spectracon import sdpcore
 
 from spectracon.errors import InvalidInput
 from spectracon.pencil import elliptope_pencil, pencil
@@ -215,3 +218,78 @@ def test_problem_validation():
     with pytest.raises(InvalidInput):
         SdpProblem(block_sizes=(2,), c_blocks=[np.zeros((3, 3))],
                    a_blocks=[np.zeros((1, 4))], b=np.zeros(1))
+
+
+def _schur_fixture(seed):
+    """Random blocks covering every row class of the assembly plan.
+
+    Dense block of size 6: rows empty in the block, thin rows of several
+    stored-entry counts, and dense rows with r > 2s.  Plus a dense block
+    with no stored entries and a diagonal block with empty rows.
+    """
+    rng = np.random.default_rng(seed)
+    m, s = 40, 6
+    dense_rows = []
+    for i in range(m):
+        mat = np.zeros((s, s))
+        kind = i % 5
+        if kind == 1:  # r up to 2s: a few mirrored positions
+            for _ in range(int(rng.integers(1, 5))):
+                a, b = rng.integers(0, s, size=2)
+                mat[a, b] = mat[b, a] = rng.normal()
+        elif kind >= 2:  # r > 2s: a full random symmetric matrix
+            g = rng.normal(size=(s, s))
+            mat = g + g.T
+        dense_rows.append(mat.ravel())
+    a_dense = sp.csr_matrix(np.array(dense_rows))
+    a_empty = sp.csr_matrix((m, 9))
+    diag = rng.normal(size=(m, 4)) * (rng.random((m, 4)) < 0.4)
+    a_diag = sp.csr_matrix(diag)
+    prob = SdpProblem((s, 3, -4), [np.zeros((s, s)), np.zeros((3, 3)), np.zeros(4)],
+                      [a_dense, a_empty, a_diag], np.zeros(m))
+    scal = []
+    for size in prob.block_sizes:
+        if size > 0:
+            g = rng.normal(size=(size, size))
+            scal.append({"w": g @ g.T + size * np.eye(size)})
+        else:
+            scal.append({"w": rng.uniform(0.5, 2.0, size=-size)})
+    return prob, scal
+
+
+def _schur_reference(prob, scal):
+    """M_ij = sum_b <A_ib, W_b A_jb W_b> with dense matrices."""
+    m = prob.m
+    mat = np.zeros((m, m))
+    for size, a, sc in zip(prob.block_sizes, prob.a_blocks, scal):
+        w = sc["w"]
+        rows = a.toarray()
+        for i in range(m):
+            for j in range(m):
+                if size > 0:
+                    ai = rows[i].reshape(size, size)
+                    aj = rows[j].reshape(size, size)
+                    mat[i, j] += np.sum(ai * (w @ aj @ w))
+                else:
+                    mat[i, j] += np.sum(rows[i] * w * w * rows[j])
+    return mat
+
+
+@pytest.mark.parametrize("small_chunks", [False, True])
+def test_schur_plan_matches_definition(monkeypatch, small_chunks):
+    if small_chunks:
+        # two rows of the size-6 block per chunk
+        monkeypatch.setattr(sdpcore, "_CHUNK_TARGET", 2 * 36)
+    prob, scal = _schur_fixture(5)
+    plan = sdpcore._schur_plan(prob)
+    assert [bp.block for bp in plan] == [0, 2]  # the empty block is skipped
+    counts = np.diff(prob.a_blocks[0].indptr)
+    assert np.any(counts == 0) and np.any(counts > 12)
+    assert np.unique(counts[(counts > 0) & (counts <= 12)]).size >= 3
+    if small_chunks:
+        # groups are split across chunks, and chunks span groups
+        assert len(plan[0].chunks) > np.unique(counts[counts > 0]).size
+        assert any(len(parts) > 1 for _, parts in plan[0].chunks)
+    ref = _schur_reference(prob, scal)
+    got = sdpcore._schur_matrix(prob.m, plan, scal)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
