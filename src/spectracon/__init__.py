@@ -4,8 +4,8 @@ The package decides whether the feasible set of one linear matrix
 inequality sits inside another, via three semidefinite machines sharing an
 embedded interior-point solver: a moment hierarchy on the containment
 functional, sum-of-squares eigenvalue certificates, and a positivity-map
-feasibility test.  Exact preprocessing (lineality splitting, kernel
-compression) and sampling-based refutation round out the pipeline.
+feasibility test.  Exact preprocessing (lineality splitting) and
+sampling-based refutation round out the pipeline.
 """
 
 from .errors import (DegeneratePencil, InvalidInput, InvariantViolation,
@@ -20,7 +20,7 @@ from .pencil import (LinearPencil, MapSpec, ellipsoid_pencil,
                      random_pencil, save_pencil)
 from .posmap import choi_matrix, cp_sdfp, implication_report
 from .radii import boundedness_certificate, circumradius_sq
-from .reduce import lineality_space, reduced_pencil, split_lineality, translate
+from .reduce import lineality_space, split_lineality
 from .render import render_projection, render_slice
 from .sampling import (interior_point, mu_grid, refutation_search,
                        sample_spectrahedron)
@@ -45,8 +45,8 @@ __all__ = [
     "map_from_callable", "map_to_pencils", "min_eigenvalue", "moment_matrix",
     "mu_grid", "NotContained", "NumericalFailure", "OrderTooSmall", "parse_sdpa",
     "pencil", "pencil_from_json", "pencil_to_json", "polytope_pencil",
-    "random_pencil", "reduced_pencil", "refutation_search",
+    "random_pencil", "refutation_search",
     "render_projection", "render_slice", "sample_spectrahedron", "save_pencil",
     "shrink_pencil", "shrink_to_certify", "solve", "solve_mu_mom",
-    "sos_relaxation", "split_lineality", "sym", "translate", "Unbounded",
+    "sos_relaxation", "split_lineality", "sym", "Unbounded",
 ]

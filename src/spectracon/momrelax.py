@@ -331,13 +331,8 @@ class MomentResult:
 
     @property
     def reliable(self) -> bool:
-        if self.status == "optimal":
-            return True
-        if self.status == "inaccurate":
-            res = self.solution.residuals
-            return (max(res["primal_res"], res["dual_res"]) <= 1e-6
-                    and res["gap_rel"] <= 1e-5)
-        return False
+        """The solve's :attr:`SdpSolution.reliable`."""
+        return self.solution.reliable
 
 
 def containment_relaxation(a: LinearPencil, b: LinearPencil, t: int,
@@ -373,12 +368,11 @@ def solve_mu_mom(a: LinearPencil, b: LinearPencil, t: int, r: float = 1.0,
     problem, builder, info = containment_relaxation(a, b, t, r, R)
     sol = solve(problem, **solve_opts)
     status = LmiBuilder.interpret(sol)
-    value = builder.value_from(sol) if status in ("optimal", "inaccurate",
-                                                  "iterlimit") else float("nan")
+    value = builder.value_from(sol) if sol.has_point else float("nan")
     n, l = a.n, b.k
     first = np.zeros(n)
     zmom = np.zeros(l)
-    if status in ("optimal", "inaccurate", "iterlimit"):
+    if sol.has_point:
         for p in range(n):
             e = [0] * info.nvars
             e[p] = 1

@@ -29,34 +29,12 @@ import numpy as np
 
 from .errors import InvalidInput, InvariantViolation, NumericalFailure
 from .pencil import LinearPencil, MapSpec, extend, sym_basis_indices
-from .sdpcore import LmiBuilder, SolveStatus, solve
-from .symcore import min_eigenvalue
+from .sdpcore import _margin_lmi, solve
+from .symcore import min_eigenvalue, nullspace, smat, svec
 
 _EQ_TOL = 1e-7
 _FEAS_TOL = 1e-8
 _INFEAS_TOL = 1e-6
-
-
-def _svec_indices(d):
-    return sym_basis_indices(d)
-
-
-def _svec(mat):
-    d = mat.shape[0]
-    out = np.empty(d * (d + 1) // 2)
-    for pos, (i, j) in enumerate(_svec_indices(d)):
-        out[pos] = mat[i, j] if i == j else np.sqrt(2.0) * mat[i, j]
-    return out
-
-
-def _smat(vec, d):
-    out = np.zeros((d, d))
-    for pos, (i, j) in enumerate(_svec_indices(d)):
-        if i == j:
-            out[i, i] = vec[pos]
-        else:
-            out[i, j] = out[j, i] = vec[pos] / np.sqrt(2.0)
-    return out
 
 
 @dataclass
@@ -74,7 +52,7 @@ def _equation_system(a: LinearPencil, b: LinearPencil):
     k, l, n = a.k, b.k, a.n
     d = k * l
     dim = d * (d + 1) // 2
-    idx = {pq: pos for pos, pq in enumerate(_svec_indices(d))}
+    idx = {pq: pos for pos, pq in enumerate(sym_basis_indices(d))}
     rows = []
     rhs = []
     for p in range(n + 1):
@@ -117,34 +95,15 @@ def cp_sdfp(a: LinearPencil, b: LinearPencil, extended: bool = True,
         return CpResult("Infeasible", float("-inf"), None, extended,
                         {**details, "reason": "linear obstruction"})
 
-    _, svals, vt = np.linalg.svd(eq, full_matrices=True)
-    cutoff = max(eq.shape) * np.finfo(float).eps * (svals[0] if svals.size else 1.0)
-    nullity = eq.shape[1] - int(np.sum(svals > cutoff))
-    null_basis = vt[eq.shape[1] - nullity:] if nullity else np.zeros((0, eq.shape[1]))
+    # rank_tol = eps: the cutoff of numpy's matrix_rank
+    null_basis = nullspace(eq, rank_tol=np.finfo(float).eps)
+    nullity = null_basis.shape[1]
     details["nullity"] = nullity
 
-    c_part = _smat(part, d)
+    c_part = smat(part, d)
     cap = 10.0 * scale + float(np.abs(np.diag(c_part)).max(initial=0.0))
-    builder = LmiBuilder(nvars=nullity + 1, sense="max")
-    mvar = nullity
-    blk = builder.add_block(d)
-    for i in range(d):
-        for j in range(i, d):
-            if c_part[i, j] != 0.0:
-                builder.add_const(blk, i, j, c_part[i, j])
-    for q in range(nullity):
-        zmat = _smat(null_basis[q], d)
-        for i in range(d):
-            for j in range(i, d):
-                if zmat[i, j] != 0.0:
-                    builder.add_term(blk, q, i, j, zmat[i, j])
-    for i in range(d):
-        builder.add_term(blk, mvar, i, i, -1.0)
-    capblk = builder.add_block(-1)
-    builder.add_const(capblk, 0, 0, cap)
-    builder.add_term(capblk, mvar, 0, 0, -1.0)
-    builder.set_objective(mvar, 1.0)
-    problem = builder.build(metadata={"origin": "cp_sdfp", "extended": extended})
+    problem = _margin_lmi(c_part, [smat(z, d) for z in null_basis.T], cap,
+                          metadata={"origin": "cp_sdfp", "extended": extended})
 
     try:
         sol = solve(problem, **solve_opts)
@@ -152,21 +111,16 @@ def cp_sdfp(a: LinearPencil, b: LinearPencil, extended: bool = True,
         return CpResult("Inconclusive", float("nan"), None, extended,
                         {**details, "error": str(exc)})
     details["solver_status"] = sol.status.value
-    usable = sol.status is SolveStatus.OPTIMAL or (
-        sol.status in (SolveStatus.INACCURATE, SolveStatus.ITER_LIMIT)
-        and max(sol.residuals.get("primal_res", 1.0),
-                sol.residuals.get("dual_res", 1.0)) <= 1e-6
-        and sol.residuals.get("gap_rel", 1.0) <= 1e-5)
-    if not usable:
+    if not sol.reliable:
         return CpResult("Inconclusive", float("nan"), None, extended, details)
 
-    margin = builder.value_from(sol)
+    margin = sol.value
     details["margin"] = margin
     theta = sol.y[:nullity]
-    witness = c_part + sum(t * _smat(zrow, d)
-                           for t, zrow in zip(theta, null_basis))
+    witness = c_part + sum(t * smat(zrow, d)
+                           for t, zrow in zip(theta, null_basis.T))
     witness = (witness + witness.T) / 2.0
-    details["witness_eq_residual"] = float(np.linalg.norm(eq @ _svec(witness) - rhs))
+    details["witness_eq_residual"] = float(np.linalg.norm(eq @ svec(witness) - rhs))
     details["witness_min_eig"] = min_eigenvalue(witness)
 
     if margin >= -_FEAS_TOL * scale:

@@ -18,8 +18,8 @@ from .errors import InvalidInput, NumericalFailure
 from .momrelax import Poly, build_pmi_relaxation, pencil_as_matpoly
 from .pencil import LinearPencil
 from .reduce import lineality_space
-from .sdpcore import LmiBuilder, SdpSolution, SolveStatus, solve
-from .symcore import min_eigenvalue
+from .sdpcore import LmiBuilder, SdpSolution, _margin_lmi, solve
+from .symcore import min_eigenvalue, nullspace, smat, svec
 
 
 @dataclass
@@ -31,13 +31,8 @@ class RadiusResult:
 
     @property
     def reliable(self) -> bool:
-        if self.status == "optimal":
-            return True
-        if self.status == "inaccurate":
-            res = self.solution.residuals
-            return (max(res["primal_res"], res["dual_res"]) <= 1e-6
-                    and res["gap_rel"] <= 1e-5)
-        return False
+        """The solve's :attr:`SdpSolution.reliable`."""
+        return self.solution.reliable
 
 
 def circumradius_sq(p: LinearPencil, t: int = 2, **solve_opts) -> RadiusResult:
@@ -60,8 +55,7 @@ def circumradius_sq(p: LinearPencil, t: int = 2, **solve_opts) -> RadiusResult:
         obj, [ga], t, sense="max", metadata={"origin": "circumradius"})
     sol = solve(problem, **solve_opts)
     status = LmiBuilder.interpret(sol)
-    value = builder.value_from(sol) if status in ("optimal", "inaccurate",
-                                                  "iterlimit") else float("inf")
+    value = builder.value_from(sol) if sol.has_point else float("inf")
     return RadiusResult(value=float(value), status=status, order=t, solution=sol)
 
 
@@ -80,8 +74,8 @@ def boundedness_certificate(p: LinearPencil, tol: float = 1e-7,
     Bounded comes with W positive definite and <A_q, W> = 0 for all linear
     coefficients; any recession direction d then forces sum d_q A_q = 0,
     impossible once the lineality space is trivial.  Unbounded comes with
-    an explicit recession direction.  Degenerate boundary pencils yield
-    Unknown.
+    an explicit recession direction d, re-checked to make sum d_q A_q
+    positive definite.  Degenerate boundary pencils yield Unknown.
     """
     n, k = p.n, p.k
     if n == 0:
@@ -93,102 +87,45 @@ def boundedness_certificate(p: LinearPencil, tol: float = 1e-7,
                                  {"reason": "lineality direction"})
 
     # dual search: W in the orthogonal complement of the linear coefficients
-    pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    dim = len(pairs)
-    rows = np.zeros((n + 1, dim))
-    for q in range(1, n + 1):
-        aq = p.coeffs[q].mat
-        for pos, (i, j) in enumerate(pairs):
-            rows[q - 1, pos] = aq[i, j] if i == j else np.sqrt(2.0) * aq[i, j]
-    for pos, (i, j) in enumerate(pairs):
-        rows[n, pos] = 1.0 if i == j else 0.0  # trace normalization
+    rows = np.array([svec(c) for c in p.coeffs[1:]] + [svec(np.eye(k))])
     rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
-    part, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
+    rhs[n] = 1.0  # trace normalization
+    part = np.linalg.lstsq(rows, rhs, rcond=None)[0]
     lin_res = float(np.linalg.norm(rows @ part - rhs))
     details = {"equation_residual": lin_res}
     if lin_res <= 1e-9:
-        _, svals, vt = np.linalg.svd(rows, full_matrices=True)
-        cutoff = max(rows.shape) * np.finfo(float).eps * (svals[0] if svals.size else 1.0)
-        nullity = dim - int(np.sum(svals > cutoff))
-        null_basis = vt[dim - nullity:] if nullity else np.zeros((0, dim))
-
-        def smat(vec):
-            out = np.zeros((k, k))
-            for pos, (i, j) in enumerate(pairs):
-                if i == j:
-                    out[i, i] = vec[pos]
-                else:
-                    out[i, j] = out[j, i] = vec[pos] / np.sqrt(2.0)
-            return out
-
-        builder = LmiBuilder(nvars=nullity + 1, sense="max")
-        mvar = nullity
-        blk = builder.add_block(k)
-        wpart = smat(part)
-        for i in range(k):
-            for j in range(i, k):
-                if wpart[i, j] != 0.0:
-                    builder.add_const(blk, i, j, wpart[i, j])
-        for q in range(nullity):
-            z = smat(null_basis[q])
-            for i in range(k):
-                for j in range(i, k):
-                    if z[i, j] != 0.0:
-                        builder.add_term(blk, q, i, j, z[i, j])
-        for i in range(k):
-            builder.add_term(blk, mvar, i, i, -1.0)
-        cap = builder.add_block(-1)
-        builder.add_const(cap, 0, 0, 2.0)
-        builder.add_term(cap, mvar, 0, 0, -1.0)
-        builder.set_objective(mvar, 1.0)
+        null_basis = nullspace(rows, rank_tol=np.finfo(float).eps)
+        nullity = null_basis.shape[1]
+        problem = _margin_lmi(smat(part, k), [smat(z, k) for z in null_basis.T],
+                              2.0, metadata={"origin": "boundedness"})
         try:
-            sol = solve(builder.build(metadata={"origin": "boundedness"}),
-                        **solve_opts)
+            sol = solve(problem, **solve_opts)
         except NumericalFailure as exc:
             return BoundednessReport("Unknown", None, float("nan"),
                                      {**details, "error": str(exc)})
-        if sol.status is SolveStatus.OPTIMAL:
-            margin = builder.value_from(sol)
+        if sol.reliable:
+            margin = sol.value
             if margin > tol:
-                coeffs = part + null_basis.T @ sol.y[:nullity] if nullity else part
-                w = smat(coeffs)
+                w = smat(part + null_basis @ sol.y[:nullity], k)
                 w = (w + w.T) / 2.0
                 if min_eigenvalue(w) > 0:
                     return BoundednessReport("Bounded", w, float(margin), details)
             details["dual_margin"] = float(margin)
 
     # primal search: recession direction within the unit box
-    builder = LmiBuilder(nvars=n + 1, sense="max")
-    svar = n
-    blk = builder.add_block(k)
-    for q in range(1, n + 1):
-        aq = p.coeffs[q].mat
-        for i in range(k):
-            for j in range(i, k):
-                if aq[i, j] != 0.0:
-                    builder.add_term(blk, q - 1, i, j, aq[i, j])
-    for i in range(k):
-        builder.add_term(blk, svar, i, i, -1.0)
-    box = builder.add_block(-(2 * n))
-    for q in range(n):
-        builder.add_const(box, 2 * q, 2 * q, 1.0)
-        builder.add_term(box, q, 2 * q, 2 * q, -1.0)
-        builder.add_const(box, 2 * q + 1, 2 * q + 1, 1.0)
-        builder.add_term(box, q, 2 * q + 1, 2 * q + 1, 1.0)
-    cap = builder.add_block(-1)
-    builder.add_const(cap, 0, 0, 2.0)
-    builder.add_term(cap, svar, 0, 0, -1.0)
-    builder.set_objective(svar, 1.0)
+    lin_coeffs = p.coeff_array()[1:]
+    problem = _margin_lmi(np.zeros((k, k)), list(lin_coeffs), 2.0, box=1.0,
+                          metadata={"origin": "recession"})
     try:
-        sol = solve(builder.build(metadata={"origin": "recession"}), **solve_opts)
+        sol = solve(problem, **solve_opts)
     except NumericalFailure as exc:
         return BoundednessReport("Unknown", None, float("nan"),
                                  {**details, "error": str(exc)})
-    if sol.status is SolveStatus.OPTIMAL:
-        smargin = builder.value_from(sol)
+    if sol.reliable:
+        smargin = sol.value
         details["recession_margin"] = float(smargin)
-        if smargin > tol:
-            d = sol.y[:n].copy()
+        d = sol.y[:n].copy()
+        # the solve is trusted only up to its residuals: re-check sum d_q A_q
+        if smargin > tol and min_eigenvalue(np.tensordot(d, lin_coeffs, axes=1)) > 0:
             return BoundednessReport("Unbounded", d, float(smargin), details)
     return BoundednessReport("Unknown", None, float("nan"), details)

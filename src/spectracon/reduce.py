@@ -1,10 +1,10 @@
-"""Geometric preprocessing of pencils.
+"""Lineality splitting of pencils.
 
-Containment questions simplify considerably after translating a known
-interior point to the origin, splitting off lineality directions, and
-compressing the pencil onto the orthogonal complement of the common kernel
-of its coefficients.  All three reductions are exact set operations, not
-relaxations.
+Membership in S_A is invariant along the lineality space
+{v : sum_p v_p A_p = 0}.  Containment questions therefore restrict both
+pencils to its orthogonal complement, or are refuted outright when a
+lineality direction moves the outer pencil.  The split is an exact set
+operation, not a relaxation.
 """
 
 from __future__ import annotations
@@ -13,20 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePencil, InvalidInput, NotContained
+from .errors import InvalidInput, NotContained
 from .pencil import LinearPencil, pencil
-from .symcore import common_nullspace, nullspace, orthonormal_complement
+from .symcore import nullspace, orthonormal_complement
 
 _LINEALITY_TOL = 1e-9
-
-
-def translate(p: LinearPencil, x0) -> LinearPencil:
-    """Pencil of the translated set S_A - x0, i.e. constant part A(x0)."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (p.n,):
-        raise InvalidInput(f"translation point needs {p.n} coordinates")
-    new0 = p.evaluate(x0)
-    return pencil([new0] + [c for c in p.coeffs[1:]])
 
 
 def _coeff_vec_matrix(p: LinearPencil) -> np.ndarray:
@@ -101,22 +92,3 @@ def split_lineality(a: LinearPencil, b: LinearPencil) -> LinealitySplit:
     comp = orthonormal_complement(basis)
     return LinealitySplit(a=_restrict(a, comp), b=_restrict(b, comp),
                           basis=basis, complement=comp)
-
-
-def reduced_pencil(p: LinearPencil) -> tuple[LinearPencil, np.ndarray]:
-    """Compress the pencil onto the complement of the joint coefficient kernel.
-
-    With N the common nullspace of all coefficients (constant included) and V
-    an orthonormal basis of its complement, the pencil V^T A(x) V defines the
-    same spectrahedron with the degenerate block removed.  Returns the
-    compressed pencil together with V.
-    """
-    mats = [c.mat for c in p.coeffs]
-    if not any(np.any(m) for m in mats):
-        raise DegeneratePencil("all pencil coefficients vanish")
-    n_space = common_nullspace(mats)
-    if n_space.shape[1] == 0:
-        return p, np.eye(p.k)
-    v = orthonormal_complement(n_space)
-    coeffs = [v.T @ c.mat @ v for c in p.coeffs]
-    return pencil(coeffs), v

@@ -32,7 +32,10 @@ r = 2s).
 
 Problems whose natural variables sit on the dual side (one free variable per
 monomial or subspace coordinate, constrained by a linear matrix inequality)
-are assembled through :class:`LmiBuilder`.
+are assembled through :class:`LmiBuilder`; the margin LMI shared by the
+interior probe, the block certificate and the boundedness searches comes
+from ``_margin_lmi``.  Whether a returned iterate may be used is decided in
+one place, :attr:`SdpSolution.reliable`.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ import scipy.sparse as sp
 
 from .errors import InvalidInput, NumericalFailure
 from .pencil import LinearPencil
+from .symcore import min_eigenvalue
 
 DEFAULT_TOL_GAP = 1e-8
 DEFAULT_TOL_FEAS = 1e-8
@@ -205,6 +209,34 @@ class SdpSolution:
     def value(self) -> float:
         """Midpoint of the primal and dual objective values."""
         return 0.5 * (self.primal_value + self.dual_value)
+
+    @property
+    def has_point(self) -> bool:
+        """Whether the solve returned an iterate rather than an improving ray."""
+        return self.status in (SolveStatus.OPTIMAL, SolveStatus.INACCURATE,
+                               SolveStatus.ITER_LIMIT)
+
+    @property
+    def reliable(self) -> bool:
+        """Whether the returned iterate may be used; the package's one policy.
+
+        Optimal is reliable.  Inaccurate and IterLimit are reliable when the
+        residuals recomputed from the returned iterate pass:
+        max(primal_res, dual_res) <= 1e-6 and gap_rel <= 1e-5.  Both statuses
+        return the best iterate seen, with residuals recomputed from scratch,
+        so they are judged alike.  Infeasibility rays are never reliable.
+
+        This is a residual test, not an error bound: it does not bound the
+        distance of ``value`` from the optimal value, which also scales with
+        the size of the iterate.
+        """
+        if self.status is SolveStatus.OPTIMAL:
+            return True
+        if not self.has_point:
+            return False
+        res = self.residuals
+        return (max(res["primal_res"], res["dual_res"]) <= 1e-6
+                and res["gap_rel"] <= 1e-5)
 
 
 def compute_residuals(problem: SdpProblem, x_blocks, y, s_blocks) -> dict:
@@ -872,6 +904,41 @@ class PrimalBuilder:
                           np.array(self._rhs), "min", dict(metadata or {}))
 
 
+def _margin_lmi(f0, fs, cap: float, box: float | None = None,
+                metadata=None) -> SdpProblem:
+    """The margin LMI:  max s  s.t.  F0 + sum_q y_q F_q - s I psd,  s <= cap,
+    and |y_q| <= box for every q when a box is given.
+
+    F0 and the F_q are symmetric arrays of one size; only their upper
+    triangles are read.  The variables are y_0..y_{len(fs)-1}, then s, so a
+    solution's ``value`` is the margin and ``y[:len(fs)]`` the point.  Blocks
+    in order: the pencil, the cap, and the 2 len(fs) box rows if any.
+    """
+    nq = len(fs)
+    k = f0.shape[0]
+    builder = LmiBuilder(nvars=nq + 1, sense="max")
+    blk = builder.add_block(k)
+    for i, j in zip(*np.nonzero(np.triu(f0))):
+        builder.add_const(blk, i, j, f0[i, j])
+    for q, fq in enumerate(fs):
+        for i, j in zip(*np.nonzero(np.triu(fq))):
+            builder.add_term(blk, q, i, j, fq[i, j])
+    for i in range(k):
+        builder.add_term(blk, nq, i, i, -1.0)
+    capblk = builder.add_block(-1)
+    builder.add_const(capblk, 0, 0, cap)
+    builder.add_term(capblk, nq, 0, 0, -1.0)
+    if box is not None and nq > 0:
+        boxblk = builder.add_block(-(2 * nq))
+        for q in range(nq):
+            builder.add_const(boxblk, 2 * q, 2 * q, box)
+            builder.add_term(boxblk, q, 2 * q, 2 * q, -1.0)
+            builder.add_const(boxblk, 2 * q + 1, 2 * q + 1, box)
+            builder.add_term(boxblk, q, 2 * q + 1, 2 * q + 1, 1.0)
+    builder.set_objective(nq, 1.0)
+    return builder.build(metadata=metadata)
+
+
 # ---------------------------------------------------------------------------
 # Interior / emptiness probe
 
@@ -899,35 +966,10 @@ def feasibility_probe(p: LinearPencil, box_radius: float = 1e4,
     """
     if box_radius <= 0:
         raise InvalidInput("box radius must be positive")
-    n, k = p.n, p.k
-    builder = LmiBuilder(nvars=n + 1, sense="max")
-    s_var = n
-    blk = builder.add_block(k)
+    n = p.n
     a0 = p.coeffs[0].mat
-    for i in range(k):
-        for j in range(i, k):
-            if a0[i, j] != 0.0:
-                builder.add_const(blk, i, j, a0[i, j])
-    for q in range(1, n + 1):
-        aq = p.coeffs[q].mat
-        for i in range(k):
-            for j in range(i, k):
-                if aq[i, j] != 0.0:
-                    builder.add_term(blk, q - 1, i, j, aq[i, j])
-    for i in range(k):
-        builder.add_term(blk, s_var, i, i, -1.0)
-    cap = builder.add_block(-1)
-    builder.add_const(cap, 0, 0, 1.0)
-    builder.add_term(cap, s_var, 0, 0, -1.0)
-    if n > 0:
-        box = builder.add_block(-(2 * n))
-        for q in range(n):
-            builder.add_const(box, 2 * q, 2 * q, box_radius)
-            builder.add_term(box, q, 2 * q, 2 * q, -1.0)
-            builder.add_const(box, 2 * q + 1, 2 * q + 1, box_radius)
-            builder.add_term(box, q, 2 * q + 1, 2 * q + 1, 1.0)
-    builder.set_objective(s_var, 1.0)
-    prob = builder.build(metadata={"origin": "feasibility_probe"})
+    prob = _margin_lmi(a0, [c.mat for c in p.coeffs[1:]], cap=1.0,
+                       box=box_radius, metadata={"origin": "feasibility_probe"})
 
     try:
         sol = solve(prob, **solve_opts)
@@ -935,20 +977,14 @@ def feasibility_probe(p: LinearPencil, box_radius: float = 1e4,
         return ProbeResult("Unknown", None, None, None,
                            {"error": str(exc)})
     details = {"status": sol.status.value, "residuals": sol.residuals}
-    usable = sol.status is SolveStatus.OPTIMAL or (
-        sol.status in (SolveStatus.INACCURATE, SolveStatus.ITER_LIMIT)
-        and sol.residuals is not None
-        and max(sol.residuals["primal_res"], sol.residuals["dual_res"]) <= 1e-6
-        and sol.residuals["gap_rel"] <= 1e-5)
-    if not usable:
+    if not sol.reliable:
         return ProbeResult("Unknown", None, None, None, details)
-    s_star = builder.value_from(sol)
+    s_star = sol.value
     xj = sol.y[:n].copy()
     scale = 1.0 + float(np.max(np.abs(a0)))
     details["margin"] = s_star
     if s_star > max(tol * scale, 1e-9):
         # confirm the candidate point
-        from .symcore import min_eigenvalue
         margin = min_eigenvalue(p.evaluate(xj))
         if margin > 0:
             return ProbeResult("NonEmpty", xj, float(margin), float(s_star), details)

@@ -77,13 +77,8 @@ class SosResult:
 
     @property
     def reliable(self) -> bool:
-        if self.status == "optimal":
-            return True
-        if self.status == "inaccurate":
-            res = self.solution.residuals
-            return (max(res["primal_res"], res["dual_res"]) <= 1e-6
-                    and res["gap_rel"] <= 1e-5)
-        return False
+        """The solve's :attr:`SdpSolution.reliable`."""
+        return self.solution.reliable
 
 
 def sos_relaxation(a: LinearPencil, b: LinearPencil, t: int, metadata=None):
@@ -204,7 +199,7 @@ def lambda_sos(a: LinearPencil, b: LinearPencil, t: int = 0,
     problem, info = sos_relaxation(a, b, t)
     sol = solve(problem, **solve_opts)
     status = _STATUS[sol.status]
-    if status in ("optimal", "inaccurate", "iterlimit"):
+    if sol.has_point:
         value = b.coeffs[0].mat[0, 0] - sol.value
         gram_s = sol.x_blocks[0]
         gram_t = sol.x_blocks[1]

@@ -3,7 +3,8 @@
 Everything downstream (pencils, relaxations, the SDP solver) manipulates real
 symmetric matrices.  This module fixes the storage convention: a matrix is
 symmetrized on construction and kept immutable, so numerical asymmetry from
-upstream arithmetic cannot leak into eigenvalue computations.
+upstream arithmetic cannot leak into eigenvalue computations.  It also
+holds the one svec/smat pair and the one SVD nullspace of the package.
 """
 
 from __future__ import annotations
@@ -122,26 +123,35 @@ def nullspace(a: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     return vt[rank:].T.copy()
 
 
-def common_nullspace(mats, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the intersection of the kernels of symmetric mats.
-
-    Computed from one SVD of the vertically stacked matrices; all inputs must
-    share the same dimension.
-    """
-    arrays = [_as_array(m) for m in mats]
-    if not arrays:
-        raise InvalidInput("common_nullspace needs at least one matrix")
-    dim = arrays[0].shape[0]
-    for a in arrays:
-        if a.shape[0] != dim:
-            raise InvalidInput("matrices must share one dimension")
-    stacked = np.vstack(arrays)
-    return nullspace(stacked, rank_tol=rank_tol)
-
-
 def orthonormal_complement(v: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of span(columns of v)."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 2:
         raise InvalidInput("expected a 2-d array of basis columns")
     return nullspace(v.T)
+
+
+def svec(mat) -> np.ndarray:
+    """Upper triangle of a symmetric matrix as a vector, off-diagonal entries
+    times sqrt(2), so that svec(X) @ svec(Y) = <X, Y>.
+
+    Entries follow np.triu_indices, the row-major order of
+    :func:`spectracon.pencil.sym_basis_indices`.
+    """
+    a = _as_array(mat)
+    i, j = np.triu_indices(a.shape[0])
+    out = a[i, j]
+    off = i != j
+    out[off] = np.sqrt(2.0) * out[off]
+    return out
+
+
+def smat(vec, d: int) -> np.ndarray:
+    """Inverse of :func:`svec` for d x d matrices."""
+    v = np.asarray(vec, dtype=float)
+    i, j = np.triu_indices(d)
+    vals = np.where(i != j, v / np.sqrt(2.0), v)
+    out = np.zeros((d, d))
+    out[i, j] = vals
+    out[j, i] = vals
+    return out

@@ -2,28 +2,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from spectracon.errors import InvariantViolation
 from spectracon.families import (ball_elliptope_pair, choi_map_spec, choi_pair,
                                  disk_pair)
-from spectracon.posmap import (_equation_system, _smat, _svec, choi_matrix,
-                               cp_sdfp, implication_report)
+from spectracon.posmap import (_equation_system, choi_matrix, cp_sdfp,
+                               implication_report)
 from spectracon.pencil import extend
-
-
-@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=999))
-@settings(max_examples=30)
-def test_svec_smat_roundtrip(d, seed):
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(d, d))
-    m = (m + m.T) / 2
-    back = _smat(_svec(m), d)
-    np.testing.assert_allclose(back, m, atol=1e-12)
-    # svec is an isometry for the Frobenius inner product
-    assert float(_svec(m) @ _svec(m)) == pytest.approx(
-        float(np.sum(m * m)), rel=1e-10)
+from spectracon.symcore import svec
 
 
 def test_disk_transition():
@@ -42,7 +28,7 @@ def test_feasible_witness_solves_equations():
     assert float(np.linalg.eigvalsh(c).min()) >= -1e-8
     eq, rhs, d = _equation_system(extend(a), b)
     assert c.shape == (d, d)
-    assert float(np.linalg.norm(eq @ _svec(c) - rhs)) <= 1e-6 * (1 + np.linalg.norm(rhs))
+    assert float(np.linalg.norm(eq @ svec(c) - rhs)) <= 1e-6 * (1 + np.linalg.norm(rhs))
 
 
 def test_elliptope_pair_feasible():

@@ -43,11 +43,14 @@ def test_bounded_certificate_elliptope():
 
 
 def test_unbounded_by_recession_direction():
-    rep = boundedness_certificate(pencil([np.eye(2), np.eye(2)]))
-    assert rep.kind == "Unbounded"
-    d = rep.certificate
-    # the direction certifies growth: sum d_q A_q strictly psd
-    assert float(np.linalg.eigvalsh(d[0] * np.eye(2)).min()) > 0
+    for p in (pencil([np.eye(2), np.eye(2)]),
+              pencil([np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])):
+        rep = boundedness_certificate(p)
+        assert rep.kind == "Unbounded"
+        d = rep.certificate
+        # the direction certifies growth: sum d_q A_q strictly psd
+        growth = np.tensordot(d, p.coeff_array()[1:], axes=1)
+        assert float(np.linalg.eigvalsh(growth).min()) > 0
 
 
 def test_unbounded_by_lineality():

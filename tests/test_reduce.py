@@ -3,19 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spectracon.errors import DegeneratePencil, NotContained
+from spectracon.errors import NotContained
 from spectracon.pencil import pencil, random_pencil
-from spectracon.reduce import (lineality_space, reduced_pencil,
-                               split_lineality, translate)
+from spectracon.reduce import lineality_space, split_lineality
 from spectracon.symcore import is_psd
-
-
-def test_translate_shifts_argument():
-    p = random_pencil(2, 3, seed=1)
-    x0 = np.array([0.4, -0.2])
-    q = translate(p, x0)
-    y = np.array([0.1, 0.3])
-    assert np.allclose(q.evaluate(y).mat, p.evaluate(y + x0).mat, atol=1e-12)
 
 
 def test_lineality_detects_zero_coefficient():
@@ -51,23 +42,6 @@ def test_split_incompatible_raises_with_direction():
         split_lineality(a, b)
     d = exc.value.witness["direction"]
     assert abs(abs(d[1]) - 1.0) < 1e-12
-
-
-def test_reduced_pencil_compresses_kernel():
-    base = np.diag([1.0, 2.0, 0.0])
-    lin = np.diag([1.0, -1.0, 0.0])
-    p = pencil([base, lin])
-    q, v = reduced_pencil(p)
-    assert q.k == 2
-    assert v.shape == (3, 2)
-    for x in (np.array([0.3]), np.array([-0.8])):
-        assert np.allclose(q.evaluate(x).mat, v.T @ p.evaluate(x).mat @ v,
-                           atol=1e-12)
-
-
-def test_reduced_pencil_rejects_zero():
-    with pytest.raises(DegeneratePencil):
-        reduced_pencil(pencil([np.zeros((2, 2)), np.zeros((2, 2))]))
 
 
 @given(st.integers(1, 3), st.integers(0, 2 ** 31 - 1))

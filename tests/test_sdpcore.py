@@ -8,8 +8,8 @@ from spectracon.errors import InvalidInput
 from spectracon.pencil import elliptope_pencil, pencil
 from spectracon.sdpa import export_sdpa, parse_sdpa
 from spectracon.sdpcore import (LmiBuilder, PrimalBuilder, SdpProblem,
-                                SolveStatus, compute_residuals,
-                                feasibility_probe, solve)
+                                SdpSolution, SolveStatus, _margin_lmi,
+                                compute_residuals, feasibility_probe, solve)
 
 TOL = 1e-8
 
@@ -212,6 +212,65 @@ def test_probe_nonempty_and_empty():
     assert probe.point.shape == (3,)
     empty = pencil([np.diag([-1.0, -1.0]), np.diag([1.0, -1.0])])
     assert feasibility_probe(empty).kind == "Empty"
+
+
+def _solution(status, primal_res, dual_res, gap_rel):
+    res = {"primal_res": primal_res, "dual_res": dual_res, "gap_rel": gap_rel}
+    return SdpSolution(status=status, x_blocks=[], y=np.zeros(0), s_blocks=[],
+                       primal_value=0.0, dual_value=0.0, residuals=res,
+                       iterations=1, hsd={})
+
+
+_IN, _OUT = 0.99, 1.01  # factors just inside and just outside a threshold
+
+
+@pytest.mark.parametrize("status,res,want", [
+    (SolveStatus.OPTIMAL, (1.0, 1.0, 1.0), True),
+    (SolveStatus.PRIMAL_INFEASIBLE, (0.0, 0.0, 0.0), False),
+    (SolveStatus.DUAL_INFEASIBLE, (0.0, 0.0, 0.0), False),
+] + [
+    (status, res, want)
+    for status in (SolveStatus.INACCURATE, SolveStatus.ITER_LIMIT)
+    for res, want in [
+        ((_IN * 1e-6, _IN * 1e-6, _IN * 1e-5), True),
+        ((1e-6, 1e-6, 1e-5), True),
+        ((_OUT * 1e-6, 0.0, 0.0), False),
+        ((0.0, _OUT * 1e-6, 0.0), False),
+        ((0.0, 0.0, _OUT * 1e-5), False),
+    ]
+])
+def test_reliable_policy(status, res, want):
+    sol = _solution(status, *res)
+    assert sol.reliable is want
+    assert sol.has_point is (status in (SolveStatus.OPTIMAL,
+                                        SolveStatus.INACCURATE,
+                                        SolveStatus.ITER_LIMIT))
+
+
+@pytest.mark.parametrize("box", [None, 3.5])
+def test_margin_lmi_slack_is_the_pencil(box):
+    rng = np.random.default_rng(7)
+    k, nq, cap = 3, 2, 1.5
+
+    def symmetric():
+        m = rng.normal(size=(k, k))
+        m = m + m.T
+        m[0, 2] = m[2, 0] = 0.0
+        return m
+
+    f0, fs = symmetric(), [symmetric() for _ in range(nq)]
+    prob = _margin_lmi(f0, fs, cap, box=box)
+    assert prob.block_sizes == ((k, -1) if box is None else (k, -1, -2 * nq))
+    np.testing.assert_array_equal(prob.b, [0.0] * nq + [1.0])  # max s
+    y, s = rng.normal(size=nq), float(rng.normal())
+    slack = [c - at for c, at in zip(prob.c_blocks,
+                                     prob.apply_at(np.append(y, s)))]
+    want = f0 + sum(yq * fq for yq, fq in zip(y, fs)) - s * np.eye(k)
+    np.testing.assert_allclose(slack[0], want, atol=1e-12)
+    np.testing.assert_allclose(slack[1], [cap - s], atol=1e-12)
+    if box is not None:
+        rows = np.ravel([[box - yq, box + yq] for yq in y])
+        np.testing.assert_allclose(slack[2], rows, atol=1e-12)
 
 
 def test_problem_validation():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectracon.errors import InvalidInput
-from spectracon.symcore import (SymMatrix, common_nullspace, is_psd,
-                                max_eigenvalue, min_eigenvalue, nullspace,
-                                orthonormal_complement, spectral_norm, sym)
+from spectracon.pencil import sym_basis_indices
+from spectracon.symcore import (SymMatrix, is_psd, max_eigenvalue,
+                                min_eigenvalue, nullspace,
+                                orthonormal_complement, smat, spectral_norm,
+                                svec, sym)
 
 
 def test_sym_symmetrizes():
@@ -41,13 +43,6 @@ def test_nullspace_annihilates():
     assert np.allclose(ns.T @ ns, np.eye(2))
 
 
-def test_common_nullspace():
-    mats = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])]
-    cn = common_nullspace(mats)
-    assert cn.shape == (3, 1)
-    assert abs(abs(cn[2, 0]) - 1.0) < 1e-12
-
-
 def test_orthonormal_complement_squares_up():
     v = np.array([[1.0], [0.0], [0.0]])
     c = orthonormal_complement(v)
@@ -72,3 +67,29 @@ def test_spectral_norm_is_operator_norm(dim, seed):
     v = rng.normal(size=dim)
     v /= np.linalg.norm(v)
     assert np.linalg.norm(m.mat @ v) <= spectral_norm(m) + 1e-9
+
+
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=999))
+@settings(max_examples=30)
+def test_svec_smat_roundtrip(d, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(d, d))
+    m = (m + m.T) / 2
+    back = smat(svec(m), d)
+    np.testing.assert_allclose(back, m, atol=1e-12)
+    # svec is an isometry for the Frobenius inner product
+    assert float(svec(m) @ svec(m)) == pytest.approx(
+        float(np.sum(m * m)), rel=1e-10)
+
+
+def test_svec_smat_match_loop_reference():
+    d = 4
+    m = np.arange(16.0).reshape(d, d)
+    m = m + m.T
+    want = [m[i, j] * (1.0 if i == j else np.sqrt(2.0))
+            for i, j in sym_basis_indices(d)]
+    np.testing.assert_array_equal(svec(m), want)
+    back = np.zeros((d, d))
+    for pos, (i, j) in enumerate(sym_basis_indices(d)):
+        back[i, j] = back[j, i] = want[pos] if i == j else want[pos] / np.sqrt(2.0)
+    np.testing.assert_array_equal(smat(np.array(want), d), back)
