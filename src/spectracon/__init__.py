@@ -8,9 +8,9 @@ feasibility test.  Exact preprocessing (lineality splitting) and
 sampling-based refutation round out the pipeline.
 """
 
-from .errors import (DegeneratePencil, InvalidInput, InvariantViolation,
-                     NotContained, NumericalFailure, OrderTooSmall,
-                     SpectraconError, Unbounded)
+from .errors import (InvalidInput, InvariantViolation, NotContained,
+                     NumericalFailure, OrderTooSmall, SpectraconError,
+                     Unbounded)
 from .momrelax import (containment_relaxation, moment_matrix, shrink_pencil,
                        shrink_to_certify, solve_mu_mom)
 from .pencil import (LinearPencil, MapSpec, ellipsoid_pencil,
@@ -38,7 +38,7 @@ __all__ = [
     "SdpSolution", "SolveStatus", "SpectraconError", "SymMatrix", "Verdict",
     "boundedness_certificate", "certificate_gap", "check_containment",
     "choi_matrix", "circumradius_sq", "containment_relaxation",
-    "count_unknowns", "cp_sdfp", "DegeneratePencil", "ellipsoid_pencil",
+    "count_unknowns", "cp_sdfp", "ellipsoid_pencil",
     "elliptope_pencil", "export_sdpa", "extend", "feasibility_probe",
     "implication_report", "interior_point", "InvalidInput",
     "InvariantViolation", "lambda_sos", "lineality_space", "load_pencil",

@@ -24,10 +24,6 @@ class OrderTooSmall(InvalidInput):
     """Relaxation order below the minimum required by the degrees involved."""
 
 
-class DegeneratePencil(InvalidInput):
-    """Pencil has no informative content (for instance, all coefficients zero)."""
-
-
 class NotContained(SpectraconError):
     """Containment is refuted; ``witness`` holds the certificate data."""
 

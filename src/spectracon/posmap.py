@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, InvariantViolation, NumericalFailure
-from .pencil import LinearPencil, MapSpec, extend, sym_basis_indices
+from .pencil import LinearPencil, MapSpec, extend
 from .sdpcore import _margin_lmi, solve
 from .symcore import min_eigenvalue, nullspace, smat, svec
 
@@ -49,27 +49,18 @@ class CpResult:
 
 
 def _equation_system(a: LinearPencil, b: LinearPencil):
-    k, l, n = a.k, b.k, a.n
-    d = k * l
-    dim = d * (d + 1) // 2
-    idx = {pq: pos for pos, pq in enumerate(sym_basis_indices(d))}
-    rows = []
-    rhs = []
-    for p in range(n + 1):
-        amat = a.coeffs[p].mat
-        bmat = b.coeffs[p].mat
-        nz = np.argwhere(amat != 0.0)
-        for u in range(l):
-            for v in range(u, l):
-                row = np.zeros(dim)
-                for i, j in nz:
-                    pq = (int(i) * l + u, int(j) * l + v)
-                    pq = (min(pq), max(pq))
-                    scale = 1.0 if pq[0] == pq[1] else 1.0 / np.sqrt(2.0)
-                    row[idx[pq]] += amat[i, j] * scale
-                rows.append(row)
-                rhs.append(bmat[u, v])
-    return np.array(rows), np.array(rhs), d
+    """Rows svec(sym(A_p (x) E_uv)) and right-hand sides B_p[u, v], for
+    p = 0..n and u <= v: the equations on svec(C)."""
+    l = b.k
+    u, v = np.triu_indices(l)
+    units = np.zeros((u.size, l, l))
+    units[np.arange(u.size), u, v] = 1.0
+    rows, rhs = [], []
+    for ap, bp in zip(a.coeffs, b.coeffs):
+        g = np.kron(ap.mat, units)
+        rows.append(svec((g + g.swapaxes(1, 2)) / 2.0))
+        rhs.append(bp.mat[u, v])
+    return np.concatenate(rows), np.concatenate(rhs), a.k * l
 
 
 def cp_sdfp(a: LinearPencil, b: LinearPencil, extended: bool = True,

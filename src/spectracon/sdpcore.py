@@ -22,13 +22,30 @@ there, sorts them by their stored-entry count r and cuts them into chunks of
 at most ``_CHUNK_TARGET`` floats of vec(W A_i W) (at least one row).  Within
 a chunk, the rows of each count r are done in one batched numpy call: the
 thin product (W[:, p] * v) @ W[q, :] over the stored entries for r <= 2s,
-the full congruence W A_i W for denser rows.  One sparse product of the
-block's rows with the chunk then gives the chunk's rows of M.  Diagonal
-blocks use A diag(w)^2 A' on their rows.  Memory: the plan holds the rows
-with stored entries a second time plus two indices per thin-row entry;
-besides M, assembly holds one chunk, its transposed copy, the product with
-it, and thin-product operands of at most 6 * ``_CHUNK_TARGET`` floats (at
-r = 2s).
+the full congruence W A_i W for denser rows.  The A_i are symmetric, so
+W A_i W is too, and <A_j, W A_i W> needs only its upper triangle: the plan
+also keeps each dense block's rows folded onto the s(s+1)/2 positions
+p <= q (weight a_pq + a_qp off the diagonal), and one sparse product of
+those folded rows with a C-ordered gather of the chunk's triangle gives the
+chunk's rows of M.  A block whose rows cover all m constraints adds them
+into M directly.  Diagonal blocks use A diag(w)^2 A' on their rows.
+Memory: the plan holds the rows with stored entries twice (as given and
+folded) plus two indices per thin-row entry, and one chunk buffer (at most
+``_CHUNK_TARGET`` floats, or s^2 for a single row) with its triangle
+gather (about half that), which the dense blocks share.  The solve holds M
+itself; it and the buffers are allocated once and overwritten by every
+assembly, and M is symmetrized in place in tiles.  Besides those, an
+assembly makes the product of the folded rows with one gather and
+thin-product operands of at most 6 * ``_CHUNK_TARGET`` floats (at r = 2s).
+
+Step lengths and the corrector work in the NT frame.  With W = R R' the
+scaling gives R^-1 X R^-T = R' S R = lam, a diagonal.  A direction maps to
+dX^ = R^-1 dX R^-T and dS^ = R' dS R, and the largest step that keeps a
+side psd is -1 / lam_min(lam^-1/2 d^ lam^-1/2), so no factor of X or S
+is solved against.  The predictor's dX^ and dS^ serve both its step
+length and the corrector's second-order term, and S^-1 = R lam^-1 R'.
+The Schur factor is used as the F-ordered upper factor that LAPACK's
+solver reads without a copy.
 
 Problems whose natural variables sit on the dual side (one free variable per
 monomial or subspace coordinate, constrained by a linear matrix inequality)
@@ -64,6 +81,10 @@ _MAX_CONSTRAINTS = 8000
 # Floats of vec(W A_i W) per Schur assembly chunk: 2 MB, so the chunk and
 # the transposed copy the sparse product makes of it stay in cache.
 _CHUNK_TARGET = 250_000
+
+# Side of the tiles the Schur matrix is symmetrized in: 115 KB, below
+# glibc's default 128 KB mmap threshold, so no tile is mapped afresh.
+_SYM_TILE = 120
 
 
 class SolveStatus(Enum):
@@ -275,35 +296,50 @@ class _DenseBlock:
     def inner(self, x, s):
         return float(np.sum(x * s))
 
-    def factorize(self, x):
-        return np.linalg.cholesky(x)
-
-    def nt_scaling(self, x, s, lx, ls):
-        # W s W = x with W = R R'; the scaled point is the diagonal lam.
+    def nt_scaling(self, x, s):
+        # W S W = X with W = R R'; in the NT frame R^-1 X R^-T = R' S R is
+        # the diagonal lam.  From Ls' Lx = U lam V': R = Lx V lam^-1/2 and
+        # R^-1 = lam^-1/2 U' Ls', both without a triangular solve.  ``frame``
+        # stacks R^-1 and R', the maps of the two sides into the frame;
+        # ``isqrt`` is 1 / sqrt(lam_i lam_j).
+        lx = np.linalg.cholesky(x)
+        ls = np.linalg.cholesky(s)
         u, sv, vt = np.linalg.svd(ls.T @ lx)
         if np.any(sv <= 0):
             raise np.linalg.LinAlgError("vanishing singular value in scaling")
-        r = (lx @ vt.T) / np.sqrt(sv)[None, :]
-        rinv = np.sqrt(sv)[:, None] * sla.solve_triangular(
-            lx, vt.T, lower=True, trans="T").T
-        return {"r": r, "rinv": rinv, "w": r @ r.T, "lam": sv}
+        root = np.sqrt(sv)
+        r = (lx @ vt.T) / root[None, :]
+        rinv = (ls @ u).T / root[:, None]
+        return {"r": r, "w": r @ r.T, "lam": sv,
+                "frame": np.stack((rinv, r.T)),
+                "isqrt": 1.0 / (root[:, None] * root[None, :])}
 
     def congruence(self, w, m):
         out = w @ m @ w
         return (out + out.T) / 2.0
 
-    def step_to_boundary(self, l_factor, d):
-        t = sla.solve_triangular(l_factor, d, lower=True)
-        u = sla.solve_triangular(l_factor, t.T, lower=True)
-        u = (u + u.T) / 2.0
-        lam_min = float(np.linalg.eigvalsh(u)[0])
+    def to_frame(self, sc, dx, ds):
+        """R^-1 dX R^-T and R' dS R, stacked: the directions in the NT frame."""
+        f = sc["frame"]
+        return f @ np.stack((dx, ds)) @ f.transpose(0, 2, 1)
+
+    def max_step(self, sc, dhat):
+        """Largest alpha keeping lam + alpha dhat psd on both sides (inf if
+        there is no boundary): -1 / lam_min(lam^-1/2 dhat lam^-1/2)."""
+        lam_min = float(np.min(np.linalg.eigvalsh(dhat * sc["isqrt"])[:, 0]))
         if lam_min >= -1e-14:
             return np.inf
         return -1.0 / lam_min
 
-    def inverse_from_factor(self, l_factor):
-        inv = sla.cho_solve((l_factor, True), np.eye(self.size))
-        return (inv + inv.T) / 2.0
+    def corrector(self, sc, dhat, target):
+        """R (target lam^-1 - E) R' for the predictor's frame directions
+        dhat, where lam E + E lam = dX^ dS^ + dS^ dX^; R lam^-1 R' is S^-1."""
+        lam = sc["lam"]
+        h = dhat[0] @ dhat[1]
+        e = -(h + h.T) / (lam[:, None] + lam[None, :])
+        e[np.diag_indices_from(e)] += target / lam
+        out = sc["r"] @ e @ sc["r"].T
+        return (out + out.T) / 2.0
 
 
 class _DiagBlock:
@@ -316,28 +352,28 @@ class _DiagBlock:
     def inner(self, x, s):
         return float(np.dot(x, s))
 
-    def factorize(self, x):
-        if np.any(x <= 0):
+    def nt_scaling(self, x, s):
+        # here ``w`` is W itself, R = W^1/2
+        if np.any(x <= 0) or np.any(s <= 0):
             raise np.linalg.LinAlgError("nonpositive diagonal entry")
-        return np.sqrt(x)
-
-    def nt_scaling(self, x, s, lx, ls):
-        w = np.sqrt(x / s)
-        return {"w": w, "lam": np.sqrt(x * s)}
+        return {"w": np.sqrt(x / s), "lam": np.sqrt(x * s)}
 
     def congruence(self, w, m):
         return w * m * w
 
-    def step_to_boundary(self, l_factor, d):
-        x = l_factor * l_factor
-        ratios = d / x
-        worst = float(np.min(ratios))
+    def to_frame(self, sc, dx, ds):
+        return np.stack((dx / sc["w"], sc["w"] * ds))
+
+    def max_step(self, sc, dhat):
+        # the ratio test: dhat / lam is dx / x and ds / s
+        worst = float(np.min(dhat / sc["lam"]))
         if worst >= -1e-14:
             return np.inf
         return -1.0 / worst
 
-    def inverse_from_factor(self, l_factor):
-        return 1.0 / (l_factor * l_factor)
+    def corrector(self, sc, dhat, target):
+        e = dhat[0] * dhat[1] / sc["lam"]
+        return sc["w"] * (target / sc["lam"] - e)
 
 
 def _block_ops(sizes):
@@ -358,7 +394,10 @@ class _BlockPlan:
     indexes ``rows`` and each part (lo, hi, p, q, vals) covers sel[lo:hi],
     rows of one stored-entry count r.  A thin part (r <= 2s) holds the entry
     positions p, q and values; a dense part (r > 2s) has p None and holds
-    the CSR rows in ``vals``.
+    the CSR rows in ``vals``.  It also keeps ``tri``, its rows folded onto
+    the upper-triangle positions ``tri_pos`` (flat p*s + q, p <= q), and
+    the flat chunk and gather buffers ``u`` and ``g``, which all dense
+    blocks of the plan share and every assembly overwrites.
     """
 
     block: int
@@ -366,11 +405,16 @@ class _BlockPlan:
     sub: sp.csr_matrix
     sub_t: sp.csr_matrix | None = None
     chunks: list = field(default_factory=list)
+    tri: sp.csr_matrix | None = None
+    tri_pos: np.ndarray | None = None
+    u: np.ndarray | None = None
+    g: np.ndarray | None = None
 
 
 def _schur_plan(problem):
     """Per-block assembly plan; it depends only on the sparsity pattern."""
     plan = []
+    u_len = g_len = 0  # the largest chunk and gather over the dense blocks
     for bi, (size, a) in enumerate(zip(problem.block_sizes, problem.a_blocks)):
         nnz_row = np.diff(a.indptr)
         rows = np.flatnonzero(nnz_row)
@@ -399,16 +443,37 @@ def _schur_plan(problem):
                 cols = sub.indices[pos]
                 parts.append((lo, hi, cols // s, cols % s, sub.data[pos]))
             chunks.append((sel, parts))
-        plan.append(_BlockPlan(bi, rows, sub, chunks=chunks))
+        # fold: entries (p, q) and (q, p) add onto triangle position p <= q
+        iu = np.triu_indices(s)
+        tri_of = np.empty((s, s), dtype=np.intp)
+        tri_of[iu] = np.arange(iu[0].size)
+        tri_of[iu[1], iu[0]] = tri_of[iu]
+        coo = sub.tocoo()
+        tri = sp.csr_matrix((coo.data, (coo.row, tri_of.ravel()[coo.col])),
+                            shape=(rows.size, iu[0].size))
+        plan.append(_BlockPlan(bi, rows, sub, chunks=chunks, tri=tri,
+                               tri_pos=iu[0] * s + iu[1]))
+        u_len = max(u_len, min(cap, rows.size) * s * s)
+        g_len = max(g_len, min(cap, rows.size) * iu[0].size)
+    # one chunk buffer and one gather buffer serve the dense blocks in turn
+    u, g = np.empty(u_len), np.empty(g_len)
+    for bp in plan:
+        if bp.tri is not None:
+            bp.u, bp.g = u, g
     return plan
 
 
-def _schur_matrix(m, plan, scal):
-    """M_ij = sum_b <A_ib, W_b A_jb W_b>, assembled blockwise from the plan."""
+def _schur_matrix(m, plan, scal, out=None):
+    """M_ij = sum_b <A_ib, W_b A_jb W_b>, assembled blockwise from the plan.
+
+    ``out`` is an optional (m, m) array that receives M; the solve
+    allocates it once and every assembly overwrites it.
+    """
+    mat = np.empty((m, m)) if out is None else out
     # Every block adds the transpose of its contribution, which the final
     # symmetrization undoes exactly; a chunk then fills rows of ``mat``
     # instead of scattering into columns.
-    mat = np.zeros((m, m))
+    mat.fill(0.0)
     for bp in plan:
         w = scal[bp.block]["w"]
         rows = bp.rows
@@ -418,7 +483,7 @@ def _schur_matrix(m, plan, scal):
             continue
         s = w.shape[0]
         for sel, parts in bp.chunks:
-            u = np.empty((sel.size, s, s))
+            u = bp.u[:sel.size * s * s].reshape(sel.size, s, s)
             for lo, hi, p, q, vals in parts:
                 if p is None:
                     dense = vals.toarray().reshape(hi - lo, s, s)
@@ -427,8 +492,30 @@ def _schur_matrix(m, plan, scal):
                     # W A_i W as thin products over the stored entries; rows
                     # are fully mirrored so this covers both triangles.
                     np.matmul((w[:, p] * vals).transpose(1, 0, 2), w[q], out=u[lo:hi])
-            mat[np.ix_(rows[sel], rows)] += (bp.sub @ u.reshape(sel.size, s * s).T).T
-    return (mat + mat.T) / 2.0
+            # W A_i W is symmetric, so its upper triangle against the folded
+            # rows gives <A_j, W A_i W>; the gather is C-ordered as the
+            # sparse product needs it
+            g = bp.g[:bp.tri_pos.size * sel.size].reshape(-1, sel.size)
+            np.take(u.reshape(sel.size, s * s).T, bp.tri_pos, axis=0, out=g,
+                    mode="clip")
+            contrib = (bp.tri @ g).T
+            if rows.size == m:
+                mat[sel] += contrib
+            else:
+                mat[np.ix_(rows[sel], rows)] += contrib
+    _symmetrize(mat)
+    return mat
+
+
+def _symmetrize(a):
+    """a <- (a + a') / 2 in place, one pair of tiles at a time."""
+    t = _SYM_TILE
+    for i in range(0, a.shape[0], t):
+        for j in range(i, a.shape[0], t):
+            avg = a[i:i + t, j:j + t] + a[j:j + t, i:i + t].T
+            avg *= 0.5
+            a[i:i + t, j:j + t] = avg
+            a[j:j + t, i:i + t] = avg.T
 
 
 def _chol_with_jitter(mat):
@@ -436,7 +523,8 @@ def _chol_with_jitter(mat):
     scale = float(np.max(np.abs(np.diag(mat)))) or 1.0
     for attempt in range(4):
         try:
-            return np.linalg.cholesky(mat + jitter * np.eye(mat.shape[0]))
+            return np.linalg.cholesky(
+                mat if attempt == 0 else mat + jitter * np.eye(mat.shape[0]))
         except np.linalg.LinAlgError:
             jitter = scale * (1e-13 if attempt == 0 else jitter / scale * 100.0)
     raise np.linalg.LinAlgError("Schur complement factorization failed")
@@ -470,6 +558,7 @@ def solve(problem: SdpProblem, tol_gap: float = DEFAULT_TOL_GAP,
 
     ops = _block_ops(work.block_sizes)
     plan = _schur_plan(work)
+    schur_work = np.empty((work.m, work.m))
     nu = work.cone_dim + 1.0
     norm_b = work.norm_b()
     norm_c = work.norm_c()
@@ -580,25 +669,28 @@ def solve(problem: SdpProblem, tol_gap: float = DEFAULT_TOL_GAP,
 
         # NT scaling
         try:
-            lx = [op.factorize(xb) for op, xb in zip(ops, x)]
-            ls = [op.factorize(sb) for op, sb in zip(ops, s)]
-            scal = [op.nt_scaling(xb, sb, lxb, lsb)
-                    for op, xb, sb, lxb, lsb in zip(ops, x, s, lx, ls)]
+            scal = [op.nt_scaling(xb, sb) for op, xb, sb in zip(ops, x, s)]
         except np.linalg.LinAlgError:
             x, y, s, tau, kappa = best[0], best[1], best[2], best[3], best[4]
             return finish(SolveStatus.INACCURATE,
                           "iterate left the cone interior; returning best iterate")
 
         try:
-            schur = _schur_matrix(work.m, plan, scal)
+            schur = _schur_matrix(work.m, plan, scal, out=schur_work)
             l_schur = _chol_with_jitter(schur)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"Schur factorization failed at iteration {it}",
                                    report={"log": log}) from exc
+        # the F-ordered upper factor L' reaches potrs without a copy; it
+        # came out of a successful potrf, so only right-hand sides are checked
+        factor = (l_schur.T, False)
+
+        def schur_solve(rhs):
+            return sla.cho_solve(factor, np.asarray_chkfinite(rhs), check_finite=False)
 
         wcw = [op.congruence(sc["w"], cb) for op, sc, cb in zip(ops, scal, work.c_blocks)]
         v_vec = work.apply_a(wcw)
-        gb, gv = sla.cho_solve((l_schur, True), np.column_stack((work.b, v_vec))).T
+        gb, gv = schur_solve(np.column_stack((work.b, v_vec))).T
         g2 = gb + gv
         # den = kappa/tau + b'M^{-1}b + (<C,WCW> - v'M^{-1}v); the bracket is a
         # squared distance to a subspace, so clamping it at zero only removes
@@ -609,12 +701,16 @@ def solve(problem: SdpProblem, tol_gap: float = DEFAULT_TOL_GAP,
             raise NumericalFailure(f"degenerate reduced system at iteration {it}",
                                    report={"log": log})
 
-        def newton_dir(r1, r2, r3, r4, r5):
-            q = [op.congruence(sc["w"], r2b) + r4b
-                 for op, sc, r2b, r4b in zip(ops, scal, r2, r4)]
+        r1 = -p_res
+        r2 = d_res
+        r3 = -g_res
+        wr2w = [op.congruence(sc["w"], r2b) for op, sc, r2b in zip(ops, scal, r2)]
+
+        def newton_dir(r4, r5):
+            q = [a + r4b for a, r4b in zip(wr2w, r4)]
             h1 = r1 - work.apply_a(q)
             h2 = r3 + work.inner_c(q) + r5 / tau
-            g1 = sla.cho_solve((l_schur, True), h1)
+            g1 = schur_solve(h1)
             dtau = (h2 - float((work.b - v_vec) @ g1)) / den
             dy = g1 + g2 * dtau
             at_dy = work.apply_at(dy)
@@ -629,19 +725,16 @@ def solve(problem: SdpProblem, tol_gap: float = DEFAULT_TOL_GAP,
             dkappa = (r5 - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa
 
-        r1 = -p_res
-        r2 = d_res
-        r3 = -g_res
-
-        # predictor
+        # predictor; its directions in the NT frame also give the corrector
         r4_aff = [-xb for xb in x]
         r5_aff = -tau * kappa
-        dxa, dya, dsa, dtaua, dkappaa = newton_dir(r1, r2, r3, r4_aff, r5_aff)
+        dxa, dya, dsa, dtaua, dkappaa = newton_dir(r4_aff, r5_aff)
+        hat_a = [op.to_frame(sc, dxb, dsb)
+                 for op, sc, dxb, dsb in zip(ops, scal, dxa, dsa)]
 
         alpha_aff = 1.0
-        for op, lxb, lsb, dxb, dsb in zip(ops, lx, ls, dxa, dsa):
-            alpha_aff = min(alpha_aff, op.step_to_boundary(lxb, dxb))
-            alpha_aff = min(alpha_aff, op.step_to_boundary(lsb, dsb))
+        for op, sc, hb in zip(ops, scal, hat_a):
+            alpha_aff = min(alpha_aff, op.max_step(sc, hb))
         if dtaua < 0:
             alpha_aff = min(alpha_aff, -tau / dtaua)
         if dkappaa < 0:
@@ -653,34 +746,16 @@ def solve(problem: SdpProblem, tol_gap: float = DEFAULT_TOL_GAP,
                   + (tau + alpha_aff * dtaua) * (kappa + alpha_aff * dkappaa)) / nu
         sigma = min(0.99999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
-        # corrector in the scaled space
-        r4 = []
-        for bi, op in enumerate(ops):
-            sc = scal[bi]
-            if work.block_sizes[bi] > 0:
-                sinv = op.inverse_from_factor(ls[bi])
-                dxhat = sc["rinv"] @ dxa[bi] @ sc["rinv"].T
-                dshat = sc["r"].T @ dsa[bi] @ sc["r"]
-                h = (dxhat @ dshat + dshat @ dxhat) / 2.0
-                lam = sc["lam"]
-                e = 2.0 * h / (lam[:, None] + lam[None, :])
-                corr = sc["r"] @ e @ sc["r"].T
-                r4b = sigma * mu * sinv - x[bi] - (corr + corr.T) / 2.0
-            else:
-                sinv = op.inverse_from_factor(ls[bi])
-                dxhat = dxa[bi] / sc["w"]
-                dshat = sc["w"] * dsa[bi]
-                e = dxhat * dshat / sc["lam"]
-                r4b = sigma * mu * sinv - x[bi] - sc["w"] * e
-            r4.append(r4b)
+        # corrector in the NT frame
+        r4 = [op.corrector(sc, hb, sigma * mu) - xb
+              for op, sc, hb, xb in zip(ops, scal, hat_a, x)]
         r5 = sigma * mu - tau * kappa - dtaua * dkappaa
 
-        dx, dy, ds, dtau, dkappa = newton_dir(r1, r2, r3, r4, r5)
+        dx, dy, ds, dtau, dkappa = newton_dir(r4, r5)
 
         alpha = 1.0 / step_frac
-        for op, lxb, lsb, dxb, dsb in zip(ops, lx, ls, dx, ds):
-            alpha = min(alpha, op.step_to_boundary(lxb, dxb))
-            alpha = min(alpha, op.step_to_boundary(lsb, dsb))
+        for op, sc, dxb, dsb in zip(ops, scal, dx, ds):
+            alpha = min(alpha, op.max_step(sc, op.to_frame(sc, dxb, dsb)))
         if dtau < 0:
             alpha = min(alpha, -tau / dtau)
         if dkappa < 0:

@@ -136,13 +136,16 @@ def svec(mat) -> np.ndarray:
     times sqrt(2), so that svec(X) @ svec(Y) = <X, Y>.
 
     Entries follow np.triu_indices, the row-major order of
-    :func:`spectracon.pencil.sym_basis_indices`.
+    :func:`spectracon.pencil.sym_basis_indices`.  A stack of matrices, shape
+    (..., d, d), gives the stack of their vectors.
     """
-    a = _as_array(mat)
-    i, j = np.triu_indices(a.shape[0])
-    out = a[i, j]
+    a = mat.mat if isinstance(mat, SymMatrix) else np.asarray(mat, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InvalidInput(f"expected square matrices, got shape {a.shape}")
+    i, j = np.triu_indices(a.shape[-1])
+    out = a[..., i, j]
     off = i != j
-    out[off] = np.sqrt(2.0) * out[off]
+    out[..., off] = np.sqrt(2.0) * out[..., off]
     return out
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from spectracon import sdpcore
@@ -352,3 +353,105 @@ def test_schur_plan_matches_definition(monkeypatch, small_chunks):
     ref = _schur_reference(prob, scal)
     got = sdpcore._schur_matrix(prob.m, plan, scal)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _mirrored_rows(rng, m, s, covered):
+    """CSR rows of mirrored s x s matrices: rows ``covered`` get entries.
+
+    Every third covered row is dense (r > 2s); the others hold a few
+    mirrored off-diagonal pairs and diagonal entries, so the stored-entry
+    counts and the off-diagonal weights vary.
+    """
+    rows = np.zeros((m, s * s))
+    for i in covered:
+        mat = np.zeros((s, s))
+        if i % 3 == 0:
+            g = rng.normal(size=(s, s))
+            mat = g + g.T
+        else:
+            for _ in range(int(rng.integers(1, 4))):
+                a, b = rng.choice(s, size=2, replace=False)
+                mat[a, b] = mat[b, a] = rng.normal() * 10.0 ** rng.integers(-2, 3)
+            d = int(rng.integers(0, s))
+            mat[d, d] = rng.normal()
+        rows[i] = mat.ravel()
+    return sp.csr_matrix(rows)
+
+
+def test_schur_fold_matches_definition(monkeypatch):
+    # block 0 has entries in every row (rows added into M directly), block 1
+    # in every other row (rows added through the row/column index); M is
+    # symmetrized in tiles that do not divide m
+    monkeypatch.setattr(sdpcore, "_SYM_TILE", 7)
+    rng = np.random.default_rng(11)
+    m = 30
+    a0 = _mirrored_rows(rng, m, 5, range(m))
+    a1 = _mirrored_rows(rng, m, 4, range(0, m, 2))
+    prob = SdpProblem((5, 4), [np.zeros((5, 5)), np.zeros((4, 4))], [a0, a1],
+                      np.zeros(m))
+    plan = sdpcore._schur_plan(prob)
+    assert plan[0].rows.size == m and 0 < plan[1].rows.size < m
+    work = np.empty((m, m))
+    for _ in range(2):  # the second assembly reuses the work array
+        scal = []
+        for size in prob.block_sizes:
+            g = rng.normal(size=(size, size))
+            scal.append({"w": g @ g.T + size * np.eye(size)})
+        ref = _schur_reference(prob, scal)
+        got = sdpcore._schur_matrix(m, plan, scal, out=work)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        np.testing.assert_array_equal(got, got.T)
+
+
+def _sym(rng, n):
+    g = rng.normal(size=(n, n))
+    return (g + g.T) / 2.0
+
+
+def _pd(rng, n, floor):
+    g = rng.normal(size=(n, n))
+    return g @ g.T + floor * np.eye(n)
+
+
+def _cholesky_step(p, d):
+    """Reference step to the boundary of P + alpha D: -1/lam_min(L^-1 D L^-T)."""
+    l = np.linalg.cholesky(p)
+    u = sla.solve_triangular(l, sla.solve_triangular(l, d, lower=True).T,
+                             lower=True)
+    lam_min = np.linalg.eigvalsh((u + u.T) / 2.0)[0]
+    return -1.0 / lam_min if lam_min < 0 else np.inf
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_scaled_step_matches_cholesky_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = 6
+    op = sdpcore._DenseBlock(n)
+    x, s = _pd(rng, n, 1.0), _pd(rng, n, 0.1)
+    sc = op.nt_scaling(x, s)
+    psd = _pd(rng, n, 1.0)  # no boundary along it
+    for _ in range(3):
+        d = _sym(rng, n)
+        # each side alone, the other moving along a psd direction
+        got_x = op.max_step(sc, op.to_frame(sc, d, psd))
+        got_s = op.max_step(sc, op.to_frame(sc, psd, d))
+        assert got_x == pytest.approx(_cholesky_step(x, d), rel=1e-10)
+        assert got_s == pytest.approx(_cholesky_step(s, d), rel=1e-10)
+        both = op.max_step(sc, op.to_frame(sc, d, -d))
+        assert both == pytest.approx(
+            min(_cholesky_step(x, d), _cholesky_step(s, -d)), rel=1e-10)
+    assert op.max_step(sc, op.to_frame(sc, psd, psd)) == np.inf
+    # R lam^-1 R' is S^-1: the corrector with a zero predictor term
+    sinv = op.corrector(sc, np.zeros((2, n, n)), 1.0)
+    np.testing.assert_allclose(sinv, np.linalg.inv(s), rtol=0,
+                               atol=1e-10 * np.max(np.abs(np.linalg.inv(s))))
+
+    diag = sdpcore._DiagBlock(n)
+    xd, sd = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+    dd = rng.normal(size=n)
+    scd = diag.nt_scaling(xd, sd)
+    assert diag.max_step(scd, diag.to_frame(scd, dd, np.ones(n))) == pytest.approx(
+        -1.0 / np.min(dd / xd), rel=1e-12)
+    assert diag.max_step(scd, diag.to_frame(scd, np.ones(n), np.ones(n))) == np.inf
+    np.testing.assert_allclose(diag.corrector(scd, np.zeros((2, n)), 1.0), 1.0 / sd,
+                               rtol=1e-12)
