@@ -18,14 +18,14 @@ from .momrelax import solve_mu_mom
 from .pencil import LinearPencil
 from .posmap import cp_sdfp
 from .reduce import split_lineality
-from .sampling import interior_point, refutation_search
+from .sampling import (WITNESS_FEAS_TOL, confirm_witness, interior_point,
+                       refutation_search)
 from .sdpcore import feasibility_probe
 from .sosrelax import lambda_sos
 from .symcore import min_eigenvalue, spectral_norm
 
 _METHODS = ("moment", "sos", "sdfp")
 _EXIT = {"Certified": 0, "Refuted": 1, "Inconclusive": 2}
-_WITNESS_FEAS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,6 @@ def certification_tolerance(b: LinearPencil, factor: float = 1e-7) -> float:
     return factor * (1.0 + scale)
 
 
-def _confirm_witness(a: LinearPencil, b: LinearPencil, x, tol: float):
-    am = min_eigenvalue(a.evaluate(x))
-    bm = min_eigenvalue(b.evaluate(x))
-    if am >= -_WITNESS_FEAS_TOL and bm < -tol:
-        return {"x": np.asarray(x, dtype=float), "b_margin": float(bm),
-                "a_margin": float(am)}
-    return None
-
-
 def _lineality_witness(a: LinearPencil, b: LinearPencil, direction, tol):
     """Turn a lineality violation direction into an explicit point.
 
@@ -77,7 +68,7 @@ def _lineality_witness(a: LinearPencil, b: LinearPencil, direction, tol):
         return None
     for mag in (1.0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
         for sign in (1.0, -1.0):
-            hit = _confirm_witness(a, b, x0 + sign * mag * direction, tol)
+            hit = confirm_witness(a, b, x0 + sign * mag * direction, tol)
             if hit is not None:
                 return hit
     return None
@@ -124,13 +115,13 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
     if ar.n == 0:
         # inner set is a single point (plus lineality) or empty
         lam_a = min_eigenvalue(ar.coeffs[0])
-        if lam_a < -_WITNESS_FEAS_TOL:
+        if lam_a < -WITNESS_FEAS_TOL:
             return Verdict("Certified", float("inf"), None, "direct", None,
                            {**details, "note": "inner set is empty"})
         lam = min_eigenvalue(br.coeffs[0])
         if lam >= -tol:
             return Verdict("Certified", float(lam), None, "direct", None, details)
-        hit = _confirm_witness(a, b, np.zeros(a.n), tol)
+        hit = confirm_witness(a, b, np.zeros(a.n), tol)
         if hit is not None:
             return Verdict("Refuted", float(lam), None, "direct", hit, details)
         return Verdict("Inconclusive", float(lam), None, "direct", None, details)
@@ -152,7 +143,7 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
             det = {**det, "refutation_error": str(exc)}
         if hit is not None:
             hit = {**hit, "x": to_original(hit["x"])}
-            confirmed = _confirm_witness(a, b, hit["x"], tol)
+            confirmed = confirm_witness(a, b, hit["x"], tol)
             if confirmed is not None:
                 return Verdict("Refuted", det["value"], det.get("order"),
                                method, confirmed, {**details, **det})

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from spectracon.errors import InvalidInput
-from spectracon.families import disk_pair
-from spectracon.pencil import ellipsoid_pencil, pencil
-from spectracon.sampling import (eigen_margin, interior_point, mu_grid,
-                                 refutation_search, sample_spectrahedron)
+from spectracon.families import ball_elliptope_pair, disk_pair, random_pair
+from spectracon.pencil import (ellipsoid_pencil, pencil, polytope_pencil,
+                               random_pencil)
+from spectracon.sampling import (WITNESS_FEAS_TOL, _chord, _flatten, _margins,
+                                 confirm_witness, eigen_margin, interior_point,
+                                 mu_grid, refutation_search,
+                                 sample_spectrahedron)
+from spectracon.symcore import min_eigenvalue
 
 
 def test_interior_point_strictly_feasible():
@@ -61,3 +65,120 @@ def test_refutation_search_finds_witness_outside():
 def test_refutation_search_empty_handed_inside():
     a, b = disk_pair(0.8)
     assert refutation_search(a, b) is None
+
+
+# -- reference walk: the eigh chord that the generalized-eigenvalue chord
+# replaced, kept here to pin the walk to the same points
+
+def _reference_chord(p, x, u, cap=1e6):
+    m = p.evaluate(x).mat
+    w, v = np.linalg.eigh(m)
+    w = np.maximum(w, 1e-14)
+    isqrt = v * (1.0 / np.sqrt(w))
+    u_mat = np.zeros_like(m)
+    for q in range(p.n):
+        if u[q] != 0.0:
+            u_mat += u[q] * p.coeffs[q + 1].mat
+    g = isqrt.T @ u_mat @ isqrt
+    g = (g + g.T) / 2.0
+    ev = np.linalg.eigvalsh(g)
+    pos = ev[ev > 1e-12]
+    neg = ev[ev < -1e-12]
+    lo = -1.0 / pos.max() if pos.size else -cap
+    hi = 1.0 / (-neg.min()) if neg.size else cap
+    return lo, hi
+
+
+def _reference_walk(p, count, seed, x0, burn=50, thin=3):
+    x = np.asarray(x0, dtype=float).copy()
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, p.n))
+    kept = step = 0
+    while kept < count:
+        u = rng.standard_normal(p.n)
+        u /= np.linalg.norm(u)
+        lo, hi = _reference_chord(p, x, u)
+        x = x + rng.uniform(0.999 * lo, 0.999 * hi) * u
+        step += 1
+        if step > burn and (step - burn) % thin == 0:
+            out[kept] = x
+            kept += 1
+    return out
+
+
+def _interior_pencil(n, k, seed):
+    """Diagonally dominant random pencil and a strictly interior point."""
+    p = random_pencil(n, k, density=0.6, diag0=float(k), seed=seed)
+    rng = np.random.default_rng(seed)
+    x = 0.3 * rng.standard_normal(n)
+    while eigen_margin(p, x) <= 1e-3:
+        x = 0.5 * x
+    return p, x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [3, 4])
+def test_chord_matches_eigh_reference(n, k):
+    rng = np.random.default_rng(100 * n + k)
+    for seed in range(5):
+        p, x = _interior_pencil(n, k, seed=1000 * n + 10 * k + seed)
+        a0, f = _flatten(p)
+        for _ in range(4):
+            u = rng.standard_normal(n)
+            u /= np.linalg.norm(u)
+            lo, hi = _chord(a0, f, x, u)
+            np.testing.assert_allclose((lo, hi), _reference_chord(p, x, u),
+                                       rtol=1e-10, atol=0.0)
+            assert lo < 0.0 < hi
+            for t in (lo, hi):
+                if abs(t) < 1e6:
+                    assert eigen_margin(p, x + 0.999 * t * u) > 0
+                    assert eigen_margin(p, x + 1.001 * t * u) < 0
+
+
+def test_chord_recession_direction_and_outside_point():
+    # half-plane 1 + x_1 >= 0 in R^2: +e_1 and +-e_2 never leave it
+    half = polytope_pencil(np.array([[1.0, 0.0]]), np.array([1.0]))
+    a0, f = _flatten(half)
+    x = np.zeros(2)
+    assert _chord(a0, f, x, np.array([1.0, 0.0])) == (-1.0, 1e6)
+    assert _chord(a0, f, x, np.array([0.0, 1.0])) == (-1e6, 1e6)
+    assert _chord(a0, f, x, np.array([-1.0, 0.0])) == (-1e6, 1.0)
+    # a point outside S_A has the empty chord
+    assert _chord(a0, f, np.array([-2.0, 0.0]), np.array([1.0, 0.0])) == (0.0, 0.0)
+    disk = disk_pair(1.0)[0]
+    a0, f = _flatten(disk)
+    assert _chord(a0, f, np.array([1.5, 0.0]), np.array([0.0, 1.0])) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("p", [disk_pair(1.2)[0], random_pair(1)[0],
+                               ball_elliptope_pair(3)[0]],
+                         ids=["disk", "random_pair_1", "ball"])
+def test_walk_matches_reference_walk(p):
+    x0 = interior_point(p)
+    xs = sample_spectrahedron(p, 400, seed=0, x0=x0)
+    ref = _reference_walk(p, 400, 0, x0)
+    scale = 1.0 + np.max(np.abs(ref))
+    assert np.max(np.abs(xs - ref)) <= 1e-9 * scale
+
+
+def test_batched_margins_match_pointwise():
+    for a, b in (disk_pair(1.2), random_pair(1), ball_elliptope_pair(3)):
+        points = sample_spectrahedron(a, 60, seed=5)
+        want = np.array([min_eigenvalue(b.evaluate(x)) for x in points])
+        flat = _flatten(b)
+        np.testing.assert_allclose(_margins(*flat, points), want,
+                                   rtol=0.0, atol=1e-12)
+        single = [float(_margins(*flat, x)) for x in points]
+        np.testing.assert_allclose(single, want, rtol=0.0, atol=1e-12)
+
+
+def test_confirm_witness_rule():
+    a, b = disk_pair(1.2)
+    tol = 1e-7
+    hit = confirm_witness(a, b, np.array([1.1, 0.0]), tol)
+    assert set(hit) == {"x", "b_margin", "a_margin"}
+    assert hit["b_margin"] < -tol and hit["a_margin"] >= -WITNESS_FEAS_TOL
+    # inside both sets, and outside A, are not witnesses
+    assert confirm_witness(a, b, np.array([0.5, 0.0]), tol) is None
+    assert confirm_witness(a, b, np.array([1.3, 0.0]), tol) is None
