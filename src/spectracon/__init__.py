@@ -9,8 +9,7 @@ sampling-based refutation round out the pipeline.
 """
 
 from .errors import (InvalidInput, InvariantViolation, NotContained,
-                     NumericalFailure, OrderTooSmall, SpectraconError,
-                     Unbounded)
+                     NumericalFailure, OrderTooSmall, SpectraconError)
 from .momrelax import (containment_relaxation, moment_matrix, shrink_pencil,
                        shrink_to_certify, solve_mu_mom)
 from .pencil import (LinearPencil, MapSpec, ellipsoid_pencil,
@@ -48,5 +47,5 @@ __all__ = [
     "random_pencil", "refutation_search",
     "render_projection", "render_slice", "sample_spectrahedron", "save_pencil",
     "shrink_pencil", "shrink_to_certify", "solve", "solve_mu_mom",
-    "sos_relaxation", "split_lineality", "sym", "Unbounded",
+    "sos_relaxation", "split_lineality", "sym",
 ]

@@ -130,8 +130,8 @@ def _cmd_export(args) -> int:
         note = (f"moment order {args.order}, blocks {info.block_sizes}, "
                 f"{info.n_moments} moments")
     else:
-        problem, info = sos_relaxation(a, b, args.order)
-        note = f"gram order {args.order}, blocks {info.block_sizes}"
+        problem, _ = sos_relaxation(a, b, args.order)
+        note = f"gram order {args.order}, blocks {problem.block_sizes}"
     export_sdpa(problem, args.out, comment=note)
     print(f"wrote {args.out} ({note})")
     return 0

@@ -32,10 +32,6 @@ class NotContained(SpectraconError):
         self.witness = witness
 
 
-class Unbounded(SpectraconError):
-    """A relaxation is unbounded, so no finite optimum exists."""
-
-
 class InvariantViolation(SpectraconError):
     """Cross-method consistency check failed beyond tolerance.
 

@@ -18,6 +18,9 @@ from .pencil import (LinearPencil, MapSpec, ellipsoid_pencil, elliptope_pencil,
 from .reduce import lineality_space
 from .symcore import min_eigenvalue
 
+_FILTER_MARGIN = 1e-4
+_MAX_TRIES = 60
+
 
 def disk_rotation_pencil(radius: float = 1.0) -> LinearPencil:
     """The disk |x| <= radius as the 2x2 pencil [[1+x/r, y/r], [y/r, 1-x/r]]."""
@@ -61,19 +64,19 @@ def choi_pair() -> tuple[LinearPencil, LinearPencil]:
     return map_to_pencils(choi_map_spec())
 
 
-def random_pair(seed: int, filter_margin: float = 1e-4,
-                max_tries: int = 60) -> tuple[LinearPencil, LinearPencil]:
+def random_pair(seed: int) -> tuple[LinearPencil, LinearPencil]:
     """A well-conditioned random containment instance.
 
     Draws (A, B) with k, l in {3, 4} and n in {1, 2, 3}, rejecting
     degenerate candidates: a vanishing linear coefficient, nontrivial
-    lineality, a barely-interior origin, or a base eigenvalue certificate
-    too close to zero for threshold comparisons to be meaningful.
+    lineality, a barely-interior origin, or an order-0 eigenvalue bound
+    within ``_FILTER_MARGIN`` (1e-4) of zero, too close for threshold
+    comparisons to be meaningful.  Gives up after ``_MAX_TRIES`` (60) draws.
     """
     from .sosrelax import lambda_sos
 
     rng = np.random.default_rng(seed)
-    for attempt in range(max_tries):
+    for _ in range(_MAX_TRIES):
         n = int(rng.integers(1, 4))
         k = int(rng.integers(3, 5))
         l = int(rng.integers(3, 5))
@@ -88,7 +91,7 @@ def random_pair(seed: int, filter_margin: float = 1e-4,
         if min(min_eigenvalue(a.coeffs[0]), min_eigenvalue(b.coeffs[0])) <= 0.05:
             continue
         res = lambda_sos(a, b, 0)
-        if not np.isfinite(res.value) or abs(res.value) < filter_margin:
+        if not np.isfinite(res.value) or abs(res.value) < _FILTER_MARGIN:
             continue
         return a, b
-    raise RuntimeError(f"no acceptable instance after {max_tries} draws")
+    raise RuntimeError(f"no acceptable instance after {_MAX_TRIES} draws")

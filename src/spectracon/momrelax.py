@@ -104,9 +104,6 @@ class Poly:
             total += c * float(np.prod(point ** np.array(e)))
         return total
 
-    def scaled(self, factor: float) -> "Poly":
-        return Poly(self.nvars, {e: c * factor for e, c in self.terms.items()})
-
 
 class MatPoly:
     """Symmetric-matrix-valued polynomial as {exponent tuple: (k, k) array}."""
@@ -326,7 +323,6 @@ class MomentResult:
     R: float
     info: RelaxationInfo
     first_moments: np.ndarray  # candidate minimizer (x part)
-    z_moments: np.ndarray
     solution: SdpSolution = field(repr=False)
 
     @property
@@ -336,7 +332,7 @@ class MomentResult:
 
 
 def containment_relaxation(a: LinearPencil, b: LinearPencil, t: int,
-                           r: float = 1.0, R: float = 2.0, metadata=None):
+                           r: float = 1.0, R: float = 2.0):
     """Assemble the order-t moment program for  inf z'B(x)z  over
     A(x) psd, r <= |z| <= R."""
     if a.n != b.n:
@@ -352,13 +348,12 @@ def containment_relaxation(a: LinearPencil, b: LinearPencil, t: int,
     lo, hi = annulus_constraints(nvars, n, l, r, R)
     # for r == R the two one-sided blocks together pin |z|^2 to the sphere
     constraints = [ga, lo, hi]
-    meta = dict(metadata or {})
-    meta.update({"origin": "containment_moment", "order": t, "r": r, "R": R})
+    meta = {"origin": "containment_moment", "order": t, "r": r, "R": R}
     return build_pmi_relaxation(obj, constraints, t, sense="min", metadata=meta)
 
 
 def solve_mu_mom(a: LinearPencil, b: LinearPencil, t: int, r: float = 1.0,
-                 R: float = 2.0, **solve_opts) -> MomentResult:
+                 R: float = 2.0) -> MomentResult:
     """Order-t lower bound on the containment margin mu.
 
     mu >= 0 certifies that every point of the first spectrahedron stays
@@ -366,24 +361,17 @@ def solve_mu_mom(a: LinearPencil, b: LinearPencil, t: int, r: float = 1.0,
     bound is monotone in t.
     """
     problem, builder, info = containment_relaxation(a, b, t, r, R)
-    sol = solve(problem, **solve_opts)
+    sol = solve(problem)
     status = LmiBuilder.interpret(sol)
     value = builder.value_from(sol) if sol.has_point else float("nan")
-    n, l = a.n, b.k
-    first = np.zeros(n)
-    zmom = np.zeros(l)
+    first = np.zeros(a.n)
     if sol.has_point:
-        for p in range(n):
+        for p in range(a.n):
             e = [0] * info.nvars
             e[p] = 1
             first[p] = sol.y[info.basis.index[tuple(e)] - 1]
-        for q in range(l):
-            e = [0] * info.nvars
-            e[n + q] = 1
-            zmom[q] = sol.y[info.basis.index[tuple(e)] - 1]
     return MomentResult(value=float(value), status=status, order=t, r=r, R=R,
-                        info=info, first_moments=first, z_moments=zmom,
-                        solution=sol)
+                        info=info, first_moments=first, solution=sol)
 
 
 def moment_matrix(result: MomentResult) -> np.ndarray:
@@ -408,6 +396,10 @@ def shrink_pencil(p: LinearPencil, factor: float) -> LinearPencil:
                   + [c.mat / factor for c in p.coeffs[1:]])
 
 
+_SHRINK_TOL = 1e-7
+_SHRINK_STEPS = 12
+
+
 @dataclass
 class ShrinkResult:
     factor: float  # largest certified scale, nan when even `lo` fails
@@ -420,22 +412,22 @@ class ShrinkResult:
 
 def shrink_to_certify(a: LinearPencil, b: LinearPencil, t: int = 2,
                       lo: float = 2.0 ** -10, hi: float = 1.0,
-                      r: float = 1.0, R: float = 2.0, tol: float = 1e-7,
-                      max_iter: int = 12, **solve_opts) -> ShrinkResult:
+                      r: float = 1.0, R: float = 2.0) -> ShrinkResult:
     """Bisect for the largest factor nu with nu*S_A certifiably inside S_B.
 
-    Certification means a reliable order-t bound >= -tol for the shrunken
-    inner set.  The search keeps the invariant that `lo` certifies and `hi`
-    does not, so the returned factor always carries a certificate (unless
-    even `lo` fails, flagged by certified=False).
+    Certification means a reliable order-t bound >= -``_SHRINK_TOL`` (1e-7)
+    for the shrunken inner set.  The search keeps the invariant that `lo`
+    certifies and `hi` does not, so the returned factor always carries a
+    certificate (unless even `lo` fails, flagged by certified=False), and
+    bisects ``_SHRINK_STEPS`` (12) times.
     """
     if not (0 < lo < hi):
         raise InvalidInput("need 0 < lo < hi")
     history = []
 
     def attempt(nu):
-        res = solve_mu_mom(shrink_pencil(a, nu), b, t, r=r, R=R, **solve_opts)
-        ok = res.reliable and res.value >= -tol
+        res = solve_mu_mom(shrink_pencil(a, nu), b, t, r=r, R=R)
+        ok = res.reliable and res.value >= -_SHRINK_TOL
         history.append((nu, res.value, ok))
         return ok, res.value
 
@@ -445,7 +437,7 @@ def shrink_to_certify(a: LinearPencil, b: LinearPencil, t: int = 2,
     ok_lo, v_lo = attempt(lo)
     if not ok_lo:
         return ShrinkResult(float("nan"), v_lo, t, False, len(history), history)
-    for _ in range(max_iter):
+    for _ in range(_SHRINK_STEPS):
         mid = 0.5 * (lo + hi)
         ok, v = attempt(mid)
         if ok:

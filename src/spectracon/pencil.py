@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .symcore import SymMatrix, min_eigenvalue, sym
+from .symcore import SymMatrix, sym
 
 # Maximum tolerated asymmetry when reading pencils from external files.
 _ASYM_TOL = 1e-9
@@ -62,12 +62,6 @@ class LinearPencil:
         for p in range(self.n):
             acc += x[p] * self.coeffs[p + 1].mat
         return sym(acc)
-
-    def contains_point(self, x, tol: float = 1e-9) -> bool:
-        return min_eigenvalue(self.evaluate(x)) >= -tol
-
-    def is_monic(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.coeffs[0].mat - np.eye(self.k))) <= tol)
 
     def __repr__(self):
         return f"LinearPencil(n={self.n}, k={self.k})"

@@ -35,6 +35,8 @@ from .symcore import min_eigenvalue, nullspace, smat, svec
 _EQ_TOL = 1e-7
 _FEAS_TOL = 1e-8
 _INFEAS_TOL = 1e-6
+# Slack allowed in implication_report's comparisons of computed bounds.
+_IMPLICATION_TOL = 1e-6
 
 
 @dataclass
@@ -63,8 +65,8 @@ def _equation_system(a: LinearPencil, b: LinearPencil):
     return np.concatenate(rows), np.concatenate(rhs), a.k * l
 
 
-def cp_sdfp(a: LinearPencil, b: LinearPencil, extended: bool = True,
-            **solve_opts) -> CpResult:
+def cp_sdfp(a: LinearPencil, b: LinearPencil,
+            extended: bool = True) -> CpResult:
     """Decide solvability of the block certificate equations over psd C.
 
     Feasible results carry a validated witness; Infeasible means the psd
@@ -97,7 +99,7 @@ def cp_sdfp(a: LinearPencil, b: LinearPencil, extended: bool = True,
                           metadata={"origin": "cp_sdfp", "extended": extended})
 
     try:
-        sol = solve(problem, **solve_opts)
+        sol = solve(problem)
     except NumericalFailure as exc:
         return CpResult("Inconclusive", float("nan"), None, extended,
                         {**details, "error": str(exc)})
@@ -155,7 +157,7 @@ def choi_matrix(spec: MapSpec) -> np.ndarray:
 
 def implication_report(cp: CpResult | None = None, lam0=None, moments=(),
                        grid_value: float | None = None,
-                       tol: float = 1e-6, strict: bool = True) -> dict:
+                       strict: bool = True) -> dict:
     """Verify the provable relations between computed quantities.
 
     Checks, where the inputs allow: the block certificate is solvable
@@ -175,23 +177,23 @@ def implication_report(cp: CpResult | None = None, lam0=None, moments=(),
             and getattr(lam0, "reliable", False):
         v = lam0.value
         if cp.kind == "Feasible":
-            record("certificate_implies_gram", v >= -tol,
+            record("certificate_implies_gram", v >= -_IMPLICATION_TOL,
                    f"margin {cp.margin:.2e}, gram bound {v:.2e}")
         else:
-            record("gram_implies_certificate", v <= tol,
+            record("gram_implies_certificate", v <= _IMPLICATION_TOL,
                    f"margin {cp.margin:.2e}, gram bound {v:.2e}")
 
     ordered = [m for m in moments if getattr(m, "reliable", False)]
     ordered.sort(key=lambda m: m.order)
     for lo, hi in zip(ordered, ordered[1:]):
         record(f"moment_monotone_{lo.order}_{hi.order}",
-               lo.value <= hi.value + tol,
+               lo.value <= hi.value + _IMPLICATION_TOL,
                f"mu({lo.order}) = {lo.value:.6e}, mu({hi.order}) = {hi.value:.6e}")
 
     if grid_value is not None:
         for m in ordered:
             record(f"moment_below_sampled_{m.order}",
-                   m.value <= grid_value + tol,
+                   m.value <= grid_value + _IMPLICATION_TOL,
                    f"mu({m.order}) = {m.value:.6e}, sampled {grid_value:.6e}")
 
     if strict and report["violations"]:

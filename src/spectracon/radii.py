@@ -21,6 +21,9 @@ from .reduce import lineality_space
 from .sdpcore import LmiBuilder, SdpSolution, _margin_lmi, solve
 from .symcore import min_eigenvalue, nullspace, smat, svec
 
+# Either search's margin must exceed this before its certificate is checked.
+_MARGIN_TOL = 1e-7
+
 
 @dataclass
 class RadiusResult:
@@ -35,7 +38,7 @@ class RadiusResult:
         return self.solution.reliable
 
 
-def circumradius_sq(p: LinearPencil, t: int = 2, **solve_opts) -> RadiusResult:
+def circumradius_sq(p: LinearPencil, t: int = 2) -> RadiusResult:
     """Order-t upper bound nu2(t) on the squared circumradius of S_A.
 
     Status "unbounded" signals that the relaxation found no finite bound,
@@ -53,7 +56,7 @@ def circumradius_sq(p: LinearPencil, t: int = 2, **solve_opts) -> RadiusResult:
     ga = pencil_as_matpoly(p, n)
     problem, builder, info = build_pmi_relaxation(
         obj, [ga], t, sense="max", metadata={"origin": "circumradius"})
-    sol = solve(problem, **solve_opts)
+    sol = solve(problem)
     status = LmiBuilder.interpret(sol)
     value = builder.value_from(sol) if sol.has_point else float("inf")
     return RadiusResult(value=float(value), status=status, order=t, solution=sol)
@@ -67,8 +70,7 @@ class BoundednessReport:
     details: dict
 
 
-def boundedness_certificate(p: LinearPencil, tol: float = 1e-7,
-                            **solve_opts) -> BoundednessReport:
+def boundedness_certificate(p: LinearPencil) -> BoundednessReport:
     """Certify boundedness or unboundedness of a spectrahedron.
 
     Bounded comes with W positive definite and <A_q, W> = 0 for all linear
@@ -99,13 +101,13 @@ def boundedness_certificate(p: LinearPencil, tol: float = 1e-7,
         problem = _margin_lmi(smat(part, k), [smat(z, k) for z in null_basis.T],
                               2.0, metadata={"origin": "boundedness"})
         try:
-            sol = solve(problem, **solve_opts)
+            sol = solve(problem)
         except NumericalFailure as exc:
             return BoundednessReport("Unknown", None, float("nan"),
                                      {**details, "error": str(exc)})
         if sol.reliable:
             margin = sol.value
-            if margin > tol:
+            if margin > _MARGIN_TOL:
                 w = smat(part + null_basis @ sol.y[:nullity], k)
                 w = (w + w.T) / 2.0
                 if min_eigenvalue(w) > 0:
@@ -117,7 +119,7 @@ def boundedness_certificate(p: LinearPencil, tol: float = 1e-7,
     problem = _margin_lmi(np.zeros((k, k)), list(lin_coeffs), 2.0, box=1.0,
                           metadata={"origin": "recession"})
     try:
-        sol = solve(problem, **solve_opts)
+        sol = solve(problem)
     except NumericalFailure as exc:
         return BoundednessReport("Unknown", None, float("nan"),
                                  {**details, "error": str(exc)})
@@ -126,6 +128,6 @@ def boundedness_certificate(p: LinearPencil, tol: float = 1e-7,
         details["recession_margin"] = float(smargin)
         d = sol.y[:n].copy()
         # the solve is trusted only up to its residuals: re-check sum d_q A_q
-        if smargin > tol and min_eigenvalue(np.tensordot(d, lin_coeffs, axes=1)) > 0:
+        if smargin > _MARGIN_TOL and min_eigenvalue(np.tensordot(d, lin_coeffs, axes=1)) > 0:
             return BoundednessReport("Unbounded", d, float(smargin), details)
     return BoundednessReport("Unknown", None, float("nan"), details)

@@ -15,19 +15,9 @@ import numpy as np
 
 from .errors import InvalidInput, NotContained
 from .pencil import LinearPencil, pencil
-from .symcore import nullspace, orthonormal_complement
+from .symcore import nullspace, orthonormal_complement, svec
 
 _LINEALITY_TOL = 1e-9
-
-
-def _coeff_vec_matrix(p: LinearPencil) -> np.ndarray:
-    """Columns are the vectorized upper triangles of the linear coefficients."""
-    k = p.k
-    iu = np.triu_indices(k)
-    cols = [c.mat[iu] for c in p.coeffs[1:]]
-    if not cols:
-        return np.zeros((len(iu[0]), 0))
-    return np.stack(cols, axis=1)
 
 
 def lineality_space(p: LinearPencil) -> np.ndarray:
@@ -38,10 +28,7 @@ def lineality_space(p: LinearPencil) -> np.ndarray:
     """
     if p.n == 0:
         return np.zeros((0, 0))
-    m = _coeff_vec_matrix(p)
-    if not np.any(m):
-        return np.eye(p.n)
-    return nullspace(m)
+    return nullspace(svec(p.coeff_array()[1:]).T)
 
 
 @dataclass(frozen=True)

@@ -74,13 +74,13 @@ class Table:
         return worst
 
 
-def disk_table(**solve_opts) -> Table:
+def disk_table() -> Table:
     rows = []
     for nu, (ref2, ref3, refk) in DISK_REFERENCE.items():
         a, b = disk_pair(nu)
-        m2 = solve_mu_mom(a, b, 2, **solve_opts)
-        m3 = solve_mu_mom(a, b, 3, **solve_opts)
-        cp = cp_sdfp(a, b, **solve_opts)
+        m2 = solve_mu_mom(a, b, 2)
+        m3 = solve_mu_mom(a, b, 3)
+        cp = cp_sdfp(a, b)
         rows.append([round(nu, 6), m2.value, m3.value, normalized(m3.value),
                      cp.kind, m2.value - ref2, m3.value - ref3,
                      cp.kind == refk])
@@ -88,13 +88,13 @@ def disk_table(**solve_opts) -> Table:
                           "delta_mu_2", "delta_mu_3", "sdfp_matches"], rows)
 
 
-def elliptope_table(**solve_opts) -> Table:
+def elliptope_table() -> Table:
     rows = []
     for l, (n, ref_lam, ref_mu, refk) in ELLIPTOPE_REFERENCE.items():
         a, b = ball_elliptope_pair(l)
-        lam = lambda_sos(a, b, 0, **solve_opts)
-        mu = solve_mu_mom(a, b, 2, **solve_opts)
-        cp = cp_sdfp(a, b, **solve_opts)
+        lam = lambda_sos(a, b, 0)
+        mu = solve_mu_mom(a, b, 2)
+        cp = cp_sdfp(a, b)
         rows.append([l, n, lam.value, mu.value, cp.kind,
                      lam.value - ref_lam, mu.value - ref_mu, cp.kind == refk])
     return Table("ball_elliptope",
@@ -102,14 +102,14 @@ def elliptope_table(**solve_opts) -> Table:
                   "delta_lambda", "delta_mu", "sdfp_matches"], rows)
 
 
-def choi_table(full: bool = False, **solve_opts) -> Table:
+def choi_table(full: bool = False) -> Table:
     """The map example; full=True includes the order-3 sphere-slice bound,
     which is the one expensive computation here (about a minute)."""
     a, b = choi_pair()
     cm = choi_matrix(choi_map_spec())
     min_eig = float(np.linalg.eigvalsh(cm).min())
-    cp = cp_sdfp(a, b, **solve_opts)
-    lam = lambda_sos(a, b, 0, **solve_opts)
+    cp = cp_sdfp(a, b)
+    lam = lambda_sos(a, b, 0)
     rows = [
         ["matrix_min_eig", min_eig, CHOI_REFERENCE["matrix_min_eig"],
          min_eig - CHOI_REFERENCE["matrix_min_eig"]],
@@ -119,17 +119,17 @@ def choi_table(full: bool = False, **solve_opts) -> Table:
          lam.value - CHOI_REFERENCE["lambda_sos_0"]],
     ]
     if full:
-        m3 = solve_mu_mom(a, b, 3, r=1.0, R=1.0, **solve_opts)
+        m3 = solve_mu_mom(a, b, 3, r=1.0, R=1.0)
         rows.append(["mu_mom_3", m3.value, CHOI_REFERENCE["mu_mom_3"],
                      m3.value - CHOI_REFERENCE["mu_mom_3"]])
     return Table("choi", ["quantity", "value", "reference", "delta"], rows)
 
 
-def radii_table(**solve_opts) -> Table:
+def radii_table() -> Table:
     rows = []
     for l, ref in RADII_REFERENCE.items():
         p = elliptope_pencil(l)
-        res = circumradius_sq(p, t=2, **solve_opts)
+        res = circumradius_sq(p, t=2)
         rows.append([l, p.n, res.value, ref, res.value - ref])
     return Table("circumradius", ["l", "n", "nu2_order2", "reference",
                                   "delta"], rows)
@@ -152,11 +152,10 @@ def write_csv(table: Table, directory) -> str:
     return path
 
 
-def run_all(directory=None, full: bool = False, **solve_opts) -> list[Table]:
+def run_all(directory=None, full: bool = False) -> list[Table]:
     out = []
     for name, fn in TABLES.items():
-        table = fn(full=full, **solve_opts) if name == "choi" \
-            else fn(**solve_opts)
+        table = fn(full=full) if name == "choi" else fn()
         if directory is not None:
             write_csv(table, directory)
         out.append(table)

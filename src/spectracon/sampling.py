@@ -33,10 +33,17 @@ from .symcore import min_eigenvalue
 # A witness must lie in S_A up to this much negative eigenvalue.
 WITNESS_FEAS_TOL = 1e-9
 
+# The walk discards its first _BURN steps and keeps every _THIN-th after.
+_BURN = 50
+_THIN = 3
 
-def interior_point(p: LinearPencil, tol: float = 1e-7) -> np.ndarray:
+# A chord with no end on one side (a recession direction) is cut here.
+_CHORD_CAP = 1e6
+
+
+def interior_point(p: LinearPencil) -> np.ndarray:
     """A strictly feasible point of S_A, via the feasibility probe."""
-    probe = feasibility_probe(p, tol=tol)
+    probe = feasibility_probe(p)
     if probe.kind != "NonEmpty":
         raise InvalidInput(
             f"no interior point found (probe says {probe.kind})")
@@ -56,14 +63,14 @@ def _margins(a0: np.ndarray, f: np.ndarray, x) -> np.ndarray:
     return np.linalg.eigvalsh(mats)[..., 0]
 
 
-def _chord(a0: np.ndarray, f: np.ndarray, x: np.ndarray, u: np.ndarray,
-           cap: float = 1e6) -> tuple[float, float]:
+def _chord(a0: np.ndarray, f: np.ndarray, x: np.ndarray,
+           u: np.ndarray) -> tuple[float, float]:
     """Feasible parameter interval of the line x + t*u inside S_A.
 
     The generalized eigenvalues lambda of (U, A(x)) are those of
     A(x)^{-1/2} U A(x)^{-1/2}, so the segment {t : I + t lambda >= 0} ends
     at -1/lambda_max and -1/lambda_min; a side with no eigenvalue beyond
-    1e-12 in magnitude is open up to cap.  A point where A(x) is not
+    1e-12 in magnitude is open up to _CHORD_CAP.  A point where A(x) is not
     positive definite gets the empty chord (0, 0).
     """
     k = a0.shape[0]
@@ -71,14 +78,13 @@ def _chord(a0: np.ndarray, f: np.ndarray, x: np.ndarray, u: np.ndarray,
                        jobz="N")
     if info != 0:
         return 0.0, 0.0
-    lo = -1.0 / w[-1] if w[-1] > 1e-12 else -cap
-    hi = -1.0 / w[0] if w[0] < -1e-12 else cap
+    lo = -1.0 / w[-1] if w[-1] > 1e-12 else -_CHORD_CAP
+    hi = -1.0 / w[0] if w[0] < -1e-12 else _CHORD_CAP
     return float(lo), float(hi)
 
 
 def sample_spectrahedron(p: LinearPencil, count: int, seed: int = 0,
-                         x0: np.ndarray | None = None,
-                         burn: int = 50, thin: int = 3) -> np.ndarray:
+                         x0: np.ndarray | None = None) -> np.ndarray:
     """Hit-and-run samples from the interior of S_A, shape (count, n).
 
     Deterministic for a fixed seed.  The walk shrinks each chord slightly
@@ -105,7 +111,7 @@ def sample_spectrahedron(p: LinearPencil, count: int, seed: int = 0,
         t = rng.uniform(0.999 * lo, 0.999 * hi)
         x = x + t * u
         step += 1
-        if step > burn and (step - burn) % thin == 0:
+        if step > _BURN and (step - _BURN) % _THIN == 0:
             out[kept] = x
             kept += 1
     return out
@@ -132,30 +138,26 @@ def confirm_witness(a: LinearPencil, b: LinearPencil, x,
 
 
 def mu_grid(a: LinearPencil, b: LinearPencil, r: float = 1.0, R: float = 2.0,
-            samples: int = 400, seed: int = 0,
-            points: np.ndarray | None = None) -> float:
+            samples: int = 400, seed: int = 0) -> float:
     """Sampling upper bound on mu: min over drawn x of the z-profile value.
 
     For fixed x the inner minimum of z^T B(x) z over r <= |z| <= R is
     r^2 lam_min when lam_min >= 0 and R^2 lam_min otherwise.
     """
-    if points is None:
-        points = sample_spectrahedron(a, samples, seed=seed)
+    points = sample_spectrahedron(a, samples, seed=seed)
     lam = _margins(*_flatten(b), points)
     vals = np.where(lam >= 0, (r * r) * lam, (R * R) * lam)
     return float(np.min(vals, initial=np.inf))
 
 
 def refutation_search(a: LinearPencil, b: LinearPencil, tol: float = 1e-7,
-                      samples: int = 400, seed: int = 0, polish: bool = True,
-                      points: np.ndarray | None = None) -> dict | None:
+                      samples: int = 400, seed: int = 0) -> dict | None:
     """Search for x with A(x) psd and B(x) not psd.
 
     Returns confirm_witness's dict for a confirmed witness, None otherwise;
     unconfirmed negatives are never reported.
     """
-    if points is None:
-        points = sample_spectrahedron(a, samples, seed=seed)
+    points = sample_spectrahedron(a, samples, seed=seed)
     flat_a, flat_b = _flatten(a), _flatten(b)
     order = np.argsort(_margins(*flat_b, points))
 
@@ -163,9 +165,6 @@ def refutation_search(a: LinearPencil, b: LinearPencil, tol: float = 1e-7,
         hit = confirm_witness(a, b, points[idx], tol)
         if hit is not None:
             return hit
-
-    if not polish:
-        return None
 
     # penalized local descent from the most negative candidates
     def objective(x):

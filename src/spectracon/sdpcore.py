@@ -70,9 +70,11 @@ from .errors import InvalidInput, NumericalFailure
 from .pencil import LinearPencil
 from .symcore import min_eigenvalue
 
-DEFAULT_TOL_GAP = 1e-8
-DEFAULT_TOL_FEAS = 1e-8
-DEFAULT_MAX_ITER = 200
+# solve's fixed settings, described in its docstring
+_TOL_GAP = 1e-8
+_TOL_FEAS = 1e-8
+_MAX_ITER = 200
+_STEP_FRAC = 0.98
 
 # Dense Schur complements beyond this constraint count do not fit the
 # desk-scale memory budget this solver is designed for.
@@ -534,14 +536,18 @@ def _chol_with_jitter(mat):
 # Main solver
 
 
-def solve(problem: SdpProblem, tol_gap: float = DEFAULT_TOL_GAP,
-          tol_feas: float = DEFAULT_TOL_FEAS, max_iter: int = DEFAULT_MAX_ITER,
-          step_frac: float = 0.98, verbose: bool = False) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Solve the canonical problem; deterministic for identical inputs.
 
     Returns Optimal with a feasible primal-dual pair, an infeasibility status
     with a validated improving ray, or Inaccurate / IterLimit with the best
     iterate found.  Raises NumericalFailure only on hard breakdown.
+
+    The settings are fixed: Optimal means a relative gap of at most
+    ``_TOL_GAP`` (1e-8) and relative primal and dual residuals of at most
+    ``_TOL_FEAS`` (1e-8); IterLimit comes after ``_MAX_ITER`` (200)
+    iterations; each step goes ``_STEP_FRAC`` (0.98) of the way to the
+    cone boundary.
     """
     if problem.m > _MAX_CONSTRAINTS:
         raise NumericalFailure(
@@ -600,7 +606,7 @@ def solve(problem: SdpProblem, tol_gap: float = DEFAULT_TOL_GAP,
     mu = 1.0
     it = 0
     stall = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         # residuals of the homogeneous system
         p_res = work.apply_a(x) - work.b * tau
         aty = work.apply_at(y)
@@ -619,10 +625,6 @@ def solve(problem: SdpProblem, tol_gap: float = DEFAULT_TOL_GAP,
         res = compute_residuals(base, xh, yh, sh)
         phi = max(res["primal_res"], res["dual_res"], res["gap_rel"])
         log.append({"iter": it, "mu": mu, "tau": tau, "kappa": kappa, "phi": phi})
-        if verbose:
-            print(f"  it {it:3d}  mu {mu:9.2e}  tau {tau:8.2e}  "
-                  f"rp {res['primal_res']:8.2e}  rd {res['dual_res']:8.2e}  "
-                  f"gap {res['gap_rel']:8.2e}")
         if phi < best_phi:
             best_phi = phi
             best = ([xb.copy() for xb in x], y.copy(), [sb.copy() for sb in s],
@@ -630,8 +632,8 @@ def solve(problem: SdpProblem, tol_gap: float = DEFAULT_TOL_GAP,
             stall = 0
         else:
             stall += 1
-        if (res["primal_res"] <= tol_feas and res["dual_res"] <= tol_feas
-                and res["gap_rel"] <= tol_gap):
+        if (res["primal_res"] <= _TOL_FEAS and res["dual_res"] <= _TOL_FEAS
+                and res["gap_rel"] <= _TOL_GAP):
             return finish(SolveStatus.OPTIMAL, f"converged in {it} iterations")
 
         # infeasibility certificates from the homogeneous iterate
@@ -640,7 +642,7 @@ def solve(problem: SdpProblem, tol_gap: float = DEFAULT_TOL_GAP,
             for at, sb in zip(aty, s):
                 ray_sq += float(np.sum(np.square(at + sb)))
             ray_res = np.sqrt(ray_sq) / by
-            if ray_res <= tol_feas * (1.0 + norm_c) and tau <= 1e-6 * max(1.0, kappa):
+            if ray_res <= _TOL_FEAS * (1.0 + norm_c) and tau <= 1e-6 * max(1.0, kappa):
                 by_base = float(base.b @ y)
                 yr = y / by_base
                 sr = [sb / by_base for sb in s]
@@ -653,7 +655,7 @@ def solve(problem: SdpProblem, tol_gap: float = DEFAULT_TOL_GAP,
         if cx < 0:
             ax_norm = float(np.linalg.norm(work.apply_a(x)))
             ray_res = ax_norm / (-cx)
-            if ray_res <= tol_feas * (1.0 + norm_b) and tau <= 1e-6 * max(1.0, kappa):
+            if ray_res <= _TOL_FEAS * (1.0 + norm_b) and tau <= 1e-6 * max(1.0, kappa):
                 cx_base = base.inner_c(x)
                 xr = [xb / (-cx_base) for xb in x]
                 cert = {"ray_res": ax_norm / (-cx_base), "ray_obj": -1.0,
@@ -753,14 +755,14 @@ def solve(problem: SdpProblem, tol_gap: float = DEFAULT_TOL_GAP,
 
         dx, dy, ds, dtau, dkappa = newton_dir(r4, r5)
 
-        alpha = 1.0 / step_frac
+        alpha = 1.0 / _STEP_FRAC
         for op, sc, dxb, dsb in zip(ops, scal, dx, ds):
             alpha = min(alpha, op.max_step(sc, op.to_frame(sc, dxb, dsb)))
         if dtau < 0:
             alpha = min(alpha, -tau / dtau)
         if dkappa < 0:
             alpha = min(alpha, -kappa / dkappa)
-        alpha = min(step_frac * alpha, 1.0)
+        alpha = min(_STEP_FRAC * alpha, 1.0)
         if alpha < 1e-9:
             x, y, s, tau, kappa = best[0], best[1], best[2], best[3], best[4]
             return finish(SolveStatus.INACCURATE,
@@ -777,7 +779,7 @@ def solve(problem: SdpProblem, tol_gap: float = DEFAULT_TOL_GAP,
         kappa += alpha * dkappa
 
     x, y, s, tau, kappa = best[0], best[1], best[2], best[3], best[4]
-    return finish(SolveStatus.ITER_LIMIT, f"no convergence within {max_iter} iterations")
+    return finish(SolveStatus.ITER_LIMIT, f"no convergence within {_MAX_ITER} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -1017,6 +1019,10 @@ def _margin_lmi(f0, fs, cap: float, box: float | None = None,
 # ---------------------------------------------------------------------------
 # Interior / emptiness probe
 
+# feasibility_probe's fixed settings, described in its docstring
+_PROBE_BOX = 1e4
+_PROBE_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class ProbeResult:
@@ -1027,27 +1033,25 @@ class ProbeResult:
     details: dict
 
 
-def feasibility_probe(p: LinearPencil, box_radius: float = 1e4,
-                      tol: float = 1e-7, **solve_opts) -> ProbeResult:
+def feasibility_probe(p: LinearPencil) -> ProbeResult:
     """Decide whether the spectrahedron of a pencil has an interior point.
 
     Maximizes the smallest eigenvalue margin s subject to A(x) - s I psd,
-    s <= 1, within the coordinate box |x_p| <= box_radius.  A safely positive
-    optimum certifies an interior point; a margin clearly below the scale
-    -1/(2 box_radius) reports emptiness within the box.  Everything else is
-    Unknown.  The box makes weakly infeasible pencils (empty sets at zero
-    distance from feasibility) detectable at desk scale, at the price that
-    "Empty" refers to the searched box.
+    s <= 1, within the coordinate box |x_p| <= ``_PROBE_BOX`` (1e4).  An
+    optimum above ``_PROBE_TOL`` (1e-7) times 1 + max|A0| (and above 1e-9)
+    certifies an interior point once A is re-checked positive definite
+    there; a margin below -1/(2 ``_PROBE_BOX``) reports emptiness within
+    the box.  Everything else is Unknown.  The box makes weakly infeasible
+    pencils (empty sets at zero distance from feasibility) detectable at
+    desk scale, at the price that "Empty" refers to the searched box.
     """
-    if box_radius <= 0:
-        raise InvalidInput("box radius must be positive")
     n = p.n
     a0 = p.coeffs[0].mat
     prob = _margin_lmi(a0, [c.mat for c in p.coeffs[1:]], cap=1.0,
-                       box=box_radius, metadata={"origin": "feasibility_probe"})
+                       box=_PROBE_BOX, metadata={"origin": "feasibility_probe"})
 
     try:
-        sol = solve(prob, **solve_opts)
+        sol = solve(prob)
     except NumericalFailure as exc:
         return ProbeResult("Unknown", None, None, None,
                            {"error": str(exc)})
@@ -1058,12 +1062,12 @@ def feasibility_probe(p: LinearPencil, box_radius: float = 1e4,
     xj = sol.y[:n].copy()
     scale = 1.0 + float(np.max(np.abs(a0)))
     details["margin"] = s_star
-    if s_star > max(tol * scale, 1e-9):
+    if s_star > max(_PROBE_TOL * scale, 1e-9):
         # confirm the candidate point
         margin = min_eigenvalue(p.evaluate(xj))
         if margin > 0:
             return ProbeResult("NonEmpty", xj, float(margin), float(s_star), details)
         return ProbeResult("Unknown", xj, float(margin), float(s_star), details)
-    if s_star < -0.5 / box_radius:
+    if s_star < -0.5 / _PROBE_BOX:
         return ProbeResult("Empty", None, None, float(s_star), details)
     return ProbeResult("Unknown", None, None, float(s_star), details)

@@ -81,7 +81,7 @@ class SosResult:
         return self.solution.reliable
 
 
-def sos_relaxation(a: LinearPencil, b: LinearPencil, t: int, metadata=None):
+def sos_relaxation(a: LinearPencil, b: LinearPencil, t: int):
     """Assemble the order-t Gram program; returns (problem, info)."""
     if a.n != b.n:
         raise InvalidInput("pencils must share the variable count")
@@ -172,9 +172,7 @@ def sos_relaxation(a: LinearPencil, b: LinearPencil, t: int, metadata=None):
                                  amat0[aa, bb])
     builder.add_cost(qt, qt_idx(0, 0), qt_idx(0, 0), 1.0)
 
-    meta = dict(metadata or {})
-    meta.update({"origin": "sos_gram", "order": t})
-    problem = builder.build(metadata=meta)
+    problem = builder.build(metadata={"origin": "sos_gram", "order": t})
     info = SosInfo(order=t, n=n, k=k, l=l, basis_n=N, gram_s_dim=kl * N,
                    gram_t_dim=l * N, n_equations=n_eq)
     return problem, info
@@ -189,15 +187,14 @@ _STATUS = {
 }
 
 
-def lambda_sos(a: LinearPencil, b: LinearPencil, t: int = 0,
-               **solve_opts) -> SosResult:
+def lambda_sos(a: LinearPencil, b: LinearPencil, t: int = 0) -> SosResult:
     """Best eigenvalue bound certified by an order-t Gram pair.
 
     Returns -inf with status "infeasible" when no certificate of this order
     exists for any lambda.
     """
     problem, info = sos_relaxation(a, b, t)
-    sol = solve(problem, **solve_opts)
+    sol = solve(problem)
     status = _STATUS[sol.status]
     if sol.has_point:
         value = b.coeffs[0].mat[0, 0] - sol.value

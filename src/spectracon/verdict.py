@@ -76,9 +76,8 @@ def _lineality_witness(a: LinearPencil, b: LinearPencil, direction, tol):
 
 def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
                       method: str = "moment", r: float = 1.0, R: float = 2.0,
-                      refute: bool = True, tol_factor: float = 1e-7,
-                      samples: int = 400, seed: int = 0,
-                      **solve_opts) -> Verdict:
+                      refute: bool = True, samples: int = 400,
+                      seed: int = 0) -> Verdict:
     """Decide whether S_A is contained in S_B.
 
     method selects the machine run on the lineality-reduced pair:
@@ -91,7 +90,7 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
         raise InvalidInput(f"unknown method {method!r}, expected {_METHODS}")
     if a.n != b.n:
         raise InvalidInput("pencils must share the variable count")
-    tol = certification_tolerance(b, tol_factor)
+    tol = certification_tolerance(b)
     details: dict = {"tolerance": tol}
 
     try:
@@ -153,7 +152,7 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
 
     if method == "moment":
         try:
-            res = solve_mu_mom(ar, br, order, r=r, R=R, **solve_opts)
+            res = solve_mu_mom(ar, br, order, r=r, R=R)
         except NumericalFailure as exc:
             return refutation({"value": float("nan"), "order": order,
                                "solver_error": str(exc)})
@@ -180,7 +179,7 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
         return refutation(det)
 
     try:
-        res = cp_sdfp(ar, br, **solve_opts)
+        res = cp_sdfp(ar, br)
     except NumericalFailure as exc:
         return refutation({"value": float("nan"), "order": None,
                            "solver_error": str(exc)})

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from spectracon.cli import main
+from spectracon.families import disk_pair
+from spectracon.pencil import load_pencil
 from spectracon.sdpa import parse_sdpa
 from spectracon.sdpcore import SolveStatus, solve
 
@@ -16,10 +18,11 @@ def disk_files(tmp_path):
 
 
 def test_gen_writes_pencil_pair(disk_files):
-    a, b = disk_files
-    for path in (a, b):
-        data = json.loads(open(path).read())
-        assert "coeffs" in data or "blocks" in data or data  # stored matrices
+    for path, expected in zip(disk_files, disk_pair(0.7)):
+        p = load_pencil(path)
+        assert (p.n, p.k) == (expected.n, expected.k)
+        for got, want in zip(p.coeffs, expected.coeffs):
+            assert np.array_equal(got.mat, want.mat)
 
 
 def test_check_certified_exit_zero(disk_files, capsys):
@@ -95,13 +98,17 @@ def test_render_command(tmp_path, disk_files):
     assert open(out).read().startswith("<svg")
 
 
-def test_export_round_trips_through_sdpa(tmp_path, disk_files):
+@pytest.mark.parametrize("machine, order, blocks",
+                         [("moment", 2, (15, 15, 5, 5)), ("sos", 0, (6, 2))],
+                         ids=["moment", "sos"])
+def test_export_round_trips_through_sdpa(tmp_path, disk_files, machine, order,
+                                         blocks):
     a, b = disk_files
     out = str(tmp_path / "m.dat-s")
-    assert main(["export", a, b, "--machine", "moment", "--order", "2",
+    assert main(["export", a, b, "--machine", machine, "--order", str(order),
                  "--out", out]) == 0
     prob = parse_sdpa(out)
-    assert tuple(prob.block_sizes) == (15, 15, 5, 5)
+    assert tuple(prob.block_sizes) == blocks
     assert solve(prob).status is SolveStatus.OPTIMAL
 
 

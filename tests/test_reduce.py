@@ -16,6 +16,17 @@ def test_lineality_detects_zero_coefficient():
     assert abs(abs(basis[1, 0]) - 1.0) < 1e-12
 
 
+def test_lineality_from_dependent_combination():
+    # A3 = A1 - 2 A2 with off-diagonal entries: lineality (1, -2, -1)/sqrt(6)
+    a1 = np.array([[1.0, 0.5, 0.0], [0.5, 0.0, -1.0], [0.0, -1.0, 2.0]])
+    a2 = np.array([[0.0, 1.0, 0.3], [1.0, -1.0, 0.0], [0.3, 0.0, 0.0]])
+    p = pencil([np.eye(3), a1, a2, a1 - 2.0 * a2])
+    basis = lineality_space(p)
+    assert basis.shape == (3, 1)
+    v = np.array([1.0, -2.0, -1.0]) / np.sqrt(6.0)
+    assert abs(abs(basis[:, 0] @ v) - 1.0) < 1e-12
+
+
 def test_lineality_trivial_for_independent():
     p = pencil([np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     assert lineality_space(p).shape == (2, 0)
