@@ -27,9 +27,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure, OrderTooSmall
+from .errors import InvalidInput, OrderTooSmall
 from .pencil import LinearPencil, pencil
-from .sdpcore import LmiBuilder, SdpProblem, SdpSolution, SolveStatus, solve
+from .sdpcore import LmiBuilder, SdpSolution, solve
 
 Exponent = tuple
 

@@ -95,7 +95,7 @@ def cp_sdfp(a: LinearPencil, b: LinearPencil,
 
     c_part = smat(part, d)
     cap = 10.0 * scale + float(np.abs(np.diag(c_part)).max(initial=0.0))
-    problem = _margin_lmi(c_part, [smat(z, d) for z in null_basis.T], cap,
+    problem = _margin_lmi(c_part, smat(null_basis.T, d), cap,
                           metadata={"origin": "cp_sdfp", "extended": extended})
 
     try:
@@ -110,9 +110,7 @@ def cp_sdfp(a: LinearPencil, b: LinearPencil,
     margin = sol.value
     details["margin"] = margin
     theta = sol.y[:nullity]
-    witness = c_part + sum(t * smat(zrow, d)
-                           for t, zrow in zip(theta, null_basis.T))
-    witness = (witness + witness.T) / 2.0
+    witness = smat(part + null_basis @ theta, d)
     details["witness_eq_residual"] = float(np.linalg.norm(eq @ svec(witness) - rhs))
     details["witness_min_eig"] = min_eigenvalue(witness)
 

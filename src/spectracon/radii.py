@@ -98,7 +98,7 @@ def boundedness_certificate(p: LinearPencil) -> BoundednessReport:
     if lin_res <= 1e-9:
         null_basis = nullspace(rows, rank_tol=np.finfo(float).eps)
         nullity = null_basis.shape[1]
-        problem = _margin_lmi(smat(part, k), [smat(z, k) for z in null_basis.T],
+        problem = _margin_lmi(smat(part, k), smat(null_basis.T, k),
                               2.0, metadata={"origin": "boundedness"})
         try:
             sol = solve(problem)
@@ -109,7 +109,6 @@ def boundedness_certificate(p: LinearPencil) -> BoundednessReport:
             margin = sol.value
             if margin > _MARGIN_TOL:
                 w = smat(part + null_basis @ sol.y[:nullity], k)
-                w = (w + w.T) / 2.0
                 if min_eigenvalue(w) > 0:
                     return BoundednessReport("Bounded", w, float(margin), details)
             details["dual_margin"] = float(margin)

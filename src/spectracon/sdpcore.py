@@ -14,23 +14,36 @@ semidefinite blocks.  The embedding makes infeasibility detectable: a
 vanishing homogenizing variable with positive duality-gap slack yields an
 improving-ray certificate for one of the two sides.
 
-Each iteration assembles the Schur complement M_ij = sum_b <A_ib, W_b A_jb W_b>
-for the NT scalings W_b.  The sparsity pattern does not change during a
-solve, so the assembly plan is built once per solve, before the first
-iteration.  Per block it keeps only the constraint rows with stored entries
-there, sorts them by their stored-entry count r and cuts them into chunks of
-at most ``_CHUNK_TARGET`` floats of vec(W A_i W) (at least one row).  Within
-a chunk, the rows of each count r are done in one batched numpy call: the
-thin product (W[:, p] * v) @ W[q, :] over the stored entries for r <= 2s,
-the full congruence W A_i W for denser rows.  The A_i are symmetric, so
-W A_i W is too, and <A_j, W A_i W> needs only its upper triangle: the plan
-also keeps each dense block's rows folded onto the s(s+1)/2 positions
-p <= q (weight a_pq + a_qp off the diagonal), and one sparse product of
-those folded rows with a C-ordered gather of the chunk's triangle gives the
-chunk's rows of M.  A block whose rows cover all m constraints adds them
-into M directly.  Diagonal blocks use A diag(w)^2 A' on their rows.
-Memory: the plan holds the rows with stored entries twice (as given and
-folded) plus two indices per thin-row entry, and one chunk buffer (at most
+A solve works on one flat iterate over the blocks in class order: the
+dense blocks grouped by size, each size a contiguous (nb, s, s) stack, then
+all diagonal blocks merged into one.  A is one CSR matrix, its transpose
+built once per solve, so A(X), A*(y), <C, X> and <X, S> are one product
+each, and the cone arithmetic runs once per class.  The residuals of the
+homogeneous system are formed once per iteration; those of the
+de-homogenized, de-scaled iterate are the same vectors times a scalar.
+compute_residuals runs only on exit, and Optimal is returned only if the
+recomputed residuals pass too.
+
+Each iteration assembles the Schur complement
+M_ij = sum_b <A_ib, W_b A_jb W_b> for the NT scalings W_b, read from their
+class stacks.  The sparsity pattern does not change during a solve, so the
+assembly plan is built once per solve, on the class-ordered problem,
+before the first iteration.  Per block it keeps only the constraint rows
+with stored entries there, sorts them by their stored-entry count r and
+cuts them into chunks of at most ``_CHUNK_TARGET`` floats of vec(W A_i W)
+(at least one row).  Within a chunk, the rows of each count r are done in
+one batched numpy call: the thin product (W[:, p] * v) @ W[q, :] over the
+stored entries for r <= 2s, the full congruence W A_i W for denser rows.
+The A_i are symmetric, so W A_i W is too, and <A_j, W A_i W> needs only
+its upper triangle: the plan also keeps each dense block's rows folded
+onto the s(s+1)/2 positions p <= q (weight a_pq + a_qp off the diagonal),
+and one sparse product of those folded rows with a C-ordered gather of the
+chunk's triangle gives the chunk's rows of M.  A block whose rows cover all
+m constraints adds them into M directly.  The merged diagonal block adds
+A diag(w)^2 A' on its rows, kept as one dense (rows, d) array.
+Memory: the plan holds a dense block's rows with stored entries twice (as
+given and folded) plus two indices per thin-row entry, the diagonal rows
+once more as a dense array, and one chunk buffer (at most
 ``_CHUNK_TARGET`` floats, or s^2 for a single row) with its triangle
 gather (about half that), which the dense blocks share.  The solve holds M
 itself; it and the buffers are allocated once and overwritten by every
@@ -285,18 +298,25 @@ def compute_residuals(problem: SdpProblem, x_blocks, y, s_blocks) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Per-block cone arithmetic
+# Cone arithmetic, one call per class
+
+
+def _t(a):
+    """Transpose of the last two axes: of one matrix or of every matrix of a stack."""
+    return a.swapaxes(-1, -2)
 
 
 class _DenseBlock:
+    """Dense psd blocks of one size: one (s, s) block or an (nb, s, s) stack.
+
+    A direction pair ``dhat`` stacks the two sides along a new leading axis.
+    """
+
     def __init__(self, size):
         self.size = size
 
     def identity(self):
         return np.eye(self.size)
-
-    def inner(self, x, s):
-        return float(np.sum(x * s))
 
     def nt_scaling(self, x, s):
         # W S W = X with W = R R'; in the NT frame R^-1 X R^-T = R' S R is
@@ -306,29 +326,29 @@ class _DenseBlock:
         # ``isqrt`` is 1 / sqrt(lam_i lam_j).
         lx = np.linalg.cholesky(x)
         ls = np.linalg.cholesky(s)
-        u, sv, vt = np.linalg.svd(ls.T @ lx)
+        u, sv, vt = np.linalg.svd(_t(ls) @ lx)
         if np.any(sv <= 0):
             raise np.linalg.LinAlgError("vanishing singular value in scaling")
         root = np.sqrt(sv)
-        r = (lx @ vt.T) / root[None, :]
-        rinv = (ls @ u).T / root[:, None]
-        return {"r": r, "w": r @ r.T, "lam": sv,
-                "frame": np.stack((rinv, r.T)),
-                "isqrt": 1.0 / (root[:, None] * root[None, :])}
+        r = (lx @ _t(vt)) / root[..., None, :]
+        rinv = _t(ls @ u) / root[..., :, None]
+        return {"r": r, "w": r @ _t(r), "lam": sv,
+                "frame": np.stack((rinv, _t(r))),
+                "isqrt": 1.0 / (root[..., :, None] * root[..., None, :])}
 
     def congruence(self, w, m):
         out = w @ m @ w
-        return (out + out.T) / 2.0
+        return (out + _t(out)) / 2.0
 
     def to_frame(self, sc, dx, ds):
         """R^-1 dX R^-T and R' dS R, stacked: the directions in the NT frame."""
         f = sc["frame"]
-        return f @ np.stack((dx, ds)) @ f.transpose(0, 2, 1)
+        return f @ np.stack((dx, ds)) @ _t(f)
 
     def max_step(self, sc, dhat):
-        """Largest alpha keeping lam + alpha dhat psd on both sides (inf if
-        there is no boundary): -1 / lam_min(lam^-1/2 dhat lam^-1/2)."""
-        lam_min = float(np.min(np.linalg.eigvalsh(dhat * sc["isqrt"])[:, 0]))
+        """Largest alpha keeping lam + alpha dhat psd on both sides of every
+        block (inf if there is no boundary): -1 / lam_min(lam^-1/2 dhat lam^-1/2)."""
+        lam_min = float(np.min(np.linalg.eigvalsh(dhat * sc["isqrt"])[..., 0]))
         if lam_min >= -1e-14:
             return np.inf
         return -1.0 / lam_min
@@ -338,21 +358,22 @@ class _DenseBlock:
         dhat, where lam E + E lam = dX^ dS^ + dS^ dX^; R lam^-1 R' is S^-1."""
         lam = sc["lam"]
         h = dhat[0] @ dhat[1]
-        e = -(h + h.T) / (lam[:, None] + lam[None, :])
-        e[np.diag_indices_from(e)] += target / lam
-        out = sc["r"] @ e @ sc["r"].T
-        return (out + out.T) / 2.0
+        e = -(h + _t(h)) / (lam[..., :, None] + lam[..., None, :])
+        diag = np.arange(self.size)
+        e[..., diag, diag] += target / lam
+        out = sc["r"] @ e @ _t(sc["r"])
+        return (out + _t(out)) / 2.0
 
 
 class _DiagBlock:
+    """Componentwise nonnegative blocks: every diagonal block of a problem,
+    concatenated into one vector."""
+
     def __init__(self, size):
         self.size = size
 
     def identity(self):
         return np.ones(self.size)
-
-    def inner(self, x, s):
-        return float(np.dot(x, s))
 
     def nt_scaling(self, x, s):
         # here ``w`` is W itself, R = W^1/2
@@ -378,10 +399,6 @@ class _DiagBlock:
         return sc["w"] * (target / sc["lam"] - e)
 
 
-def _block_ops(sizes):
-    return [_DenseBlock(s) if s > 0 else _DiagBlock(-s) for s in sizes]
-
-
 # ---------------------------------------------------------------------------
 # Schur complement assembly
 
@@ -390,10 +407,10 @@ def _block_ops(sizes):
 class _BlockPlan:
     """Schur assembly plan of one block with stored entries.
 
-    ``rows`` are the constraint rows with stored entries in the block and
-    ``sub`` their CSR rows.  A diagonal block keeps ``sub_t``, the transpose
-    of ``sub``.  A dense block keeps ``chunks`` of (sel, parts): ``sel``
-    indexes ``rows`` and each part (lo, hi, p, q, vals) covers sel[lo:hi],
+    ``rows`` are the constraint rows with stored entries in the block.  A
+    diagonal block keeps ``sub_dense``, those rows as a dense (rows, d)
+    array.  A dense block keeps ``chunks`` of (sel, parts): ``sel`` indexes
+    ``rows`` and each part (lo, hi, p, q, vals) covers sel[lo:hi],
     rows of one stored-entry count r.  A thin part (r <= 2s) holds the entry
     positions p, q and values; a dense part (r > 2s) has p None and holds
     the CSR rows in ``vals``.  It also keeps ``tri``, its rows folded onto
@@ -404,8 +421,7 @@ class _BlockPlan:
 
     block: int
     rows: np.ndarray
-    sub: sp.csr_matrix
-    sub_t: sp.csr_matrix | None = None
+    sub_dense: np.ndarray | None = None
     chunks: list = field(default_factory=list)
     tri: sp.csr_matrix | None = None
     tri_pos: np.ndarray | None = None
@@ -422,10 +438,10 @@ def _schur_plan(problem):
         rows = np.flatnonzero(nnz_row)
         if rows.size == 0:
             continue
-        sub = a[rows]
         if size < 0:
-            plan.append(_BlockPlan(bi, rows, sub, sub_t=sub.T.tocsr()))
+            plan.append(_BlockPlan(bi, rows, sub_dense=a.toarray()[rows]))
             continue
+        sub = a if rows.size == a.shape[0] else a[rows]
         s = size
         counts = nnz_row[rows]
         order = np.argsort(counts, kind="stable")
@@ -453,7 +469,7 @@ def _schur_plan(problem):
         coo = sub.tocoo()
         tri = sp.csr_matrix((coo.data, (coo.row, tri_of.ravel()[coo.col])),
                             shape=(rows.size, iu[0].size))
-        plan.append(_BlockPlan(bi, rows, sub, chunks=chunks, tri=tri,
+        plan.append(_BlockPlan(bi, rows, chunks=chunks, tri=tri,
                                tri_pos=iu[0] * s + iu[1]))
         u_len = max(u_len, min(cap, rows.size) * s * s)
         g_len = max(g_len, min(cap, rows.size) * iu[0].size)
@@ -479,9 +495,8 @@ def _schur_matrix(m, plan, scal, out=None):
     for bp in plan:
         w = scal[bp.block]["w"]
         rows = bp.rows
-        if bp.sub_t is not None:
-            prod = (bp.sub.multiply((w * w)[None, :]) @ bp.sub_t).tocoo()
-            mat[rows[prod.col], rows[prod.row]] += prod.data
+        if bp.sub_dense is not None:
+            mat[np.ix_(rows, rows)] += (bp.sub_dense * (w * w)) @ bp.sub_dense.T
             continue
         s = w.shape[0]
         for sel, parts in bp.chunks:
@@ -545,32 +560,83 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     The settings are fixed: Optimal means a relative gap of at most
     ``_TOL_GAP`` (1e-8) and relative primal and dual residuals of at most
-    ``_TOL_FEAS`` (1e-8); IterLimit comes after ``_MAX_ITER`` (200)
-    iterations; each step goes ``_STEP_FRAC`` (0.98) of the way to the
-    cone boundary.
+    ``_TOL_FEAS`` (1e-8), both on the iterate's residuals and on the
+    residuals recomputed from the returned blocks; IterLimit comes after
+    ``_MAX_ITER`` (200) iterations; each step goes ``_STEP_FRAC`` (0.98) of
+    the way to the cone boundary.
     """
     if problem.m > _MAX_CONSTRAINTS:
         raise NumericalFailure(
             f"constraint count {problem.m} exceeds the dense Schur limit")
     flip = problem.sense == "max"
-    c_blocks = [(-c if flip else c) for c in problem.c_blocks]
-    base = SdpProblem(problem.block_sizes, c_blocks, problem.a_blocks,
-                      problem.b, "min", dict(problem.metadata))
     # normalize data scales; solutions are de-scaled on exit
-    sigma_b = max(1.0, base.norm_b())
-    sigma_c = max(1.0, base.norm_c())
-    work = SdpProblem(base.block_sizes, [c / sigma_c for c in base.c_blocks],
-                      base.a_blocks, base.b / sigma_b, "min", dict(base.metadata))
+    sigma_b = max(1.0, problem.norm_b())
+    sigma_c = max(1.0, problem.norm_c())
+    norm_b_res = 1.0 + problem.norm_b()
+    norm_c_res = 1.0 + problem.norm_c()
 
-    ops = _block_ops(work.block_sizes)
+    # class order: the dense blocks grouped by size, sizes in order of first
+    # appearance, then every diagonal block, merged into one
+    sizes = problem.block_sizes
+    groups = {}
+    for bi, size in enumerate(sizes):
+        groups.setdefault(max(size, 0), []).append(bi)
+    diag = groups.pop(0, [])
+    order = [bi for members in groups.values() for bi in members]
+    c_blocks = [(-c if flip else c) / sigma_c for c in problem.c_blocks]
+    work_blocks = [(sizes[bi], c_blocks[bi], problem.a_blocks[bi]) for bi in order]
+    classes = [(_DenseBlock(size), (len(members), size, size))
+               for size, members in groups.items()]
+    if diag:
+        d = -sum(sizes[bi] for bi in diag)
+        work_blocks.append((-d, np.concatenate([c_blocks[bi] for bi in diag]),
+                            sp.hstack([problem.a_blocks[bi] for bi in diag], format="csr")))
+        classes.append((_DiagBlock(d), (d,)))
+        order += diag
+    work = SdpProblem(*zip(*work_blocks), problem.b / sigma_b)
+    # the flat iterate: every class, and so every block, is a contiguous slice
+    ends = np.cumsum([np.prod(shape) for _, shape in classes])
+    classes = [(op, slice(end - np.prod(shape), end), shape)
+               for (op, shape), end in zip(classes, ends)]
+    dense_classes = [(sl, shape) for op, sl, shape in classes if len(shape) == 3]
+    starts = dict(zip(order, np.cumsum([0] + [_block_veclen(sizes[bi]) for bi in order])))
+
+    a_mat = sp.hstack(work.a_blocks, format="csr")
+    a_t = a_mat.T.tocsr()
+    b = work.b
+    c = np.concatenate([cb.ravel() for cb in work.c_blocks])
     plan = _schur_plan(work)
     schur_work = np.empty((work.m, work.m))
     nu = work.cone_dim + 1.0
     norm_b = work.norm_b()
     norm_c = work.norm_c()
 
-    x = [op.identity() for op in ops]
-    s = [op.identity() for op in ops]
+    def views(v):
+        return [v[sl].reshape(shape) for _, sl, shape in classes]
+
+    def symmetrize_dense(v):
+        for sl, shape in dense_classes:
+            blk = v[sl].reshape(shape)
+            blk[...] = (blk + _t(blk)) / 2.0
+        return v
+
+    def per_class(fn, *parts):
+        """fn(op, *items) for every class, joined into one flat vector."""
+        return np.concatenate([np.ravel(fn(op, *items))
+                               for (op, _, _), *items in zip(classes, *parts)])
+
+    def apply_at(v):
+        return symmetrize_dense(a_t @ v)
+
+    def blocks(v):
+        """The blocks of a flat vector, in the problem's block order."""
+        return [v[starts[bi]:starts[bi] + _block_veclen(size)]
+                .reshape((size, size) if size > 0 else (-size,)).copy()
+                for bi, size in enumerate(sizes)]
+
+    x = np.concatenate([np.broadcast_to(op.identity(), shape).ravel()
+                        for op, _, shape in classes])
+    s = x.copy()
     y = np.zeros(work.m)
     tau, kappa = 1.0, 1.0
 
@@ -579,20 +645,19 @@ def solve(problem: SdpProblem) -> SdpSolution:
     log = []
     start_time = time.perf_counter()
 
-    def dehomogenize():
-        xh = [xb / tau for xb in x]
-        sh = [sb / tau for sb in s]
-        return xh, y / tau, sh
-
     def finish(status, message, ray=None):
         if status in (SolveStatus.PRIMAL_INFEASIBLE, SolveStatus.DUAL_INFEASIBLE):
-            xb, yv, sb, res = ray
+            xf, yv, sf, res = ray
+            xb, sb = blocks(xf), blocks(sf)
             pv = dv = np.nan
         else:
-            xb, yv, sb = dehomogenize()
-            xb = [v * sigma_b for v in xb]
-            yv = yv * sigma_c
-            sb = [v * sigma_c for v in sb]
+            xb = blocks(x / tau * sigma_b)
+            yv = y / tau * sigma_c
+            sb = blocks(s / tau * sigma_c)
+            base = problem
+            if flip:
+                base = SdpProblem(problem.block_sizes, [-cb for cb in problem.c_blocks],
+                                  problem.a_blocks, problem.b, "min")
             res = compute_residuals(base, xb, yv, sb)
             pv, dv = res["primal_obj"], res["dual_obj"]
             if flip:
@@ -603,82 +668,86 @@ def solve(problem: SdpProblem) -> SdpSolution:
                            iterations=it, hsd=hsd, message=message,
                            metadata=dict(problem.metadata))
 
+    def converged(primal_res, dual_res, gap_rel, **_):
+        return primal_res <= _TOL_FEAS and dual_res <= _TOL_FEAS and gap_rel <= _TOL_GAP
+
     mu = 1.0
     it = 0
     stall = 0
     for it in range(1, _MAX_ITER + 1):
         # residuals of the homogeneous system
-        p_res = work.apply_a(x) - work.b * tau
-        aty = work.apply_at(y)
-        d_res = [at + sb - cb * tau for at, sb, cb in zip(aty, s, work.c_blocks)]
-        cx = work.inner_c(x)
-        by = float(work.b @ y)
+        ax = a_mat @ x
+        p_res = ax - b * tau
+        aty = apply_at(y)
+        d_res = aty + s - c * tau
+        cx = float(c @ x)
+        by = float(b @ y)
         g_res = -cx + by - kappa
-        mu = (sum(op.inner(xb, sb) for op, xb, sb in zip(ops, x, s)) + tau * kappa) / nu
+        mu = (float(x @ s) + tau * kappa) / nu
 
-        # convergence on the de-homogenized, de-scaled iterate, so the
-        # decision is made on the same residuals the caller will see
-        xh, yh, sh = dehomogenize()
-        xh = [v * sigma_b for v in xh]
-        yh = yh * sigma_c
-        sh = [v * sigma_c for v in sh]
-        res = compute_residuals(base, xh, yh, sh)
-        phi = max(res["primal_res"], res["dual_res"], res["gap_rel"])
+        # the de-homogenized, de-scaled residuals the caller will see are
+        # the homogeneous ones times a scalar
+        primal_res = sigma_b / tau * float(np.linalg.norm(p_res)) / norm_b_res
+        dual_res = sigma_c / tau * float(np.linalg.norm(d_res)) / norm_c_res
+        pobj = sigma_b * sigma_c / tau * cx
+        dobj = sigma_b * sigma_c / tau * by
+        gap_rel = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
+        phi = max(primal_res, dual_res, gap_rel)
         log.append({"iter": it, "mu": mu, "tau": tau, "kappa": kappa, "phi": phi})
         if phi < best_phi:
             best_phi = phi
-            best = ([xb.copy() for xb in x], y.copy(), [sb.copy() for sb in s],
-                    tau, kappa)
+            best = (x.copy(), y.copy(), s.copy(), tau, kappa)
             stall = 0
         else:
             stall += 1
-        if (res["primal_res"] <= _TOL_FEAS and res["dual_res"] <= _TOL_FEAS
-                and res["gap_rel"] <= _TOL_GAP):
-            return finish(SolveStatus.OPTIMAL, f"converged in {it} iterations")
+        if converged(primal_res, dual_res, gap_rel):
+            # Optimal only if the residuals recomputed from the returned
+            # blocks pass as well
+            sol = finish(SolveStatus.OPTIMAL, f"converged in {it} iterations")
+            if converged(**sol.residuals):
+                return sol
 
         # infeasibility certificates from the homogeneous iterate
         if by > 0:
-            ray_sq = 0.0
-            for at, sb in zip(aty, s):
-                ray_sq += float(np.sum(np.square(at + sb)))
-            ray_res = np.sqrt(ray_sq) / by
-            if ray_res <= _TOL_FEAS * (1.0 + norm_c) and tau <= 1e-6 * max(1.0, kappa):
-                by_base = float(base.b @ y)
-                yr = y / by_base
-                sr = [sb / by_base for sb in s]
-                xr = [np.zeros_like(xb) for xb in x]
-                cert = {"ray_res": np.sqrt(ray_sq) / by_base, "ray_obj": 1.0,
+            ray_norm = float(np.linalg.norm(aty + s))
+            if (ray_norm / by <= _TOL_FEAS * (1.0 + norm_c)
+                    and tau <= 1e-6 * max(1.0, kappa)):
+                by_base = sigma_b * by
+                cert = {"ray_res": ray_norm / by_base, "ray_obj": 1.0,
                         "kind": "dual_improving_ray"}
                 return finish(SolveStatus.PRIMAL_INFEASIBLE,
                               "primal infeasibility certified by dual ray",
-                              ray=(xr, yr, sr, cert))
+                              ray=(np.zeros_like(x), y / by_base, s / by_base, cert))
         if cx < 0:
-            ax_norm = float(np.linalg.norm(work.apply_a(x)))
-            ray_res = ax_norm / (-cx)
-            if ray_res <= _TOL_FEAS * (1.0 + norm_b) and tau <= 1e-6 * max(1.0, kappa):
-                cx_base = base.inner_c(x)
-                xr = [xb / (-cx_base) for xb in x]
+            ax_norm = float(np.linalg.norm(ax))
+            if (ax_norm / (-cx) <= _TOL_FEAS * (1.0 + norm_b)
+                    and tau <= 1e-6 * max(1.0, kappa)):
+                cx_base = sigma_c * cx
                 cert = {"ray_res": ax_norm / (-cx_base), "ray_obj": -1.0,
                         "kind": "primal_improving_ray"}
                 return finish(SolveStatus.DUAL_INFEASIBLE,
                               "dual infeasibility certified by primal ray",
-                              ray=(xr, np.zeros(work.m), [np.zeros_like(sb) for sb in s], cert))
+                              ray=(x / (-cx_base), np.zeros(work.m), np.zeros_like(s), cert))
 
         if stall >= 25 or mu > 1e12:
-            x, y, s, tau, kappa = best[0], best[1], best[2], best[3], best[4]
+            x, y, s, tau, kappa = best
             return finish(SolveStatus.INACCURATE,
                           "progress stalled; returning best iterate")
 
         # NT scaling
         try:
-            scal = [op.nt_scaling(xb, sb) for op, xb, sb in zip(ops, x, s)]
+            scal = [op.nt_scaling(xv, sv)
+                    for (op, _, _), xv, sv in zip(classes, views(x), views(s))]
         except np.linalg.LinAlgError:
-            x, y, s, tau, kappa = best[0], best[1], best[2], best[3], best[4]
+            x, y, s, tau, kappa = best
             return finish(SolveStatus.INACCURATE,
                           "iterate left the cone interior; returning best iterate")
+        ws = [sc["w"] for sc in scal]
+        # the Schur plan reads each block's W from its class stack
+        block_w = [{"w": w} for wc in ws for w in (wc if wc.ndim == 3 else (wc,))]
 
         try:
-            schur = _schur_matrix(work.m, plan, scal, out=schur_work)
+            schur = _schur_matrix(work.m, plan, block_w, out=schur_work)
             l_schur = _chol_with_jitter(schur)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"Schur factorization failed at iteration {it}",
@@ -690,15 +759,18 @@ def solve(problem: SdpProblem) -> SdpSolution:
         def schur_solve(rhs):
             return sla.cho_solve(factor, np.asarray_chkfinite(rhs), check_finite=False)
 
-        wcw = [op.congruence(sc["w"], cb) for op, sc, cb in zip(ops, scal, work.c_blocks)]
-        v_vec = work.apply_a(wcw)
-        gb, gv = schur_solve(np.column_stack((work.b, v_vec))).T
+        def congruence(v):
+            return per_class(lambda op, w, vb: op.congruence(w, vb), ws, views(v))
+
+        wcw = congruence(c)
+        v_vec = a_mat @ wcw
+        gb, gv = schur_solve(np.column_stack((b, v_vec))).T
         g2 = gb + gv
         # den = kappa/tau + b'M^{-1}b + (<C,WCW> - v'M^{-1}v); the bracket is a
         # squared distance to a subspace, so clamping it at zero only removes
         # roundoff-induced cancellation.
-        den = (kappa / tau + float(work.b @ gb)
-               + max(0.0, work.inner_c(wcw) - float(v_vec @ gv)))
+        den = (kappa / tau + float(b @ gb)
+               + max(0.0, float(c @ wcw) - float(v_vec @ gv)))
         if den <= 0 or not np.isfinite(den):
             raise NumericalFailure(f"degenerate reduced system at iteration {it}",
                                    report={"log": log})
@@ -706,79 +778,67 @@ def solve(problem: SdpProblem) -> SdpSolution:
         r1 = -p_res
         r2 = d_res
         r3 = -g_res
-        wr2w = [op.congruence(sc["w"], r2b) for op, sc, r2b in zip(ops, scal, r2)]
+        wr2w = congruence(r2)
 
         def newton_dir(r4, r5):
-            q = [a + r4b for a, r4b in zip(wr2w, r4)]
-            h1 = r1 - work.apply_a(q)
-            h2 = r3 + work.inner_c(q) + r5 / tau
+            q = wr2w + r4
+            h1 = r1 - a_mat @ q
+            h2 = r3 + float(c @ q) + r5 / tau
             g1 = schur_solve(h1)
-            dtau = (h2 - float((work.b - v_vec) @ g1)) / den
+            dtau = (h2 - float((b - v_vec) @ g1)) / den
             dy = g1 + g2 * dtau
-            at_dy = work.apply_at(dy)
-            dx = []
-            ds = []
-            for bi, op in enumerate(ops):
-                dxb = q[bi] + op.congruence(scal[bi]["w"], at_dy[bi]) - wcw[bi] * dtau
-                if work.block_sizes[bi] > 0:
-                    dxb = (dxb + dxb.T) / 2.0
-                dx.append(dxb)
-                ds.append(work.c_blocks[bi] * dtau - at_dy[bi] - r2[bi])
+            at_dy = apply_at(dy)
+            dx = symmetrize_dense(q + congruence(at_dy) - wcw * dtau)
+            ds = c * dtau - at_dy - r2
             dkappa = (r5 - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa
 
-        # predictor; its directions in the NT frame also give the corrector
-        r4_aff = [-xb for xb in x]
-        r5_aff = -tau * kappa
-        dxa, dya, dsa, dtaua, dkappaa = newton_dir(r4_aff, r5_aff)
-        hat_a = [op.to_frame(sc, dxb, dsb)
-                 for op, sc, dxb, dsb in zip(ops, scal, dxa, dsa)]
+        def max_step(hats):
+            return min(op.max_step(sc, hb) for (op, _, _), sc, hb in zip(classes, scal, hats))
 
-        alpha_aff = 1.0
-        for op, sc, hb in zip(ops, scal, hat_a):
-            alpha_aff = min(alpha_aff, op.max_step(sc, hb))
+        def frame(dx, ds):
+            return [op.to_frame(sc, dxv, dsv) for (op, _, _), sc, dxv, dsv
+                    in zip(classes, scal, views(dx), views(ds))]
+
+        # predictor; its directions in the NT frame also give the corrector
+        dxa, dya, dsa, dtaua, dkappaa = newton_dir(-x, -tau * kappa)
+        hat_a = frame(dxa, dsa)
+
+        alpha_aff = min(1.0, max_step(hat_a))
         if dtaua < 0:
             alpha_aff = min(alpha_aff, -tau / dtaua)
         if dkappaa < 0:
             alpha_aff = min(alpha_aff, -kappa / dkappaa)
-        alpha_aff = min(alpha_aff, 1.0)
 
-        mu_aff = (sum(op.inner(xb + alpha_aff * dxb, sb + alpha_aff * dsb)
-                      for op, xb, sb, dxb, dsb in zip(ops, x, s, dxa, dsa))
+        mu_aff = (float((x + alpha_aff * dxa) @ (s + alpha_aff * dsa))
                   + (tau + alpha_aff * dtaua) * (kappa + alpha_aff * dkappaa)) / nu
         sigma = min(0.99999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
         # corrector in the NT frame
-        r4 = [op.corrector(sc, hb, sigma * mu) - xb
-              for op, sc, hb, xb in zip(ops, scal, hat_a, x)]
+        r4 = per_class(lambda op, sc, hb: op.corrector(sc, hb, sigma * mu),
+                       scal, hat_a) - x
         r5 = sigma * mu - tau * kappa - dtaua * dkappaa
 
         dx, dy, ds, dtau, dkappa = newton_dir(r4, r5)
 
-        alpha = 1.0 / _STEP_FRAC
-        for op, sc, dxb, dsb in zip(ops, scal, dx, ds):
-            alpha = min(alpha, op.max_step(sc, op.to_frame(sc, dxb, dsb)))
+        alpha = min(1.0 / _STEP_FRAC, max_step(frame(dx, ds)))
         if dtau < 0:
             alpha = min(alpha, -tau / dtau)
         if dkappa < 0:
             alpha = min(alpha, -kappa / dkappa)
         alpha = min(_STEP_FRAC * alpha, 1.0)
         if alpha < 1e-9:
-            x, y, s, tau, kappa = best[0], best[1], best[2], best[3], best[4]
+            x, y, s, tau, kappa = best
             return finish(SolveStatus.INACCURATE,
                           "step length collapsed; returning best iterate")
 
-        for bi, op in enumerate(ops):
-            x[bi] = x[bi] + alpha * dx[bi]
-            s[bi] = s[bi] + alpha * ds[bi]
-            if work.block_sizes[bi] > 0:
-                x[bi] = (x[bi] + x[bi].T) / 2.0
-                s[bi] = (s[bi] + s[bi].T) / 2.0
+        x = symmetrize_dense(x + alpha * dx)
+        s = symmetrize_dense(s + alpha * ds)
         y = y + alpha * dy
         tau += alpha * dtau
         kappa += alpha * dkappa
 
-    x, y, s, tau, kappa = best[0], best[1], best[2], best[3], best[4]
+    x, y, s, tau, kappa = best
     return finish(SolveStatus.ITER_LIMIT, f"no convergence within {_MAX_ITER} iterations")
 
 
@@ -993,27 +1053,24 @@ def _margin_lmi(f0, fs, cap: float, box: float | None = None,
     """
     nq = len(fs)
     k = f0.shape[0]
-    builder = LmiBuilder(nvars=nq + 1, sense="max")
-    blk = builder.add_block(k)
-    for i, j in zip(*np.nonzero(np.triu(f0))):
-        builder.add_const(blk, i, j, f0[i, j])
-    for q, fq in enumerate(fs):
-        for i, j in zip(*np.nonzero(np.triu(fq))):
-            builder.add_term(blk, q, i, j, fq[i, j])
-    for i in range(k):
-        builder.add_term(blk, nq, i, i, -1.0)
-    capblk = builder.add_block(-1)
-    builder.add_const(capblk, 0, 0, cap)
-    builder.add_term(capblk, nq, 0, 0, -1.0)
+    # the canonical form of LmiBuilder: C is F0, each row of A holds -F_q
+    # (mirrored from its upper triangle) and the s row holds +I
+    upper = np.triu(np.asarray(fs, dtype=float).reshape(nq, k, k))
+    pencil_rows = np.concatenate((-(upper + _t(np.triu(upper, 1))), np.eye(k)[None]))
+    e_s = np.zeros(nq + 1)  # the unit vector of s
+    e_s[nq] = 1.0
+    sizes = [k, -1]
+    c_blocks = [np.triu(f0) + np.triu(f0, 1).T, np.array([float(cap)])]
+    a_blocks = [sp.csr_matrix(pencil_rows.reshape(nq + 1, k * k)),
+                sp.csr_matrix(e_s[:, None])]
     if box is not None and nq > 0:
-        boxblk = builder.add_block(-(2 * nq))
-        for q in range(nq):
-            builder.add_const(boxblk, 2 * q, 2 * q, box)
-            builder.add_term(boxblk, q, 2 * q, 2 * q, -1.0)
-            builder.add_const(boxblk, 2 * q + 1, 2 * q + 1, box)
-            builder.add_term(boxblk, q, 2 * q + 1, 2 * q + 1, 1.0)
-    builder.set_objective(nq, 1.0)
-    return builder.build(metadata=metadata)
+        # y_q <= box and -y_q <= box
+        box_rows = np.vstack((np.kron(np.eye(nq), [1.0, -1.0]), np.zeros(2 * nq)))
+        sizes.append(-2 * nq)
+        c_blocks.append(np.full(2 * nq, float(box)))
+        a_blocks.append(sp.csr_matrix(box_rows))
+    meta = {**(metadata or {}), "lmi_sense": "max", "lmi_offset": 0.0}
+    return SdpProblem(tuple(sizes), c_blocks, a_blocks, e_s, "min", meta)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,12 @@ functional of the Gram matrices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInput, OrderTooSmall
-from .momrelax import MonomialBasis, _eadd, basis_size
+from .momrelax import MonomialBasis, basis_size
 from .pencil import LinearPencil
 from .sdpcore import PrimalBuilder, SdpSolution, SolveStatus, solve
 

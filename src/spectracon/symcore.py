@@ -150,11 +150,12 @@ def svec(mat) -> np.ndarray:
 
 
 def smat(vec, d: int) -> np.ndarray:
-    """Inverse of :func:`svec` for d x d matrices."""
+    """Inverse of :func:`svec` for d x d matrices.  A stack of vectors, shape
+    (..., d(d+1)/2), gives the stack of their matrices."""
     v = np.asarray(vec, dtype=float)
     i, j = np.triu_indices(d)
     vals = np.where(i != j, v / np.sqrt(2.0), v)
-    out = np.zeros((d, d))
-    out[i, j] = vals
-    out[j, i] = vals
+    out = np.zeros(v.shape[:-1] + (d, d))
+    out[..., i, j] = vals
+    out[..., j, i] = vals
     return out

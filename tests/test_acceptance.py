@@ -7,7 +7,6 @@ and keeps its tolerances and wall-clock budget next to the assertions.
 import time
 
 import numpy as np
-import pytest
 
 from spectracon.families import (ball_elliptope_pair, choi_map_spec,
                                  choi_pair, disk_pair, random_pair)

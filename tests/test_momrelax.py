@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from spectracon.errors import InvalidInput, OrderTooSmall
 from spectracon.families import disk_pair
-from spectracon.momrelax import (MatPoly, MonomialBasis, Poly,
+from spectracon.momrelax import (MatPoly, Poly,
                                  annulus_constraints, basis_size,
                                  build_pmi_relaxation, containment_relaxation,
                                  moment_matrix, monomials_upto,

@@ -6,8 +6,11 @@ import scipy.sparse as sp
 from spectracon import sdpcore
 
 from spectracon.errors import InvalidInput
+from spectracon.families import disk_pair, random_pair
+from spectracon.momrelax import containment_relaxation
 from spectracon.pencil import elliptope_pencil, pencil
 from spectracon.sdpa import export_sdpa, parse_sdpa
+from spectracon.sosrelax import sos_relaxation
 from spectracon.sdpcore import (LmiBuilder, PrimalBuilder, SdpProblem,
                                 SdpSolution, SolveStatus, _margin_lmi,
                                 compute_residuals, feasibility_probe, solve)
@@ -455,3 +458,170 @@ def test_scaled_step_matches_cholesky_reference(seed):
     assert diag.max_step(scd, diag.to_frame(scd, np.ones(n), np.ones(n))) == np.inf
     np.testing.assert_allclose(diag.corrector(scd, np.zeros((2, n)), 1.0), 1.0 / sd,
                                rtol=1e-12)
+
+
+def _rel_close(got, want, rel=1e-12):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    return float(np.max(np.abs(got - want))) <= rel * scale
+
+
+@pytest.mark.parametrize("nb", [1, 3])
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_stacked_ops_match_per_block_ops(nb, n):
+    rng = np.random.default_rng(10 * nb + n)
+    op = sdpcore._DenseBlock(n)
+    x = np.stack([_pd(rng, n, 1.0) for _ in range(nb)])
+    s = np.stack([_pd(rng, n, 0.1) for _ in range(nb)])
+    dx = np.stack([_sym(rng, n) for _ in range(nb)])
+    ds = np.stack([_sym(rng, n) for _ in range(nb)])
+    sc = op.nt_scaling(x, s)
+    hat = op.to_frame(sc, dx, ds)
+    corr = op.corrector(sc, hat, 0.7)
+    cong = op.congruence(sc["w"], dx)
+    steps = []
+    for i in range(nb):
+        sci = op.nt_scaling(x[i], s[i])
+        assert _rel_close(sc["w"][i], sci["w"])
+        assert _rel_close(sc["lam"][i], sci["lam"])
+        hat_i = op.to_frame(sci, dx[i], ds[i])
+        assert _rel_close(hat[:, i], hat_i)
+        assert _rel_close(corr[i], op.corrector(sci, hat_i, 0.7))
+        assert _rel_close(cong[i], op.congruence(sci["w"], dx[i]))
+        steps.append(op.max_step(sci, hat_i))
+    assert op.max_step(sc, hat) == pytest.approx(min(steps), rel=1e-12)
+
+    # diagonal blocks merged into one class act as the blocks one by one
+    sizes = (2, 3)
+    xd, sd = rng.uniform(0.5, 2.0, 5), rng.uniform(0.5, 2.0, 5)
+    dxd, dsd = rng.normal(size=5), rng.normal(size=5)
+    merged = sdpcore._DiagBlock(5)
+    scd = merged.nt_scaling(xd, sd)
+    hatd = merged.to_frame(scd, dxd, dsd)
+    corrd = merged.corrector(scd, hatd, 0.7)
+    lo, parts = 0, []
+    for size in sizes:
+        part = sdpcore._DiagBlock(size)
+        cut = slice(lo, lo + size)
+        sci = part.nt_scaling(xd[cut], sd[cut])
+        hat_i = part.to_frame(sci, dxd[cut], dsd[cut])
+        np.testing.assert_array_equal(hatd[:, cut], hat_i)
+        np.testing.assert_array_equal(corrd[cut], part.corrector(sci, hat_i, 0.7))
+        parts.append(part.max_step(sci, hat_i))
+        lo += size
+    assert merged.max_step(scd, hatd) == min(parts)
+
+
+def _permuted(prob, perm):
+    return SdpProblem(tuple(prob.block_sizes[i] for i in perm),
+                      [prob.c_blocks[i] for i in perm],
+                      [prob.a_blocks[i] for i in perm], prob.b)
+
+
+def test_block_order_round_trip():
+    sizes = (3, -2, 5, 3, -1, 5)
+    prob = _random_problem(21, blocks=sizes, m=30)
+    sol = solve(prob)
+    assert sol.status is SolveStatus.OPTIMAL
+    shapes = [(s, s) if s > 0 else (-s,) for s in sizes]
+    assert [xb.shape for xb in sol.x_blocks] == shapes
+    assert [sb.shape for sb in sol.s_blocks] == shapes
+    # each returned block pairs with its own constraint and objective block
+    res = compute_residuals(prob, sol.x_blocks, sol.y, sol.s_blocks)
+    assert max(res["primal_res"], res["dual_res"], res["gap_rel"]) <= 1e-8
+    for size, xb, sb in zip(sizes, sol.x_blocks, sol.s_blocks):
+        if size > 0:
+            assert np.linalg.eigvalsh(xb)[0] > 0 and np.linalg.eigvalsh(sb)[0] > 0
+        else:
+            assert np.all(xb > 0) and np.all(sb > 0)
+    perm = [4, 2, 0, 5, 1, 3]
+    again = solve(_permuted(prob, perm))
+    assert again.status is SolveStatus.OPTIMAL
+    assert again.value == pytest.approx(sol.value, rel=1e-9, abs=1e-9)
+
+
+def _probe_lmi():
+    a, _ = random_pair(1)
+    return _margin_lmi(a.coeffs[0].mat, [c.mat for c in a.coeffs[1:]], 1.0, box=1e4)
+
+
+_CORPUS = {
+    **{f"random-{seed}": (lambda seed=seed, blocks=blocks:
+                          _random_problem(seed, blocks=blocks, m=24))
+       for seed, blocks in [(0, (3, -2)), (1, (4, 4, 4)), (2, (3, -2, 5, 3, -1, 5)),
+                            (3, (-3, 2, -2)), (4, (1, 1, 6))]},
+    "diag-lmi": lambda: _max_t_below_diag([3.0, 1.0, 2.0])[1],
+    "probe-lmi": _probe_lmi,
+    "moment-order2": lambda: containment_relaxation(*disk_pair(0.7), 2)[0],
+    "gram-order1": lambda: sos_relaxation(*random_pair(1), 1)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CORPUS))
+def test_optimal_means_recomputed_residuals_pass(name):
+    prob = _CORPUS[name]()
+    sol = solve(prob)
+    assert sol.status is SolveStatus.OPTIMAL
+    res = compute_residuals(prob, sol.x_blocks, sol.y, sol.s_blocks)
+    assert max(res["primal_res"], res["dual_res"], res["gap_rel"]) <= 1e-8
+
+
+def _margin_lmi_by_terms(f0, fs, cap, box=None, metadata=None):
+    """The margin LMI assembled one LmiBuilder term per nonzero entry."""
+    nq = len(fs)
+    k = f0.shape[0]
+    builder = LmiBuilder(nvars=nq + 1, sense="max")
+    blk = builder.add_block(k)
+    for i, j in zip(*np.nonzero(np.triu(f0))):
+        builder.add_const(blk, i, j, f0[i, j])
+    for q, fq in enumerate(fs):
+        for i, j in zip(*np.nonzero(np.triu(fq))):
+            builder.add_term(blk, q, i, j, fq[i, j])
+    for i in range(k):
+        builder.add_term(blk, nq, i, i, -1.0)
+    capblk = builder.add_block(-1)
+    builder.add_const(capblk, 0, 0, cap)
+    builder.add_term(capblk, nq, 0, 0, -1.0)
+    if box is not None and nq > 0:
+        boxblk = builder.add_block(-(2 * nq))
+        for q in range(nq):
+            builder.add_const(boxblk, 2 * q, 2 * q, box)
+            builder.add_term(boxblk, q, 2 * q, 2 * q, -1.0)
+            builder.add_const(boxblk, 2 * q + 1, 2 * q + 1, box)
+            builder.add_term(boxblk, q, 2 * q + 1, 2 * q + 1, 1.0)
+    builder.set_objective(nq, 1.0)
+    return builder.build(metadata=metadata)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k,nq,box", [(3, 2, None), (3, 2, 1e4), (3, 0, None),
+                                      (3, 0, 2.0), (20, 12, None), (20, 12, 1.0)])
+def test_margin_lmi_matches_term_assembly(k, nq, box):
+    rng = np.random.default_rng(100 * k + nq)
+
+    def symmetric():
+        m = rng.normal(size=(k, k))
+        m = m + m.T
+        zero = rng.random((k, k)) < 0.3  # zero coefficient entries
+        m[zero | zero.T] = 0.0
+        return m
+
+    f0 = symmetric()
+    fs = [symmetric() for _ in range(nq)]
+    if nq:
+        fs[0] = np.zeros((k, k))  # a coefficient with no entries at all
+    meta = {"origin": "test"}
+    got = _margin_lmi(f0, fs, 1.5, box=box, metadata=meta)
+    want = _margin_lmi_by_terms(f0, fs, 1.5, box=box, metadata=meta)
+    assert got.block_sizes == want.block_sizes
+    assert got.sense == want.sense and got.metadata == want.metadata
+    assert _same_bits(got.b, want.b)
+    for cg, cw in zip(got.c_blocks, want.c_blocks):
+        assert _same_bits(cg, cw)
+    for ag, aw in zip(got.a_blocks, want.a_blocks):
+        assert ag.shape == aw.shape
+        for part in ("indptr", "indices", "data"):
+            assert _same_bits(getattr(ag, part), getattr(aw, part))

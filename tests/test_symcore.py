@@ -93,3 +93,20 @@ def test_svec_smat_match_loop_reference():
     for pos, (i, j) in enumerate(sym_basis_indices(d)):
         back[i, j] = back[j, i] = want[pos] if i == j else want[pos] / np.sqrt(2.0)
     np.testing.assert_array_equal(smat(np.array(want), d), back)
+
+
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_smat_of_a_stack(count):
+    rng = np.random.default_rng(count)
+    d = 4
+    vecs = rng.normal(size=(count, d * (d + 1) // 2))
+    stacked = smat(vecs, d)
+    assert stacked.shape == (count, d, d)
+    for v, mat in zip(vecs, stacked):
+        np.testing.assert_array_equal(mat, smat(v, d))
+    # a combination of vectors is the combination of their matrices, as
+    # cp_sdfp and boundedness_certificate form their witnesses
+    part, theta = rng.normal(size=vecs.shape[1]), rng.normal(size=count)
+    witness = smat(part + vecs.T @ theta, d)
+    summed = smat(part, d) + sum(t * smat(v, d) for t, v in zip(theta, vecs))
+    assert np.max(np.abs(witness - summed)) <= 1e-12 * np.max(np.abs(summed))
