@@ -14,15 +14,15 @@ semidefinite blocks.  The embedding makes infeasibility detectable: a
 vanishing homogenizing variable with positive duality-gap slack yields an
 improving-ray certificate for one of the two sides.
 
-A solve works on one flat iterate over the blocks in class order: the
-dense blocks grouped by size, each size a contiguous (nb, s, s) stack, then
-all diagonal blocks merged into one.  A is one CSR matrix, its transpose
-built once per solve, so A(X), A*(y), <C, X> and <X, S> are one product
-each, and the cone arithmetic runs once per class.  The residuals of the
-homogeneous system are formed once per iteration; those of the
-de-homogenized, de-scaled iterate are the same vectors times a scalar.
-compute_residuals runs only on exit, and Optimal is returned only if the
-recomputed residuals pass too.
+A solve works on one flat iterate in class order: the dense blocks grouped
+by size, each size a contiguous (nb, s, s) stack, then all diagonal blocks
+merged into one.  A is one CSR matrix with its transpose, so A(X), A*(y),
+<C, X> and <X, S> are one product each, and the cone arithmetic runs once
+per class.  The de-scaled residuals are the homogeneous ones, formed once
+per iteration, times a scalar; Optimal also needs those compute_residuals
+recomputes on exit to pass.  Late on, the Schur complement M (below) is
+ill-conditioned, and a corrector that misses its primal or gap equation by
+more than ``_TOL_FEAS`` of the right-hand side is refined with M's factor.
 
 Each iteration assembles the Schur complement
 M_ij = sum_b <A_ib, W_b A_jb W_b> for the NT scalings W_b, read from their
@@ -74,6 +74,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as sla
@@ -307,16 +308,10 @@ def _t(a):
 
 
 class _DenseBlock:
-    """Dense psd blocks of one size: one (s, s) block or an (nb, s, s) stack.
-
-    A direction pair ``dhat`` stacks the two sides along a new leading axis.
-    """
+    """Dense psd blocks of one size: one (s, s) block or an (nb, s, s) stack."""
 
     def __init__(self, size):
         self.size = size
-
-    def identity(self):
-        return np.eye(self.size)
 
     def nt_scaling(self, x, s):
         # W S W = X with W = R R'; in the NT frame R^-1 X R^-T = R' S R is
@@ -366,14 +361,10 @@ class _DenseBlock:
 
 
 class _DiagBlock:
-    """Componentwise nonnegative blocks: every diagonal block of a problem,
-    concatenated into one vector."""
+    """Componentwise nonnegative blocks: all diagonal blocks, as one vector."""
 
     def __init__(self, size):
         self.size = size
-
-    def identity(self):
-        return np.ones(self.size)
 
     def nt_scaling(self, x, s):
         # here ``w`` is W itself, R = W^1/2
@@ -570,10 +561,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
             f"constraint count {problem.m} exceeds the dense Schur limit")
     flip = problem.sense == "max"
     # normalize data scales; solutions are de-scaled on exit
-    sigma_b = max(1.0, problem.norm_b())
-    sigma_c = max(1.0, problem.norm_c())
-    norm_b_res = 1.0 + problem.norm_b()
-    norm_c_res = 1.0 + problem.norm_c()
+    size_b, size_c = problem.norm_b(), problem.norm_c()
+    sigma_b, sigma_c = max(1.0, size_b), max(1.0, size_c)
+    norm_b_res, norm_c_res = 1.0 + size_b, 1.0 + size_c
 
     # class order: the dense blocks grouped by size, sizes in order of first
     # appearance, then every diagonal block, merged into one
@@ -582,18 +572,13 @@ def solve(problem: SdpProblem) -> SdpSolution:
     for bi, size in enumerate(sizes):
         groups.setdefault(max(size, 0), []).append(bi)
     diag = groups.pop(0, [])
-    order = [bi for members in groups.values() for bi in members]
-    c_blocks = [(-c if flip else c) / sigma_c for c in problem.c_blocks]
-    work_blocks = [(sizes[bi], c_blocks[bi], problem.a_blocks[bi]) for bi in order]
+    dense = [bi for members in groups.values() for bi in members]
+    order = dense + diag
     classes = [(_DenseBlock(size), (len(members), size, size))
                for size, members in groups.items()]
     if diag:
         d = -sum(sizes[bi] for bi in diag)
-        work_blocks.append((-d, np.concatenate([c_blocks[bi] for bi in diag]),
-                            sp.hstack([problem.a_blocks[bi] for bi in diag], format="csr")))
         classes.append((_DiagBlock(d), (d,)))
-        order += diag
-    work = SdpProblem(*zip(*work_blocks), problem.b / sigma_b)
     # the flat iterate: every class, and so every block, is a contiguous slice
     ends = np.cumsum([np.prod(shape) for _, shape in classes])
     classes = [(op, slice(end - np.prod(shape), end), shape)
@@ -601,15 +586,20 @@ def solve(problem: SdpProblem) -> SdpSolution:
     dense_classes = [(sl, shape) for op, sl, shape in classes if len(shape) == 3]
     starts = dict(zip(order, np.cumsum([0] + [_block_veclen(sizes[bi]) for bi in order])))
 
-    a_mat = sp.hstack(work.a_blocks, format="csr")
+    m = problem.m
+    a_mat = sp.hstack([problem.a_blocks[bi] for bi in order], format="csr")
     a_t = a_mat.T.tocsr()
-    b = work.b
-    c = np.concatenate([cb.ravel() for cb in work.c_blocks])
-    plan = _schur_plan(work)
-    schur_work = np.empty((work.m, work.m))
-    nu = work.cone_dim + 1.0
-    norm_b = work.norm_b()
-    norm_c = work.norm_c()
+    b = problem.b / sigma_b
+    c = np.concatenate([problem.c_blocks[bi].ravel() for bi in order]) / (
+        -sigma_c if flip else sigma_c)
+    # the plan sees the dense blocks as given, the diagonal class as one block
+    plan_sizes = [sizes[bi] for bi in dense] + ([-d] if diag else [])
+    plan_a = [problem.a_blocks[bi] for bi in dense] + ([a_mat[:, -d:]] if diag else [])
+    plan = _schur_plan(SimpleNamespace(block_sizes=plan_sizes, a_blocks=plan_a))
+    schur_work = np.empty((m, m))
+    nu = problem.cone_dim + 1.0
+    norm_b = float(np.linalg.norm(b))
+    norm_c = float(np.linalg.norm(c))
 
     def views(v):
         return [v[sl].reshape(shape) for _, sl, shape in classes]
@@ -634,10 +624,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
                 .reshape((size, size) if size > 0 else (-size,)).copy()
                 for bi, size in enumerate(sizes)]
 
-    x = np.concatenate([np.broadcast_to(op.identity(), shape).ravel()
-                        for op, _, shape in classes])
+    x = np.concatenate([np.broadcast_to(np.eye(shape[-1]) if len(shape) == 3 else 1.0,
+                                        shape).ravel() for _, _, shape in classes])
     s = x.copy()
-    y = np.zeros(work.m)
+    y = np.zeros(m)
     tau, kappa = 1.0, 1.0
 
     best = None
@@ -701,8 +691,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         else:
             stall += 1
         if converged(primal_res, dual_res, gap_rel):
-            # Optimal only if the residuals recomputed from the returned
-            # blocks pass as well
+            # Optimal only if the recomputed residuals pass as well
             sol = finish(SolveStatus.OPTIMAL, f"converged in {it} iterations")
             if converged(**sol.residuals):
                 return sol
@@ -727,7 +716,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
                         "kind": "primal_improving_ray"}
                 return finish(SolveStatus.DUAL_INFEASIBLE,
                               "dual infeasibility certified by primal ray",
-                              ray=(x / (-cx_base), np.zeros(work.m), np.zeros_like(s), cert))
+                              ray=(x / (-cx_base), np.zeros(m), np.zeros_like(s), cert))
 
         if stall >= 25 or mu > 1e12:
             x, y, s, tau, kappa = best
@@ -743,11 +732,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
             return finish(SolveStatus.INACCURATE,
                           "iterate left the cone interior; returning best iterate")
         ws = [sc["w"] for sc in scal]
-        # the Schur plan reads each block's W from its class stack
         block_w = [{"w": w} for wc in ws for w in (wc if wc.ndim == 3 else (wc,))]
 
         try:
-            schur = _schur_matrix(work.m, plan, block_w, out=schur_work)
+            schur = _schur_matrix(m, plan, block_w, out=schur_work)
             l_schur = _chol_with_jitter(schur)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"Schur factorization failed at iteration {it}",
@@ -780,18 +768,34 @@ def solve(problem: SdpProblem) -> SdpSolution:
         r3 = -g_res
         wr2w = congruence(r2)
 
-        def newton_dir(r4, r5):
-            q = wr2w + r4
-            h1 = r1 - a_mat @ q
-            h2 = r3 + float(c @ q) + r5 / tau
+        def reduced_solve(h1, h2):
+            # dy and dtau of the Schur system bordered by the tau row
             g1 = schur_solve(h1)
             dtau = (h2 - float((b - v_vec) @ g1)) / den
-            dy = g1 + g2 * dtau
+            return g1 + g2 * dtau, dtau
+
+        def newton_dir(r4, r5):
+            q = wr2w + r4
+            dy, dtau = reduced_solve(r1 - a_mat @ q, r3 + float(c @ q) + r5 / tau)
             at_dy = apply_at(dy)
             dx = symmetrize_dense(q + congruence(at_dy) - wcw * dtau)
             ds = c * dtau - at_dy - r2
             dkappa = (r5 - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa
+
+        def leftover(dx, dy, ds, dtau, dkappa):
+            # what a direction leaves of A dx - b dtau = r1 and b'dy - c'dx - dkappa = r3
+            return r1 + b * dtau - a_mat @ dx, r3 - float(b @ dy) + float(c @ dx) + dkappa
+
+        def refine(direction, with_tau):
+            """The direction plus the solution, with the same factor, for its
+            leftovers (the primal one alone, dtau kept, without ``with_tau``)."""
+            dx, dy, ds, dtau, dkappa = direction
+            e1, e3 = leftover(*direction)
+            ey, et = reduced_solve(e1, e3) if with_tau else (schur_solve(e1), 0.0)
+            at_ey = apply_at(ey)
+            return (symmetrize_dense(dx + congruence(at_ey) - wcw * et), dy + ey,
+                    ds + c * et - at_ey, dtau + et, dkappa - kappa * et / tau)
 
         def max_step(hats):
             return min(op.max_step(sc, hb) for (op, _, _), sc, hb in zip(classes, scal, hats))
@@ -819,7 +823,12 @@ def solve(problem: SdpProblem) -> SdpSolution:
                        scal, hat_a) - x
         r5 = sigma * mu - tau * kappa - dtaua * dkappaa
 
-        dx, dy, ds, dtau, dkappa = newton_dir(r4, r5)
+        # refined on both equations, then on the primal one that dtau's correction disturbs
+        direction = newton_dir(r4, r5)
+        e1, e3 = leftover(*direction)
+        if np.linalg.norm(e1) > _TOL_FEAS * np.linalg.norm(r1) or abs(e3) > _TOL_FEAS * abs(r3):
+            direction = refine(refine(direction, True), False)
+        dx, dy, ds, dtau, dkappa = direction
 
         alpha = min(1.0 / _STEP_FRAC, max_step(frame(dx, ds)))
         if dtau < 0:
@@ -1053,19 +1062,16 @@ def _margin_lmi(f0, fs, cap: float, box: float | None = None,
     """
     nq = len(fs)
     k = f0.shape[0]
-    # the canonical form of LmiBuilder: C is F0, each row of A holds -F_q
-    # (mirrored from its upper triangle) and the s row holds +I
+    # LmiBuilder's canonical form: C is F0, A's rows -F_q (mirrored) and +I for s
     upper = np.triu(np.asarray(fs, dtype=float).reshape(nq, k, k))
     pencil_rows = np.concatenate((-(upper + _t(np.triu(upper, 1))), np.eye(k)[None]))
-    e_s = np.zeros(nq + 1)  # the unit vector of s
-    e_s[nq] = 1.0
+    e_s = np.eye(nq + 1)[nq]  # the unit vector of s
     sizes = [k, -1]
     c_blocks = [np.triu(f0) + np.triu(f0, 1).T, np.array([float(cap)])]
     a_blocks = [sp.csr_matrix(pencil_rows.reshape(nq + 1, k * k)),
                 sp.csr_matrix(e_s[:, None])]
     if box is not None and nq > 0:
-        # y_q <= box and -y_q <= box
-        box_rows = np.vstack((np.kron(np.eye(nq), [1.0, -1.0]), np.zeros(2 * nq)))
+        box_rows = np.kron(np.eye(nq + 1, nq), [1.0, -1.0])  # +-y_q <= box, none for s
         sizes.append(-2 * nq)
         c_blocks.append(np.full(2 * nq, float(box)))
         a_blocks.append(sp.csr_matrix(box_rows))
