@@ -8,8 +8,9 @@ feasibility test.  Exact preprocessing (lineality splitting) and
 sampling-based refutation round out the pipeline.
 """
 
-from .errors import (InvalidInput, InvariantViolation, NotContained,
-                     NumericalFailure, OrderTooSmall, SpectraconError)
+from .errors import (InvalidInput, InvariantViolation, NoInteriorPoint,
+                     NotContained, NumericalFailure, OrderTooSmall,
+                     SpectraconError)
 from .momrelax import (containment_relaxation, moment_matrix, shrink_pencil,
                        shrink_to_certify, solve_mu_mom)
 from .pencil import (LinearPencil, MapSpec, ellipsoid_pencil,
@@ -42,7 +43,7 @@ __all__ = [
     "implication_report", "interior_point", "InvalidInput",
     "InvariantViolation", "lambda_sos", "lineality_space", "load_pencil",
     "map_from_callable", "map_to_pencils", "min_eigenvalue", "moment_matrix",
-    "mu_grid", "NotContained", "NumericalFailure", "OrderTooSmall", "parse_sdpa",
+    "mu_grid", "NoInteriorPoint", "NotContained", "NumericalFailure", "OrderTooSmall", "parse_sdpa",
     "pencil", "pencil_from_json", "pencil_to_json", "polytope_pencil",
     "random_pencil", "refutation_search",
     "render_projection", "render_slice", "sample_spectrahedron", "save_pencil",

@@ -37,6 +37,19 @@ def _load(path):
         raise InvalidInput(f"no such file: {path}")
 
 
+def _jsonable(obj):
+    """obj with arrays as lists and non-finite floats as None."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if np.isfinite(obj) else None
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
+
+
 def _cmd_check(args) -> int:
     a = _load(args.inner)
     b = _load(args.outer)
@@ -45,12 +58,9 @@ def _cmd_check(args) -> int:
                           samples=args.samples, seed=args.seed)
     if args.json:
         payload = {"status": v.status, "value": v.value, "order": v.order,
-                   "method": v.method,
-                   "witness": None if v.witness is None else
-                   {"x": list(v.witness["x"]),
-                    "b_margin": v.witness["b_margin"],
-                    "a_margin": v.witness["a_margin"]}}
-        print(json.dumps(payload, indent=2))
+                   "method": v.method, "witness": v.witness,
+                   "details": v.details}
+        print(json.dumps(_jsonable(payload), indent=2, allow_nan=False))
     else:
         print(v)
         if v.witness is not None:

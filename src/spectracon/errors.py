@@ -9,6 +9,17 @@ class InvalidInput(SpectraconError):
     """Malformed or inconsistent user input (shapes, formats, parameters)."""
 
 
+class NoInteriorPoint(InvalidInput):
+    """The feasibility probe found no interior point of a spectrahedron.
+
+    ``kind`` is the probe's answer, "Empty" or "Unknown".
+    """
+
+    def __init__(self, message, kind):
+        super().__init__(message)
+        self.kind = kind
+
+
 class NumericalFailure(SpectraconError):
     """A numerical routine could not produce a trustworthy result.
 

@@ -322,7 +322,7 @@ class MomentResult:
     r: float
     R: float
     info: RelaxationInfo
-    first_moments: np.ndarray  # candidate minimizer (x part)
+    first_moments: np.ndarray | None  # candidate minimizer (x part)
     solution: SdpSolution = field(repr=False)
 
     @property
@@ -358,14 +358,17 @@ def solve_mu_mom(a: LinearPencil, b: LinearPencil, t: int, r: float = 1.0,
 
     mu >= 0 certifies that every point of the first spectrahedron stays
     inside the second (witnessed over the annulus r <= |z| <= R); the
-    bound is monotone in t.
+    bound is monotone in t.  first_moments, the x part of the optimal
+    moments, is the minimizer when the relaxation is exact at a point
+    mass; it is None when the solve returns no point.
     """
     problem, builder, info = containment_relaxation(a, b, t, r, R)
     sol = solve(problem)
     status = LmiBuilder.interpret(sol)
     value = builder.value_from(sol) if sol.has_point else float("nan")
-    first = np.zeros(a.n)
+    first = None
     if sol.has_point:
+        first = np.empty(a.n)
         for p in range(a.n):
             e = [0] * info.nvars
             e[p] = 1

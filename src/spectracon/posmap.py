@@ -16,6 +16,12 @@ exists.  By default the test runs on the extended pencil 1 (+) A, which
 makes it exactly as strong as the order-0 Gram certificate; the plain and
 extended tests agree whenever A_0 = I and the A_p are traceless.
 
+The margin program's primal block X is orthogonal to the null basis, so
+svec(X) lies in the row space of the equations: X = sum_p A_p (x) Y_p for
+multipliers Y_p of the block equations.  For a point mass Y_p = x_p Y_0,
+so x_p = tr Y_p / tr Y_0 is a candidate minimizer of the eigenvalue margin,
+kept as CpResult.first_moments.
+
 The same module hosts the symmetrized Choi matrix of a linear matrix map,
 whose spectrum refutes complete positivity, and a cross-check that the
 implications between all computed quantities hold on a given instance.
@@ -48,6 +54,7 @@ class CpResult:
     witness: np.ndarray | None
     extended: bool
     details: dict = field(default_factory=dict)
+    first_moments: np.ndarray | None = None  # candidate minimizer, from X
 
 
 def _equation_system(a: LinearPencil, b: LinearPencil):
@@ -65,6 +72,22 @@ def _equation_system(a: LinearPencil, b: LinearPencil):
     return np.concatenate(rows), np.concatenate(rhs), a.k * l
 
 
+def _first_moments(eq: np.ndarray, x_block: np.ndarray, n: int,
+                   l: int) -> np.ndarray | None:
+    """x_p = tr Y_p / tr Y_0 from the margin program's primal block X, or
+    None unless tr Y_0 > 0.
+
+    A least-squares fit svec(X) = eq' w gives the upper triangles of the
+    Y_p, p = 0..n, in the row order of _equation_system.
+    """
+    w = np.linalg.lstsq(eq.T, svec(x_block), rcond=None)[0]
+    u, v = np.triu_indices(l)
+    tr = w.reshape(n + 1, u.size)[:, u == v].sum(axis=1)
+    if not tr[0] > 0.0:
+        return None
+    return tr[1:] / tr[0]
+
+
 def cp_sdfp(a: LinearPencil, b: LinearPencil,
             extended: bool = True) -> CpResult:
     """Decide solvability of the block certificate equations over psd C.
@@ -72,7 +95,8 @@ def cp_sdfp(a: LinearPencil, b: LinearPencil,
     Feasible results carry a validated witness; Infeasible means the psd
     margin is decisively negative (or the equations themselves are
     inconsistent); anything in the gray band, or a solver breakdown, is
-    Inconclusive.
+    Inconclusive.  first_moments is set whenever the margin program returns
+    a point with tr Y_0 > 0.
     """
     if a.n != b.n:
         raise InvalidInput("pencils must share the variable count")
@@ -104,8 +128,11 @@ def cp_sdfp(a: LinearPencil, b: LinearPencil,
         return CpResult("Inconclusive", float("nan"), None, extended,
                         {**details, "error": str(exc)})
     details["solver_status"] = sol.status.value
+    first = (_first_moments(eq, sol.x_blocks[0], inner.n, b.k)
+             if sol.has_point else None)
     if not sol.reliable:
-        return CpResult("Inconclusive", float("nan"), None, extended, details)
+        return CpResult("Inconclusive", float("nan"), None, extended, details,
+                        first)
 
     margin = sol.value
     details["margin"] = margin
@@ -118,12 +145,16 @@ def cp_sdfp(a: LinearPencil, b: LinearPencil,
         ok = (details["witness_eq_residual"] <= _EQ_TOL * scale
               and details["witness_min_eig"] >= -10.0 * _FEAS_TOL * scale)
         if ok:
-            return CpResult("Feasible", float(margin), witness, extended, details)
+            return CpResult("Feasible", float(margin), witness, extended,
+                            details, first)
         return CpResult("Inconclusive", float(margin), witness, extended,
-                        {**details, "reason": "witness validation failed"})
+                        {**details, "reason": "witness validation failed"},
+                        first)
     if margin < -_INFEAS_TOL * scale:
-        return CpResult("Infeasible", float(margin), None, extended, details)
-    return CpResult("Inconclusive", float(margin), None, extended, details)
+        return CpResult("Infeasible", float(margin), None, extended, details,
+                        first)
+    return CpResult("Inconclusive", float(margin), None, extended, details,
+                    first)
 
 
 # ---------------------------------------------------------------------------

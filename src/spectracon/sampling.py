@@ -25,7 +25,7 @@ import numpy as np
 from scipy import optimize
 from scipy.linalg.lapack import dsygv
 
-from .errors import InvalidInput
+from .errors import InvalidInput, NoInteriorPoint
 from .pencil import LinearPencil
 from .sdpcore import feasibility_probe
 from .symcore import min_eigenvalue
@@ -42,11 +42,14 @@ _CHORD_CAP = 1e6
 
 
 def interior_point(p: LinearPencil) -> np.ndarray:
-    """A strictly feasible point of S_A, via the feasibility probe."""
+    """A strictly feasible point of S_A, via the feasibility probe.
+
+    Raises NoInteriorPoint carrying the probe's answer otherwise.
+    """
     probe = feasibility_probe(p)
     if probe.kind != "NonEmpty":
-        raise InvalidInput(
-            f"no interior point found (probe says {probe.kind})")
+        raise NoInteriorPoint(
+            f"no interior point found (probe says {probe.kind})", probe.kind)
     return probe.point
 
 

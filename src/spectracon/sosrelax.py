@@ -16,6 +16,12 @@ identity, so it is eliminated: the (constant, top-left) coefficient match
 defines lambda, the remaining constant diagonal matches turn into
 equalization rows, and maximizing lambda becomes minimizing a linear
 functional of the Gram matrices.
+
+The dual of the Gram program is a matrix moment sequence: the multiplier y
+of the (gamma, i, j) coefficient match is -L(x^gamma z_i z_j), and the
+elimination of lambda normalizes tr L(z z') = 1.  The first moments
+x_p = L(x_p |z|^2) = -sum_i y[(e_p, i, i)] are therefore a candidate
+minimizer of the eigenvalue margin, kept as SosResult.first_moments.
 """
 
 from __future__ import annotations
@@ -60,6 +66,8 @@ class SosInfo:
     gram_s_dim: int
     gram_t_dim: int
     n_equations: int
+    # constraint index of the (x_p, z_i z_i) coefficient match, shape (n, l)
+    point_rows: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -73,6 +81,7 @@ class SosResult:
     gram_s: np.ndarray | None
     gram_t: np.ndarray | None
     solution: SdpSolution = field(repr=False)
+    first_moments: np.ndarray | None = None  # candidate minimizer, from the dual
 
     @property
     def reliable(self) -> bool:
@@ -146,6 +155,7 @@ def sos_relaxation(a: LinearPencil, b: LinearPencil, t: int):
 
     monomials = MonomialBasis(n, 2 * t + 1).exponents
     n_eq = 0
+    point_rows = np.empty((n, l), dtype=int)
     for gamma in monomials:
         bmat = b_coeffs.get(gamma) if sum(gamma) <= 1 else None
         for i in range(l):
@@ -160,6 +170,8 @@ def sos_relaxation(a: LinearPencil, b: LinearPencil, t: int):
                 else:
                     con = builder.new_constraint(rhs)
                     row_entries(con, gamma, i, j)
+                    if i == j and sum(gamma) == 1:
+                        point_rows[gamma.index(1), i] = con
                 n_eq += 1
 
     # objective: minimize the constant (0,0) coefficient of P + T
@@ -173,7 +185,8 @@ def sos_relaxation(a: LinearPencil, b: LinearPencil, t: int):
 
     problem = builder.build(metadata={"origin": "sos_gram", "order": t})
     info = SosInfo(order=t, n=n, k=k, l=l, basis_n=N, gram_s_dim=kl * N,
-                   gram_t_dim=l * N, n_equations=n_eq)
+                   gram_t_dim=l * N, n_equations=n_eq,
+                   point_rows=point_rows)
     return problem, info
 
 
@@ -190,15 +203,18 @@ def lambda_sos(a: LinearPencil, b: LinearPencil, t: int = 0) -> SosResult:
     """Best eigenvalue bound certified by an order-t Gram pair.
 
     Returns -inf with status "infeasible" when no certificate of this order
-    exists for any lambda.
+    exists for any lambda.  first_moments is None when the solve returns no
+    point.
     """
     problem, info = sos_relaxation(a, b, t)
     sol = solve(problem)
     status = _STATUS[sol.status]
+    first = None
     if sol.has_point:
         value = b.coeffs[0].mat[0, 0] - sol.value
         gram_s = sol.x_blocks[0]
         gram_t = sol.x_blocks[1]
+        first = -sol.y[info.point_rows].sum(axis=1)
     elif status == "infeasible":
         value = float("-inf")
         gram_s = gram_t = None
@@ -206,7 +222,8 @@ def lambda_sos(a: LinearPencil, b: LinearPencil, t: int = 0) -> SosResult:
         value = float("inf")
         gram_s = gram_t = None
     return SosResult(value=float(value), status=status, order=t, info=info,
-                     gram_s=gram_s, gram_t=gram_t, solution=sol)
+                     gram_s=gram_s, gram_t=gram_t, solution=sol,
+                     first_moments=first)
 
 
 def certificate_gap(a: LinearPencil, b: LinearPencil, result: SosResult,

@@ -2,9 +2,16 @@
 
 check_containment runs the full pipeline: exact lineality preprocessing,
 then one of the three semidefinite machines on the reduced pair, then a
-sampling refutation pass when the bound comes back negative.  Every verdict
-is one of Certified / Refuted / Inconclusive; Refuted always carries a
-numerically confirmed violation point, never just a negative bound.
+refutation pass when the bound comes back negative or unreliable.  The
+pass tries witness sources in order: first the x part of the machine's
+own solution (the first moments of the moment relaxation, of the Gram
+program's dual, or of the block certificate's margin program), which is
+the minimizer whenever the relaxation is exact at a point mass; then,
+only if that point is not confirmed, a hit-and-run search of the inner
+set.  details["witness_source"] says which one refuted ("solution" or
+"sampling").  Every verdict is one of Certified / Refuted / Inconclusive;
+Refuted always carries a point that confirm_witness confirmed, never just
+a negative bound.
 """
 
 from __future__ import annotations
@@ -13,14 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NotContained, NumericalFailure
+from .errors import InvalidInput, NoInteriorPoint, NotContained, NumericalFailure
 from .momrelax import solve_mu_mom
 from .pencil import LinearPencil
 from .posmap import cp_sdfp
 from .reduce import split_lineality
 from .sampling import (WITNESS_FEAS_TOL, confirm_witness, interior_point,
                        refutation_search)
-from .sdpcore import feasibility_probe
 from .sosrelax import lambda_sos
 from .symcore import min_eigenvalue, spectral_norm
 
@@ -83,8 +89,10 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
     method selects the machine run on the lineality-reduced pair:
     "moment" (order-t bound on the containment functional), "sos"
     (order-t eigenvalue certificate), or "sdfp" (positivity-map feasibility,
-    order ignored).  A negative or failed bound triggers a sampling
-    refutation pass when refute=True; only a confirmed point yields Refuted.
+    order ignored).  A negative or failed bound triggers a refutation pass
+    when refute=True: the machine's own solution point first, the sampling
+    search only if that point is not confirmed.  Only a confirmed point
+    yields Refuted.
     """
     if method not in _METHODS:
         raise InvalidInput(f"unknown method {method!r}, expected {_METHODS}")
@@ -125,27 +133,39 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
             return Verdict("Refuted", float(lam), None, "direct", hit, details)
         return Verdict("Inconclusive", float(lam), None, "direct", None, details)
 
-    def refutation(det):
+    def refutation(det, point):
+        """Verdict for a bound that did not certify; point is the x part of
+        the machine's solution on the reduced pair, or None."""
         if not refute:
             return Verdict("Inconclusive", det["value"], det.get("order"),
                            method, None, {**details, **det,
                                           "note": "refutation disabled"})
+
+        def refuted(x, source):
+            hit = confirm_witness(a, b, to_original(x), tol)
+            if hit is None:
+                return None
+            return Verdict("Refuted", det["value"], det.get("order"), method,
+                           hit, {**details, **det, "witness_source": source})
+
+        if point is not None:
+            verdict = refuted(point, "solution")
+            if verdict is not None:
+                return verdict
         try:
             hit = refutation_search(ar, br, tol=tol, samples=samples, seed=seed)
         except InvalidInput as exc:
             # no strictly feasible point; an empty inner set certifies vacuously
-            if feasibility_probe(ar).kind == "Empty":
+            if isinstance(exc, NoInteriorPoint) and exc.kind == "Empty":
                 return Verdict("Certified", float("inf"), det.get("order"),
                                method, None,
                                {**details, **det, "note": "inner set is empty"})
             hit = None
             det = {**det, "refutation_error": str(exc)}
         if hit is not None:
-            hit = {**hit, "x": to_original(hit["x"])}
-            confirmed = confirm_witness(a, b, hit["x"], tol)
-            if confirmed is not None:
-                return Verdict("Refuted", det["value"], det.get("order"),
-                               method, confirmed, {**details, **det})
+            verdict = refuted(hit["x"], "sampling")
+            if verdict is not None:
+                return verdict
         return Verdict("Inconclusive", det["value"], det.get("order"), method,
                        None, {**details, **det,
                               "note": "negative bound without a confirmed point"})
@@ -155,36 +175,36 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
             res = solve_mu_mom(ar, br, order, r=r, R=R)
         except NumericalFailure as exc:
             return refutation({"value": float("nan"), "order": order,
-                               "solver_error": str(exc)})
+                               "solver_error": str(exc)}, None)
         det = {"value": res.value, "order": order, "solve_status": res.status,
                "r": r, "R": R}
         if res.reliable and res.value >= -tol:
             return Verdict("Certified", res.value, order, method, None,
                            {**details, **det})
-        if res.reliable:
-            return refutation(det)
-        return refutation({**det, "note_solver": "bound not reliable"})
+        if not res.reliable:
+            det["note_solver"] = "bound not reliable"
+        return refutation(det, res.first_moments)
 
     if method == "sos":
         try:
             res = lambda_sos(ar, br, order)
         except NumericalFailure as exc:
             return refutation({"value": float("nan"), "order": order,
-                               "solver_error": str(exc)})
+                               "solver_error": str(exc)}, None)
         det = {"value": res.value, "order": order, "solve_status": res.status}
         if res.reliable and np.isfinite(res.value) and res.value >= -tol:
             return Verdict("Certified", res.value, order, method, None,
                            {**details, **det})
         # absence of a certificate at this order never refutes by itself
-        return refutation(det)
+        return refutation(det, res.first_moments)
 
     try:
         res = cp_sdfp(ar, br)
     except NumericalFailure as exc:
         return refutation({"value": float("nan"), "order": None,
-                           "solver_error": str(exc)})
+                           "solver_error": str(exc)}, None)
     det = {"value": res.margin, "order": None, "sdfp_kind": res.kind}
     if res.kind == "Feasible":
         return Verdict("Certified", res.margin, None, method, None,
                        {**details, **det})
-    return refutation(det)
+    return refutation(det, res.first_moments)

@@ -5,7 +5,7 @@ import pytest
 
 from spectracon.cli import main
 from spectracon.families import disk_pair
-from spectracon.pencil import load_pencil
+from spectracon.pencil import ellipsoid_pencil, load_pencil, pencil, save_pencil
 from spectracon.sdpa import parse_sdpa
 from spectracon.sdpcore import SolveStatus, solve
 
@@ -40,6 +40,42 @@ def test_check_json_output(disk_files, capsys):
     assert code == 0
     assert payload["status"] == "Certified"
     assert payload["value"] == pytest.approx(0.010051, abs=1e-4)
+
+
+def test_check_json_emits_details(tmp_path, capsys):
+    prefix = str(tmp_path / "wide")
+    main(["gen", "disk", "--nu", "1.2", "--out", prefix])
+    capsys.readouterr()
+    code = main(["check", prefix + "_a.json", prefix + "_b.json", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["details"]["witness_source"] == "sampling"
+    assert payload["details"]["solve_status"] == "optimal"
+    assert payload["details"]["tolerance"] == pytest.approx(2e-7)
+    assert len(payload["witness"]["x"]) == 2
+
+
+def test_check_json_arrays_and_non_finite_values(tmp_path, capsys):
+    # lineality mismatch: details carry the direction array
+    inner = pencil([np.eye(2), np.zeros((2, 2))])
+    save_pencil(inner, str(tmp_path / "line.json"))
+    save_pencil(ellipsoid_pencil([1.0]), str(tmp_path / "interval.json"))
+    main(["check", str(tmp_path / "line.json"), str(tmp_path / "interval.json"),
+          "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "lineality"
+    direction = payload["details"]["direction"]
+    assert isinstance(direction, list) and len(direction) == 1
+    # empty inner set: the value is +inf, emitted as null
+    empty = pencil([np.diag([-1.0, -1.0]), np.diag([1.0, -1.0])])
+    save_pencil(empty, str(tmp_path / "empty.json"))
+    main(["check", str(tmp_path / "empty.json"), str(tmp_path / "interval.json"),
+          "--json"])
+    text = capsys.readouterr().out
+    payload = json.loads(text)
+    assert payload["status"] == "Certified"
+    assert payload["value"] is None
+    assert "Infinity" not in text and "NaN" not in text
 
 
 def test_check_refuted_exit_one(tmp_path, capsys):

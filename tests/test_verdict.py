@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
+from spectracon import momrelax, posmap, sdpcore, sosrelax, verdict
 from spectracon.errors import InvalidInput
-from spectracon.families import disk_pair
-from spectracon.pencil import ellipsoid_pencil, pencil
+from spectracon.families import disk_pair, random_pair
+from spectracon.momrelax import solve_mu_mom
+from spectracon.pencil import ellipsoid_pencil, pencil, polytope_pencil
+from spectracon.posmap import cp_sdfp
+from spectracon.sosrelax import lambda_sos
 from spectracon.verdict import (Verdict, certification_tolerance,
                                 check_containment)
+
+# (method, order); sdfp ignores the order
+MACHINES = [("moment", 2), ("sos", 0), ("sos", 1), ("sdfp", 2)]
 
 
 def test_disk_certified_order2():
@@ -103,3 +110,88 @@ def test_verdict_string_and_exit_codes():
     assert v.exit_code == 0
     s = str(v)
     assert "Certified" in s and "moment" in s
+
+
+def test_empty_inner_set_solves_the_probe_once(monkeypatch):
+    origins = []
+    real = sdpcore.solve
+
+    def counted(problem):
+        origins.append(problem.metadata.get("origin"))
+        return real(problem)
+
+    for mod in (sdpcore, momrelax, sosrelax, posmap):
+        monkeypatch.setattr(mod, "solve", counted)
+    empty = pencil([np.diag([-1.0, -1.0]), np.diag([1.0, -1.0])])
+    outer = pencil([-np.eye(2), np.zeros((2, 2))])
+    v = check_containment(empty, outer)
+    assert v.status == "Certified"
+    assert origins == ["containment_moment", "feasibility_probe"]
+
+
+def _overhanging_balls():
+    """The criterion-6 balls with margin > 1, each with its unique minimizer
+    -nu a_i / |a_i| of the containment functional, a_i the longest row."""
+    rng = np.random.default_rng(606)
+    out = []
+    for i in range(25):
+        n = 2 + i % 2
+        k = 3 + i % 3
+        amat = rng.normal(size=(k, n))
+        nu = rng.uniform(0.4, 1.0)
+        margin = rng.uniform(0.3, 1.7)
+        while abs(margin - 1.0) < 0.05:
+            margin = rng.uniform(0.3, 1.7)
+        amat *= margin / (nu * float(np.linalg.norm(amat, axis=1).max()))
+        if margin > 1.0:
+            far = amat[np.argmax(np.linalg.norm(amat, axis=1))]
+            out.append((ellipsoid_pencil([nu] * n),
+                        polytope_pencil(amat, np.ones(k)),
+                        -nu * far / np.linalg.norm(far)))
+    return out
+
+
+def test_first_moments_are_the_closed_form_minimizer():
+    balls = _overhanging_balls()
+    assert len(balls) == 8
+    for a, b, x_star in balls:
+        points = [solve_mu_mom(a, b, 2).first_moments,
+                  lambda_sos(a, b, 0).first_moments,
+                  lambda_sos(a, b, 1).first_moments,
+                  cp_sdfp(a, b).first_moments]
+        for x in points:
+            assert np.abs(x - x_star).max() <= 1e-4
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("refutation_search should not run")
+
+
+@pytest.mark.parametrize("method, order", MACHINES,
+                         ids=["moment", "sos0", "sos1", "sdfp"])
+def test_solution_point_refutes_without_search(monkeypatch, method, order):
+    monkeypatch.setattr(verdict, "refutation_search", _no_search)
+    a, b = random_pair(12)
+    v = check_containment(a, b, order=order, method=method)
+    assert v.status == "Refuted"
+    assert v.details["witness_source"] == "solution"
+    assert float(np.linalg.eigvalsh(a.evaluate(v.witness["x"]).mat).min()) >= -1e-9
+    assert v.witness["b_margin"] < -certification_tolerance(b)
+
+
+def test_disk_solution_point_falls_back_to_sampling():
+    # the minimizers form a circle, so the first moments are its center
+    v = check_containment(*disk_pair(1.2))
+    assert v.status == "Refuted"
+    assert v.details["witness_source"] == "sampling"
+
+
+@pytest.mark.parametrize("method, order", MACHINES,
+                         ids=["moment", "sos0", "sos1", "sdfp"])
+def test_refute_false_ignores_the_solution_point(monkeypatch, method, order):
+    monkeypatch.setattr(verdict, "refutation_search", _no_search)
+    a, b = random_pair(12)
+    v = check_containment(a, b, order=order, method=method, refute=False)
+    assert v.status == "Inconclusive"
+    assert v.witness is None
+    assert "witness_source" not in v.details
