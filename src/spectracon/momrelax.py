@@ -17,6 +17,13 @@ Containment of one spectrahedron in another is the special case
 whose optimum mu is positive iff the first set is contained in the interior
 of the second (over the searched annulus), and negative iff some point of
 the first set escapes the second.
+
+Two exact reductions shrink every relaxation without moving its bound.
+Moments that are odd under a sign symmetry of the problem (for
+containment, at least z -> -z) vanish at some optimum and are dropped,
+which splits each moment and localizing matrix into one block per class.
+And containment_relaxation rescales x so that its moments are O(1); the
+first moments and moment matrix are mapped back to the original x.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import numpy as np
 from .errors import InvalidInput, OrderTooSmall
 from .pencil import LinearPencil, pencil
 from .sdpcore import LmiBuilder, SdpSolution, solve
+from .symcore import spectral_norm
 
 Exponent = tuple
 
@@ -217,16 +225,87 @@ def annulus_constraints(nvars: int, z_offset: int, l: int, r: float, R: float):
 
 
 # ---------------------------------------------------------------------------
+# Sign symmetry
+#
+# A sign flip (a set s of variables, v_i -> -v_i for i in s) leaves v^e
+# unchanged iff s meets the parity mask of e, the set of its odd exponents,
+# in an even number of variables.  The flips that leave every term of the
+# problem unchanged are the GF(2) nullspace of the matrix of term parities,
+# and two monomials change sign alike under all of them iff their parities
+# differ by an element of that matrix's row space (the annihilator of the
+# nullspace).  The class of a monomial is its parity reduced by an echelon
+# basis of the row space, zero for the invariant ones.  Averaging a feasible
+# moment sequence over the flips keeps it feasible and keeps its value, and
+# zeroes every moment of nonzero class: the relaxation keeps only the
+# class-zero moments, and its moment and localizing matrices, whose entry
+# (a, b) has the class of a + b, split into one block per class of the basis.
+
+
+def _parity(e: Exponent) -> int:
+    return sum(1 << i for i, v in enumerate(e) if v % 2)
+
+
+class _ParityClasses:
+    """Cosets of the GF(2) row space spanned by a set of bit masks."""
+
+    def __init__(self, masks):
+        self.rows = []  # leading bits distinct, rows in decreasing order
+        for mask in masks:
+            mask = self.reduce(mask)
+            if mask:
+                self.rows.append(mask)
+                self.rows.sort(reverse=True)
+
+    def reduce(self, mask: int) -> int:
+        """The coset's representative: mask with every leading bit cleared."""
+        for row in self.rows:
+            mask = min(mask, mask ^ row)
+        return mask
+
+    def of(self, e: Exponent) -> int:
+        """Class of the monomial with exponent e."""
+        return self.reduce(_parity(e))
+
+    def split(self, exponents) -> list:
+        """The exponents grouped by class, classes in order of first appearance."""
+        groups = {}
+        for e in exponents:
+            groups.setdefault(self.of(e), []).append(e)
+        return list(groups.values())
+
+
+# ---------------------------------------------------------------------------
 # Relaxation assembly
 
 
 @dataclass
 class RelaxationInfo:
+    """Sizes of an order-t relaxation and the moments it keeps.
+
+    ``moments`` are the kept exponents, the zero exponent first; the solve's
+    y[i] is the moment of moments[i + 1].  Every other monomial is odd under
+    a sign symmetry of the problem and has moment 0.  The relaxation is
+    built in variables v' with v = scale * v' (scale is all ones unless
+    :func:`containment_relaxation` rescaled x).
+    """
+
     order: int
     nvars: int
     n_moments: int
     block_sizes: tuple
-    basis: MonomialBasis = field(repr=False)
+    moments: tuple = field(repr=False)
+    scale: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self._index = {e: i for i, e in enumerate(self.moments)}
+
+    def moment(self, y, e: Exponent) -> float:
+        """The moment of v^e in the original variables, from the solve's y."""
+        i = self._index.get(e)
+        if i is None:
+            return 0.0
+        value = 1.0 if i == 0 else float(y[i - 1])
+        return value * float(np.prod(self.scale ** np.array(e)))
 
 
 def build_pmi_relaxation(objective: Poly, constraints, t: int,
@@ -234,8 +313,10 @@ def build_pmi_relaxation(objective: Poly, constraints, t: int,
     """Order-t moment relaxation of optimizing objective over psd constraints.
 
     ``constraints`` is a list of Poly (scalar inequalities g >= 0) and
-    MatPoly (matrix inequalities G psd).  Returns (problem, builder, info);
-    the bound is builder.value_from(solve(problem)).
+    MatPoly (matrix inequalities G psd).  Moments that are odd under a sign
+    symmetry of the terms are dropped and every block is split by class
+    (see above); the bound is the unreduced relaxation's.  Returns
+    (problem, builder, info); the bound is builder.value_from(solve(problem)).
     """
     nvars = objective.nvars
     if t < 1:
@@ -253,40 +334,46 @@ def build_pmi_relaxation(objective: Poly, constraints, t: int,
                 f"order {t} below half-degree {d} of a constraint")
         half_degs.append(d)
 
-    full = MonomialBasis(nvars, 2 * t)
-    nmom = len(full) - 1  # y_0 is pinned to 1
+    classes = _ParityClasses(_parity(e) for g in (objective, *constraints)
+                             for e in g.terms)
+    moments = [e for e in monomials_upto(nvars, 2 * t) if classes.of(e) == 0]
+    index = {e: i for i, e in enumerate(moments)}
+    nmom = len(moments) - 1  # y_0 is pinned to 1
     builder = LmiBuilder(nvars=max(nmom, 1), sense=sense)
 
     def term(blk, e, i, j, c):
         if sum(e) == 0:
             builder.add_const(blk, i, j, c)
         else:
-            builder.add_term(blk, full.index[e] - 1, i, j, c)
+            builder.add_term(blk, index[e] - 1, i, j, c)
 
-    top = MonomialBasis(nvars, t)
-    blk = builder.add_block(len(top))
-    for i in range(len(top)):
-        for j in range(i, len(top)):
-            term(blk, _eadd(top.exponents[i], top.exponents[j]), i, j, 1.0)
+    for part in classes.split(monomials_upto(nvars, t)):
+        blk = builder.add_block(len(part))
+        for i in range(len(part)):
+            for j in range(i, len(part)):
+                term(blk, _eadd(part[i], part[j]), i, j, 1.0)
 
     for g, d in zip(constraints, half_degs):
-        loc = MonomialBasis(nvars, t - d)
-        nloc = len(loc)
+        parts = classes.split(monomials_upto(nvars, t - d))
         if isinstance(g, Poly):
-            blk = builder.add_block(nloc)
-            for i in range(nloc):
-                for j in range(i, nloc):
-                    ebase = _eadd(loc.exponents[i], loc.exponents[j])
-                    for eg, c in g.terms.items():
-                        term(blk, _eadd(ebase, eg), i, j, c)
-        else:
-            for group in g.diagonal_components():
-                sub = g.restricted(group) if len(group) < g.k else g
-                kk = sub.k
+            for loc in parts:
+                nloc = len(loc)
+                blk = builder.add_block(nloc)
+                for i in range(nloc):
+                    for j in range(i, nloc):
+                        ebase = _eadd(loc[i], loc[j])
+                        for eg, c in g.terms.items():
+                            term(blk, _eadd(ebase, eg), i, j, c)
+            continue
+        for group in g.diagonal_components():
+            sub = g.restricted(group) if len(group) < g.k else g
+            kk = sub.k
+            for loc in parts:
+                nloc = len(loc)
                 blk = builder.add_block(nloc * kk)
                 for i in range(nloc):
                     for j in range(i, nloc):
-                        ebase = _eadd(loc.exponents[i], loc.exponents[j])
+                        ebase = _eadd(loc[i], loc[j])
                         for eg, mat in sub.terms.items():
                             e = _eadd(ebase, eg)
                             for a in range(kk):
@@ -300,11 +387,12 @@ def build_pmi_relaxation(objective: Poly, constraints, t: int,
         if sum(e) == 0:
             builder.offset += c
         else:
-            builder.add_objective(full.index[e] - 1, c)
+            builder.add_objective(index[e] - 1, c)
 
     problem = builder.build(metadata=metadata)
     info = RelaxationInfo(order=t, nvars=nvars, n_moments=nmom,
-                          block_sizes=tuple(builder.block_sizes), basis=full)
+                          block_sizes=tuple(builder.block_sizes),
+                          moments=tuple(moments), scale=np.ones(nvars))
     return problem, builder, info
 
 
@@ -331,10 +419,35 @@ class MomentResult:
         return self.solution.reliable
 
 
+def _x_scale(a: LinearPencil) -> np.ndarray:
+    """D_pp = max(1, |A_0| / |A_p|) in the spectral norm, 1 where either
+    norm is 0.
+
+    |A_0| / |A_p| estimates how far S_A reaches along x_p.  Coordinates
+    reaching beyond 1 are scaled down to O(1); the others are left alone,
+    since their moments are already at most about 1, and scaling them up
+    inflates the degree-2t moments by the t-th power of any underestimate
+    (Choi's order-3 slice, reach 0.54-0.67 against estimates 0.41-0.47,
+    then ends Inaccurate instead of Optimal).
+    """
+    norm0 = spectral_norm(a.coeffs[0])
+    d = np.ones(a.n)
+    for p in range(a.n):
+        norm_p = spectral_norm(a.coeffs[p + 1])
+        if norm0 > 0 and norm_p > 0:
+            d[p] = max(1.0, norm0 / norm_p)
+    return d
+
+
 def containment_relaxation(a: LinearPencil, b: LinearPencil, t: int,
                            r: float = 1.0, R: float = 2.0):
     """Assemble the order-t moment program for  inf z'B(x)z  over
-    A(x) psd, r <= |z| <= R."""
+    A(x) psd, r <= |z| <= R.
+
+    The program is built in x' with x = D x' (see _x_scale), an exact
+    change of variables that brings the moments of x to O(1); info.scale
+    records D (and 1 for z).
+    """
     if a.n != b.n:
         raise InvalidInput("pencils must share the variable count")
     if not (0 < r <= R):
@@ -343,13 +456,19 @@ def containment_relaxation(a: LinearPencil, b: LinearPencil, t: int,
         raise OrderTooSmall("containment bounds need order t >= 2")
     n, l = a.n, b.k
     nvars = n + l
+    d = _x_scale(a)
+    a, b = (pencil([p.coeffs[0].mat] + [dp * c.mat for dp, c in zip(d, p.coeffs[1:])])
+            for p in (a, b))
     obj = quadratic_objective(b, nvars, z_offset=n)
     ga = pencil_as_matpoly(a, nvars)
     lo, hi = annulus_constraints(nvars, n, l, r, R)
     # for r == R the two one-sided blocks together pin |z|^2 to the sphere
     constraints = [ga, lo, hi]
     meta = {"origin": "containment_moment", "order": t, "r": r, "R": R}
-    return build_pmi_relaxation(obj, constraints, t, sense="min", metadata=meta)
+    problem, builder, info = build_pmi_relaxation(obj, constraints, t,
+                                                  sense="min", metadata=meta)
+    info.scale = np.concatenate((d, np.ones(l)))
+    return problem, builder, info
 
 
 def solve_mu_mom(a: LinearPencil, b: LinearPencil, t: int, r: float = 1.0,
@@ -368,27 +487,19 @@ def solve_mu_mom(a: LinearPencil, b: LinearPencil, t: int, r: float = 1.0,
     value = builder.value_from(sol) if sol.has_point else float("nan")
     first = None
     if sol.has_point:
-        first = np.empty(a.n)
-        for p in range(a.n):
-            e = [0] * info.nvars
-            e[p] = 1
-            first[p] = sol.y[info.basis.index[tuple(e)] - 1]
+        units = [tuple(int(q == p) for q in range(info.nvars)) for p in range(a.n)]
+        first = np.array([info.moment(sol.y, e) for e in units])
     return MomentResult(value=float(value), status=status, order=t, r=r, R=R,
                         info=info, first_moments=first, solution=sol)
 
 
 def moment_matrix(result: MomentResult) -> np.ndarray:
-    """The optimal truncated moment matrix M_t(y), including y_0 = 1."""
+    """The optimal truncated moment matrix M_t(y), including y_0 = 1, in
+    the original variables; dropped moments are 0."""
     info = result.info
-    top = MonomialBasis(info.nvars, info.order)
-    m = np.empty((len(top), len(top)))
-    for i in range(len(top)):
-        for j in range(i, len(top)):
-            e = _eadd(top.exponents[i], top.exponents[j])
-            idx = info.basis.index[e]
-            v = 1.0 if idx == 0 else result.solution.y[idx - 1]
-            m[i, j] = m[j, i] = v
-    return m
+    top = monomials_upto(info.nvars, info.order)
+    return np.array([[info.moment(result.solution.y, _eadd(ea, eb))
+                      for eb in top] for ea in top])
 
 
 def shrink_pencil(p: LinearPencil, factor: float) -> LinearPencil:

@@ -154,13 +154,16 @@ def mu_grid(a: LinearPencil, b: LinearPencil, r: float = 1.0, R: float = 2.0,
 
 
 def refutation_search(a: LinearPencil, b: LinearPencil, tol: float = 1e-7,
-                      samples: int = 400, seed: int = 0) -> dict | None:
+                      samples: int = 400, seed: int = 0,
+                      x0: np.ndarray | None = None) -> dict | None:
     """Search for x with A(x) psd and B(x) not psd.
 
-    Returns confirm_witness's dict for a confirmed witness, None otherwise;
-    unconfirmed negatives are never reported.
+    The walk starts at x0, a strictly feasible point of S_A, or at
+    interior_point(a) when x0 is None.  Returns confirm_witness's dict for a
+    confirmed witness, None otherwise; unconfirmed negatives are never
+    reported.
     """
-    points = sample_spectrahedron(a, samples, seed=seed)
+    points = sample_spectrahedron(a, samples, seed=seed, x0=x0)
     flat_a, flat_b = _flatten(a), _flatten(b)
     order = np.argsort(_margins(*flat_b, points))
 

@@ -16,13 +16,14 @@ improving-ray certificate for one of the two sides.
 
 A solve works on one flat iterate in class order: the dense blocks grouped
 by size, each size a contiguous (nb, s, s) stack, then all diagonal blocks
-merged into one.  A is one CSR matrix with its transpose, so A(X), A*(y),
-<C, X> and <X, S> are one product each, and the cone arithmetic runs once
-per class.  The de-scaled residuals are the homogeneous ones, formed once
-per iteration, times a scalar; Optimal also needs those compute_residuals
-recomputes on exit to pass.  Late on, the Schur complement M (below) is
-ill-conditioned, and a corrector that misses its primal or gap equation by
-more than ``_TOL_FEAS`` of the right-hand side is refined with M's factor.
+and 1 x 1 dense blocks merged into one.  A is one CSR matrix with its
+transpose, so A(X), A*(y), <C, X> and <X, S> are one product each, and the
+cone arithmetic runs once per class.  The de-scaled residuals are the
+homogeneous ones, formed once per iteration, times a scalar; Optimal also
+needs those compute_residuals recomputes on exit to pass.  Late on, the
+Schur complement M (below) is ill-conditioned, and a corrector that misses
+its primal or gap equation by more than ``_TOL_FEAS`` of the right-hand
+side is refined with M's factor.
 
 Each iteration assembles the Schur complement
 M_ij = sum_b <A_ib, W_b A_jb W_b> for the NT scalings W_b, read from their
@@ -361,7 +362,8 @@ class _DenseBlock:
 
 
 class _DiagBlock:
-    """Componentwise nonnegative blocks: all diagonal blocks, as one vector."""
+    """Componentwise nonnegative blocks: all diagonal and 1 x 1 blocks, as
+    one vector."""
 
     def __init__(self, size):
         self.size = size
@@ -566,18 +568,19 @@ def solve(problem: SdpProblem) -> SdpSolution:
     norm_b_res, norm_c_res = 1.0 + size_b, 1.0 + size_c
 
     # class order: the dense blocks grouped by size, sizes in order of first
-    # appearance, then every diagonal block, merged into one
+    # appearance, then every diagonal block and every 1 x 1 dense block (a
+    # nonnegative entry), merged into one
     sizes = problem.block_sizes
     groups = {}
     for bi, size in enumerate(sizes):
-        groups.setdefault(max(size, 0), []).append(bi)
+        groups.setdefault(size if size > 1 else 0, []).append(bi)
     diag = groups.pop(0, [])
     dense = [bi for members in groups.values() for bi in members]
     order = dense + diag
     classes = [(_DenseBlock(size), (len(members), size, size))
                for size, members in groups.items()]
     if diag:
-        d = -sum(sizes[bi] for bi in diag)
+        d = sum(_block_veclen(sizes[bi]) for bi in diag)
         classes.append((_DiagBlock(d), (d,)))
     # the flat iterate: every class, and so every block, is a contiguous slice
     ends = np.cumsum([np.prod(shape) for _, shape in classes])

@@ -8,7 +8,9 @@ own solution (the first moments of the moment relaxation, of the Gram
 program's dual, or of the block certificate's margin program), which is
 the minimizer whenever the relaxation is exact at a point mass; then,
 only if that point is not confirmed, a hit-and-run search of the inner
-set.  details["witness_source"] says which one refuted ("solution" or
+set, which starts at the solution point when that is strictly inside it
+and solves a feasibility probe for a start point otherwise.
+details["witness_source"] says which one refuted ("solution" or
 "sampling").  Every verdict is one of Certified / Refuted / Inconclusive;
 Refuted always carries a point that confirm_witness confirmed, never just
 a negative bound.
@@ -25,8 +27,8 @@ from .momrelax import solve_mu_mom
 from .pencil import LinearPencil
 from .posmap import cp_sdfp
 from .reduce import split_lineality
-from .sampling import (WITNESS_FEAS_TOL, confirm_witness, interior_point,
-                       refutation_search)
+from .sampling import (WITNESS_FEAS_TOL, confirm_witness, eigen_margin,
+                       interior_point, refutation_search)
 from .sosrelax import lambda_sos
 from .symcore import min_eigenvalue, spectral_norm
 
@@ -148,12 +150,16 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
             return Verdict("Refuted", det["value"], det.get("order"), method,
                            hit, {**details, **det, "witness_source": source})
 
+        start = None
         if point is not None:
             verdict = refuted(point, "solution")
             if verdict is not None:
                 return verdict
+            if eigen_margin(ar, point) > 0:
+                start = point
         try:
-            hit = refutation_search(ar, br, tol=tol, samples=samples, seed=seed)
+            hit = refutation_search(ar, br, tol=tol, samples=samples, seed=seed,
+                                    x0=start)
         except InvalidInput as exc:
             # no strictly feasible point; an empty inner set certifies vacuously
             if isinstance(exc, NoInteriorPoint) and exc.kind == "Empty":
@@ -177,7 +183,8 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
             return refutation({"value": float("nan"), "order": order,
                                "solver_error": str(exc)}, None)
         det = {"value": res.value, "order": order, "solve_status": res.status,
-               "r": r, "R": R}
+               "r": r, "R": R, "moments": res.info.n_moments,
+               "block_sizes": list(res.info.block_sizes)}
         if res.reliable and res.value >= -tol:
             return Verdict("Certified", res.value, order, method, None,
                            {**details, **det})

@@ -40,6 +40,9 @@ def test_check_json_output(disk_files, capsys):
     assert code == 0
     assert payload["status"] == "Certified"
     assert payload["value"] == pytest.approx(0.010051, abs=1e-4)
+    # the size of the solved relaxation, reduced by the z -> -z symmetry
+    assert payload["details"]["moments"] == 37
+    assert payload["details"]["block_sizes"] == [9, 6, 9, 6, 3, 2, 3, 2]
 
 
 def test_check_json_emits_details(tmp_path, capsys):
@@ -135,7 +138,8 @@ def test_render_command(tmp_path, disk_files):
 
 
 @pytest.mark.parametrize("machine, order, blocks",
-                         [("moment", 2, (15, 15, 5, 5)), ("sos", 0, (6, 2))],
+                         [("moment", 2, (9, 6, 9, 6, 3, 2, 3, 2)),
+                          ("sos", 0, (6, 2))],
                          ids=["moment", "sos"])
 def test_export_round_trips_through_sdpa(tmp_path, disk_files, machine, order,
                                          blocks):

@@ -539,6 +539,37 @@ def test_block_order_round_trip():
     assert again.value == pytest.approx(sol.value, rel=1e-9, abs=1e-9)
 
 
+def _as_unit_blocks(prob):
+    """The problem with every diagonal block written as 1 x 1 dense blocks."""
+    sizes, c_blocks, a_blocks = [], [], []
+    for size, c, a in zip(prob.block_sizes, prob.c_blocks, prob.a_blocks):
+        if size > 0:
+            sizes.append(size)
+            c_blocks.append(c)
+            a_blocks.append(a)
+            continue
+        for j in range(-size):
+            sizes.append(1)
+            c_blocks.append(c[j:j + 1, None])
+            a_blocks.append(a[:, [j]])
+    return SdpProblem(tuple(sizes), c_blocks, a_blocks, prob.b, prob.sense,
+                      prob.metadata)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _random_problem(3, blocks=(-3, 2, -2), m=24),
+    lambda: _probe_lmi(),
+], ids=["random", "probe-lmi"])
+def test_unit_dense_blocks_solve_as_diagonal_entries(make):
+    prob = make()
+    unit = _as_unit_blocks(prob)
+    assert 1 in unit.block_sizes and all(s > 0 for s in unit.block_sizes)
+    want, got = solve(prob), solve(unit)
+    assert got.status is want.status is SolveStatus.OPTIMAL
+    assert got.iterations == want.iterations
+    assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-12)
+
+
 def _probe_lmi():
     a, _ = random_pair(1)
     return _margin_lmi(a.coeffs[0].mat, [c.mat for c in a.coeffs[1:]], 1.0, box=1e4)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spectracon import momrelax, posmap, sdpcore, sosrelax, verdict
+from spectracon import momrelax, posmap, sampling, sdpcore, sosrelax, verdict
 from spectracon.errors import InvalidInput
 from spectracon.families import disk_pair, random_pair
 from spectracon.momrelax import solve_mu_mom
@@ -182,6 +182,20 @@ def test_solution_point_refutes_without_search(monkeypatch, method, order):
 def test_disk_solution_point_falls_back_to_sampling():
     # the minimizers form a circle, so the first moments are its center
     v = check_containment(*disk_pair(1.2))
+    assert v.status == "Refuted"
+    assert v.details["witness_source"] == "sampling"
+
+
+def _no_probe(p):
+    raise AssertionError("the walk should start at the solution point")
+
+
+@pytest.mark.parametrize("method, order", MACHINES,
+                         ids=["moment", "sos0", "sos1", "sdfp"])
+def test_disk_walk_starts_at_the_solution_point(monkeypatch, method, order):
+    # every machine's first moments are the center, inside the disk
+    monkeypatch.setattr(sampling, "interior_point", _no_probe)
+    v = check_containment(*disk_pair(1.2), order=order, method=method)
     assert v.status == "Refuted"
     assert v.details["witness_source"] == "sampling"
 
