@@ -25,8 +25,8 @@ from .render import render_projection, render_slice
 from .sampling import (interior_point, mu_grid, refutation_search,
                        sample_spectrahedron)
 from .sdpa import export_sdpa, parse_sdpa
-from .sdpcore import (LmiBuilder, PrimalBuilder, SdpProblem, SdpSolution,
-                      SolveStatus, feasibility_probe, solve)
+from .sdpcore import (SdpProblem, SdpSolution, SolveStatus, feasibility_probe,
+                      solve)
 from .sosrelax import certificate_gap, count_unknowns, lambda_sos, sos_relaxation
 from .symcore import SymMatrix, min_eigenvalue, sym
 from .verdict import Verdict, check_containment
@@ -34,7 +34,7 @@ from .verdict import Verdict, check_containment
 __version__ = "0.1.0"
 
 __all__ = [
-    "LinearPencil", "LmiBuilder", "MapSpec", "PrimalBuilder", "SdpProblem",
+    "LinearPencil", "MapSpec", "SdpProblem",
     "SdpSolution", "SolveStatus", "SpectraconError", "SymMatrix", "Verdict",
     "boundedness_certificate", "certificate_gap", "check_containment",
     "choi_matrix", "circumradius_sq", "containment_relaxation",

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InvalidInput, OrderTooSmall
 from .pencil import LinearPencil, pencil
-from .sdpcore import LmiBuilder, SdpSolution, solve
+from .sdpcore import _LMI_STATUS, SdpProblem, SdpSolution, _block_data, solve
 from .symcore import spectral_norm
 
 Exponent = tuple
@@ -67,21 +67,20 @@ def basis_size(nvars: int, degree: int) -> int:
     return math.comb(nvars + degree, degree)
 
 
-class MonomialBasis:
-    """Monomials of degree <= t in nvars variables, with index lookup."""
-
-    def __init__(self, nvars: int, degree: int):
-        self.nvars = nvars
-        self.degree = degree
-        self.exponents = monomials_upto(nvars, degree)
-        self.index = {e: i for i, e in enumerate(self.exponents)}
-
-    def __len__(self):
-        return len(self.exponents)
+def _exponent_array(exponents, nvars: int) -> np.ndarray:
+    """Exponent tuples as the rows of an integer array."""
+    return np.array(exponents, dtype=np.intp).reshape(len(exponents), nvars)
 
 
-def _eadd(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+def _positions(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index in ``table`` (distinct rows) of each of ``rows``, all of which
+    occur in it."""
+    # one void scalar per row; a leading 0 column keeps empty rows sortable
+    both = np.zeros((len(table) + len(rows), table.shape[1] + 1), dtype=table.dtype)
+    both[:, 1:] = np.concatenate((table, rows))
+    keys = both.view(np.dtype((np.void, both.itemsize * both.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first[inverse[len(table):]]
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +307,36 @@ class RelaxationInfo:
         return value * float(np.prod(self.scale ** np.array(e)))
 
 
+def _localizing_entries(g: MatPoly, parts, moments: np.ndarray):
+    """The localizing matrix of g, one block per part of its basis, as
+    entries (block, moment, i, j, value) with i <= j, in block order.
+
+    Entry (a, b) of g's coefficient of v^e, at the monomials in positions u
+    and w of one part, sits at (u k + a, w k + b) of that part's block, on
+    the moment of their product with v^e: row ``moment`` of ``moments``.
+    """
+    k, nvars = g.k, g.nvars
+    sizes = [len(part) for part in parts]
+    basis = _exponent_array([e for part in parts for e in part], nvars)
+    block = np.repeat(np.arange(len(parts)), sizes)
+    local = np.arange(len(basis)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    u, w = np.triu_indices(len(basis))
+    same = block[u] == block[w]
+    u, w = u[same], w[same]
+    exps = _exponent_array(list(g.terms), nvars)
+    mats = np.array(list(g.terms.values())).reshape(len(exps), k, k)
+    sums = basis[u][:, None] + basis[w][:, None] + exps
+    moment = _positions(moments, sums.reshape(len(u) * len(exps), nvars))
+    moment = moment.reshape(len(u), len(exps))
+    term, a, b = np.nonzero(mats)
+    # both triangles of an off-diagonal basis pair, the upper one of a diagonal pair
+    pair, nz = np.nonzero((u < w)[:, None] | (a <= b))
+    term, a, b = term[nz], a[nz], b[nz]
+    u, w = u[pair], w[pair]
+    return (block[u], moment[pair, term], local[u] * k + a, local[w] * k + b,
+            mats[term, a, b])
+
+
 def build_pmi_relaxation(objective: Poly, constraints, t: int,
                          sense: str = "min", metadata=None):
     """Order-t moment relaxation of optimizing objective over psd constraints.
@@ -316,11 +345,13 @@ def build_pmi_relaxation(objective: Poly, constraints, t: int,
     MatPoly (matrix inequalities G psd).  Moments that are odd under a sign
     symmetry of the terms are dropped and every block is split by class
     (see above); the bound is the unreduced relaxation's.  Returns
-    (problem, builder, info); the bound is builder.value_from(solve(problem)).
+    (problem, value, info); the bound is value(solve(problem)).
     """
     nvars = objective.nvars
     if t < 1:
         raise OrderTooSmall("relaxation order must be at least 1")
+    if sense not in ("min", "max"):
+        raise InvalidInput("sense must be 'min' or 'max'")
     if objective.degree() > 2 * t:
         raise OrderTooSmall(
             f"order {t} cannot linearize a degree-{objective.degree()} objective")
@@ -337,63 +368,39 @@ def build_pmi_relaxation(objective: Poly, constraints, t: int,
     classes = _ParityClasses(_parity(e) for g in (objective, *constraints)
                              for e in g.terms)
     moments = [e for e in monomials_upto(nvars, 2 * t) if classes.of(e) == 0]
-    index = {e: i for i, e in enumerate(moments)}
-    nmom = len(moments) - 1  # y_0 is pinned to 1
-    builder = LmiBuilder(nvars=max(nmom, 1), sense=sense)
-
-    def term(blk, e, i, j, c):
-        if sum(e) == 0:
-            builder.add_const(blk, i, j, c)
-        else:
-            builder.add_term(blk, index[e] - 1, i, j, c)
-
-    for part in classes.split(monomials_upto(nvars, t)):
-        blk = builder.add_block(len(part))
-        for i in range(len(part)):
-            for j in range(i, len(part)):
-                term(blk, _eadd(part[i], part[j]), i, j, 1.0)
-
-    for g, d in zip(constraints, half_degs):
-        parts = classes.split(monomials_upto(nvars, t - d))
+    table = _exponent_array(moments, nvars)
+    m = max(len(moments) - 1, 1)  # y_0 is pinned to 1
+    # The moments y are the canonical dual's variables: C = F0 (the entries
+    # on moment 0), A = -F and b = +-objective, and the bound is the
+    # objective's constant +- the solve's value.
+    sign = 1.0 if sense == "max" else -1.0
+    sizes, c_blocks, a_blocks = [], [], []
+    # the moment matrix is the localizing matrix of the constant 1, and a
+    # scalar constraint is a 1 x 1 matrix one
+    for g, d in zip((Poly(nvars, {moments[0]: 1.0}), *constraints), (0, *half_degs)):
         if isinstance(g, Poly):
-            for loc in parts:
-                nloc = len(loc)
-                blk = builder.add_block(nloc)
-                for i in range(nloc):
-                    for j in range(i, nloc):
-                        ebase = _eadd(loc[i], loc[j])
-                        for eg, c in g.terms.items():
-                            term(blk, _eadd(ebase, eg), i, j, c)
-            continue
+            g = MatPoly(nvars, 1, {e: [[c]] for e, c in g.terms.items()})
+        parts = classes.split(monomials_upto(nvars, t - d))
         for group in g.diagonal_components():
             sub = g.restricted(group) if len(group) < g.k else g
-            kk = sub.k
-            for loc in parts:
-                nloc = len(loc)
-                blk = builder.add_block(nloc * kk)
-                for i in range(nloc):
-                    for j in range(i, nloc):
-                        ebase = _eadd(loc[i], loc[j])
-                        for eg, mat in sub.terms.items():
-                            e = _eadd(ebase, eg)
-                            for a in range(kk):
-                                brange = range(a, kk) if i == j else range(kk)
-                                for b in brange:
-                                    c = mat[a, b]
-                                    if c != 0.0:
-                                        term(blk, e, i * kk + a, j * kk + b, c)
-
-    for e, c in objective.terms.items():
-        if sum(e) == 0:
-            builder.offset += c
-        else:
-            builder.add_objective(index[e] - 1, c)
-
-    problem = builder.build(metadata=metadata)
-    info = RelaxationInfo(order=t, nvars=nvars, n_moments=nmom,
-                          block_sizes=tuple(builder.block_sizes),
-                          moments=tuple(moments), scale=np.ones(nvars))
-    return problem, builder, info
+            block, moment, i, j, v = _localizing_entries(sub, parts, table)
+            v = np.where(moment == 0, v, -v)
+            cuts = np.searchsorted(block, np.arange(len(parts) + 1))
+            for part, lo, hi in zip(parts, cuts[:-1], cuts[1:]):
+                sizes.append(len(part) * sub.k)
+                c, a = _block_data(m, sizes[-1], moment[lo:hi], i[lo:hi], j[lo:hi], v[lo:hi])
+                c_blocks.append(c)
+                a_blocks.append(a)
+    obj = np.zeros(m + 1)
+    np.add.at(obj, _positions(table, _exponent_array(list(objective.terms), nvars)),
+              list(objective.terms.values()))
+    offset = obj[0]
+    problem = SdpProblem(tuple(sizes), c_blocks, a_blocks, sign * obj[1:],
+                         dict(metadata or {}))
+    info = RelaxationInfo(order=t, nvars=nvars, n_moments=len(moments) - 1,
+                          block_sizes=tuple(sizes), moments=tuple(moments),
+                          scale=np.ones(nvars))
+    return problem, (lambda sol: offset + sign * sol.value), info
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +472,10 @@ def containment_relaxation(a: LinearPencil, b: LinearPencil, t: int,
     # for r == R the two one-sided blocks together pin |z|^2 to the sphere
     constraints = [ga, lo, hi]
     meta = {"origin": "containment_moment", "order": t, "r": r, "R": R}
-    problem, builder, info = build_pmi_relaxation(obj, constraints, t,
-                                                  sense="min", metadata=meta)
+    problem, value, info = build_pmi_relaxation(obj, constraints, t,
+                                                sense="min", metadata=meta)
     info.scale = np.concatenate((d, np.ones(l)))
-    return problem, builder, info
+    return problem, value, info
 
 
 def solve_mu_mom(a: LinearPencil, b: LinearPencil, t: int, r: float = 1.0,
@@ -481,10 +488,10 @@ def solve_mu_mom(a: LinearPencil, b: LinearPencil, t: int, r: float = 1.0,
     moments, is the minimizer when the relaxation is exact at a point
     mass; it is None when the solve returns no point.
     """
-    problem, builder, info = containment_relaxation(a, b, t, r, R)
+    problem, value_of, info = containment_relaxation(a, b, t, r, R)
     sol = solve(problem)
-    status = LmiBuilder.interpret(sol)
-    value = builder.value_from(sol) if sol.has_point else float("nan")
+    status = _LMI_STATUS[sol.status]
+    value = value_of(sol) if sol.has_point else float("nan")
     first = None
     if sol.has_point:
         units = [tuple(int(q == p) for q in range(info.nvars)) for p in range(a.n)]
@@ -497,8 +504,8 @@ def moment_matrix(result: MomentResult) -> np.ndarray:
     """The optimal truncated moment matrix M_t(y), including y_0 = 1, in
     the original variables; dropped moments are 0."""
     info = result.info
-    top = monomials_upto(info.nvars, info.order)
-    return np.array([[info.moment(result.solution.y, _eadd(ea, eb))
+    top = _exponent_array(monomials_upto(info.nvars, info.order), info.nvars)
+    return np.array([[info.moment(result.solution.y, tuple(ea + eb))
                       for eb in top] for ea in top])
 
 

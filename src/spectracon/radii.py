@@ -18,7 +18,7 @@ from .errors import InvalidInput, NumericalFailure
 from .momrelax import Poly, build_pmi_relaxation, pencil_as_matpoly
 from .pencil import LinearPencil
 from .reduce import lineality_space
-from .sdpcore import LmiBuilder, SdpSolution, _margin_lmi, solve
+from .sdpcore import _LMI_STATUS, SdpSolution, _margin_lmi, solve
 from .symcore import min_eigenvalue, nullspace, smat, svec
 
 # Either search's margin must exceed this before its certificate is checked.
@@ -54,11 +54,11 @@ def circumradius_sq(p: LinearPencil, t: int = 2) -> RadiusResult:
         terms[tuple(e)] = 1.0
     obj = Poly(n, terms)
     ga = pencil_as_matpoly(p, n)
-    problem, builder, info = build_pmi_relaxation(
+    problem, value_of, _ = build_pmi_relaxation(
         obj, [ga], t, sense="max", metadata={"origin": "circumradius"})
     sol = solve(problem)
-    status = LmiBuilder.interpret(sol)
-    value = builder.value_from(sol) if sol.has_point else float("inf")
+    status = _LMI_STATUS[sol.status]
+    value = value_of(sol) if sol.has_point else float("inf")
     return RadiusResult(value=float(value), status=status, order=t, solution=sol)
 
 

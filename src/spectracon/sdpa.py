@@ -11,18 +11,13 @@ significant digits so a write/read cycle reproduces the binary doubles.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidInput
-from .sdpcore import SdpProblem
+from .sdpcore import SdpProblem, _block_data
 
 
 def export_sdpa(problem: SdpProblem, path, comment: str = "") -> None:
     """Write a canonical problem to an SDPA sparse file."""
-    if problem.sense != "min":
-        negated = [-c for c in problem.c_blocks]
-        problem = SdpProblem(problem.block_sizes, negated, problem.a_blocks,
-                             problem.b, "min", dict(problem.metadata))
     lines = []
     if comment:
         for part in comment.splitlines():
@@ -64,7 +59,7 @@ def _tokens(line: str):
 
 
 def parse_sdpa(path) -> SdpProblem:
-    """Read an SDPA sparse file into canonical form (sense min)."""
+    """Read an SDPA sparse file into canonical form."""
     raw = []
     with open(path) as fh:
         for line in fh:
@@ -88,8 +83,7 @@ def parse_sdpa(path) -> SdpProblem:
     if any(s == 0 for s in sizes):
         raise InvalidInput("zero block size")
 
-    c_blocks = [np.zeros((s, s)) if s > 0 else np.zeros(-s) for s in sizes]
-    coo = [([], [], []) for _ in sizes]  # rows, cols, vals per block
+    entries = [([], [], [], []) for _ in sizes]  # matrix, i, j, value per block
     for lineno, line in enumerate(raw[4:], start=5):
         toks = _tokens(line)
         if len(toks) != 5:
@@ -112,33 +106,9 @@ def parse_sdpa(path) -> SdpProblem:
             raise InvalidInput(f"line {lineno}: entry ({i + 1}, {j + 1}) out of range")
         if size < 0 and i != j:
             raise InvalidInput(f"line {lineno}: off-diagonal entry in diagonal block")
-        if matno == 0:
-            # F_0 = -C
-            if size > 0:
-                c_blocks[blkno][i, j] -= val
-                if i != j:
-                    c_blocks[blkno][j, i] -= val
-            else:
-                c_blocks[blkno][i] -= val
-        else:
-            rows, cols, vals = coo[blkno]
-            if size > 0:
-                rows.append(matno - 1)
-                cols.append(i * size + j)
-                vals.append(val)
-                if i != j:
-                    rows.append(matno - 1)
-                    cols.append(j * size + i)
-                    vals.append(val)
-            else:
-                rows.append(matno - 1)
-                cols.append(i)
-                vals.append(val)
-    a_blocks = []
-    for size, (rows, cols, vals) in zip(sizes, coo):
-        veclen = size * size if size > 0 else -size
-        a = sp.coo_matrix((vals, (rows, cols)), shape=(m, veclen)).tocsr()
-        a.sum_duplicates()
-        a_blocks.append(a)
-    return SdpProblem(tuple(sizes), c_blocks, a_blocks, b, "min",
+        for column, v in zip(entries[blkno], (matno, i, j, val)):
+            column.append(v)
+    blocks = [_block_data(m, size, *block) for size, block in zip(sizes, entries)]
+    # F_0 = -C
+    return SdpProblem(tuple(sizes), [-c for c, _ in blocks], [a for _, a in blocks], b,
                       {"source": str(path)})

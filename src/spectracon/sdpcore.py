@@ -61,12 +61,13 @@ length and the corrector's second-order term, and S^-1 = R lam^-1 R'.
 The Schur factor is used as the F-ordered upper factor that LAPACK's
 solver reads without a copy.
 
-Problems whose natural variables sit on the dual side (one free variable per
-monomial or subspace coordinate, constrained by a linear matrix inequality)
-are assembled through :class:`LmiBuilder`; the margin LMI shared by the
-interior probe, the block certificate and the boundedness searches comes
-from ``_margin_lmi``.  Whether a returned iterate may be used is decided in
-one place, :attr:`SdpSolution.reliable`.
+Every program is assembled one block at a time from entry arrays by
+``_block_data``; outside the solver and the SDPA writer it is the only code
+that knows the vectorized layout.  The moment relaxations, the Gram
+programs, SDPA files and the margin LMI shared by the interior probe, the
+block certificate and the boundedness searches (``_margin_lmi``) are built
+through it.  Whether a returned iterate may be used is decided in one place,
+:attr:`SdpSolution.reliable`.
 """
 
 from __future__ import annotations
@@ -127,15 +128,14 @@ class SdpProblem:
     ``a_blocks[bi]`` is a CSR matrix of shape (m, s*s) for a dense block of
     size s (rows are fully mirrored vectorized constraint matrices) or
     (m, d) for a diagonal block of size d.  ``c_blocks[bi]`` is the dense
-    (s, s) objective matrix, respectively a length-d vector.  ``sense`` is
-    the direction of the primal objective.
+    (s, s) objective matrix, respectively a length-d vector.  The primal
+    objective is minimized.
     """
 
     block_sizes: tuple
     c_blocks: list
     a_blocks: list
     b: np.ndarray
-    sense: str = "min"
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -144,8 +144,6 @@ class SdpProblem:
             raise InvalidInput("problem needs at least one block")
         if any(s == 0 for s in self.block_sizes):
             raise InvalidInput("block sizes must be nonzero")
-        if self.sense not in ("min", "max"):
-            raise InvalidInput("sense must be 'min' or 'max'")
         self.b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if self.b.ndim != 1:
             raise InvalidInput("right-hand side must be a vector")
@@ -561,7 +559,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
     if problem.m > _MAX_CONSTRAINTS:
         raise NumericalFailure(
             f"constraint count {problem.m} exceeds the dense Schur limit")
-    flip = problem.sense == "max"
     # normalize data scales; solutions are de-scaled on exit
     size_b, size_c = problem.norm_b(), problem.norm_c()
     sigma_b, sigma_c = max(1.0, size_b), max(1.0, size_c)
@@ -593,8 +590,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     a_mat = sp.hstack([problem.a_blocks[bi] for bi in order], format="csr")
     a_t = a_mat.T.tocsr()
     b = problem.b / sigma_b
-    c = np.concatenate([problem.c_blocks[bi].ravel() for bi in order]) / (
-        -sigma_c if flip else sigma_c)
+    c = np.concatenate([problem.c_blocks[bi].ravel() for bi in order]) / sigma_c
     # the plan sees the dense blocks as given, the diagonal class as one block
     plan_sizes = [sizes[bi] for bi in dense] + ([-d] if diag else [])
     plan_a = [problem.a_blocks[bi] for bi in dense] + ([a_mat[:, -d:]] if diag else [])
@@ -647,14 +643,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
             xb = blocks(x / tau * sigma_b)
             yv = y / tau * sigma_c
             sb = blocks(s / tau * sigma_c)
-            base = problem
-            if flip:
-                base = SdpProblem(problem.block_sizes, [-cb for cb in problem.c_blocks],
-                                  problem.a_blocks, problem.b, "min")
-            res = compute_residuals(base, xb, yv, sb)
+            res = compute_residuals(problem, xb, yv, sb)
             pv, dv = res["primal_obj"], res["dual_obj"]
-            if flip:
-                pv, dv = -pv, -dv
         hsd = {"tau": tau, "kappa": kappa, "mu": mu, "time_s": time.perf_counter() - start_time}
         return SdpSolution(status=status, x_blocks=xb, y=yv, s_blocks=sb,
                            primal_value=pv, dual_value=dv, residuals=res,
@@ -855,202 +845,47 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
 
 # ---------------------------------------------------------------------------
-# LMI assembly (dual-side problems)
+# Block assembly from entry arrays
 
 
-class LmiBuilder:
-    """Assembles  opt c'y + c0  s.t.  F0 + sum_q y_q F_q  psd (block diagonal).
+def _block_data(m: int, size: int, row, i, j, val):
+    """One block's C and A rows from entry arrays.
 
-    Internally mapped to the canonical form with the y living on the dual
-    side: C = F0, A_q = -F_q, b = +-c depending on the sense.  The optimal
-    value of the original problem is recovered by :meth:`value_from`.
+    Entry n adds val[n] at (i[n], j[n]) of matrix row[n], and off the
+    diagonal at (j[n], i[n]) as well; entries at one position are summed.
+    Matrix 0 is C, returned as an (s, s) array (a length-d vector for a
+    diagonal block of size -d, whose entries need i == j); matrix r in 1..m
+    is constraint r - 1, returned as row r - 1 of the block's CSR rows in
+    :class:`SdpProblem`'s layout.
     """
-
-    def __init__(self, nvars: int, sense: str = "min"):
-        if nvars < 1:
-            raise InvalidInput("need at least one variable")
-        if sense not in ("min", "max"):
-            raise InvalidInput("sense must be 'min' or 'max'")
-        self.nvars = nvars
-        self.sense = sense
-        self.offset = 0.0
-        self.obj = np.zeros(nvars)
-        self.block_sizes = []
-        self._const = []
-        self._coo = []  # per block: (rows var, i, j, val) lists
-
-    def add_block(self, size: int) -> int:
-        """New dense block (size > 0) or diagonal block (size < 0)."""
-        if size == 0:
-            raise InvalidInput("block size must be nonzero")
-        self.block_sizes.append(size)
-        if size > 0:
-            self._const.append(np.zeros((size, size)))
-        else:
-            self._const.append(np.zeros(-size))
-        self._coo.append(([], [], [], []))
-        return len(self.block_sizes) - 1
-
-    def add_const(self, block: int, i: int, j: int, val: float):
-        """Add to the constant term F0; dense entries mirror automatically."""
-        if self.block_sizes[block] > 0:
-            self._const[block][i, j] += val
-            if i != j:
-                self._const[block][j, i] += val
-        else:
-            if i != j:
-                raise InvalidInput("diagonal block entries need i == j")
-            self._const[block][i] += val
-
-    def add_term(self, block: int, var: int, i: int, j: int, val: float):
-        """Add val to entry (i, j) (and (j, i)) of F_var in this block."""
-        vs, is_, js_, vals = self._coo[block]
-        vs.append(var)
-        is_.append(i)
-        js_.append(j)
-        vals.append(val)
-
-    def set_objective(self, var: int, coeff: float):
-        self.obj[var] = coeff
-
-    def add_objective(self, var: int, coeff: float):
-        self.obj[var] += coeff
-
-    def build(self, metadata=None) -> SdpProblem:
-        m = self.nvars
-        a_blocks = []
-        c_blocks = []
-        for size, const, (vs, is_, js_, vals) in zip(
-                self.block_sizes, self._const, self._coo):
-            veclen = _block_veclen(size)
-            if size > 0:
-                s = size
-                rows = []
-                cols = []
-                data = []
-                for var, i, j, val in zip(vs, is_, js_, vals):
-                    rows.append(var)
-                    cols.append(i * s + j)
-                    data.append(-val)  # A_q = -F_q
-                    if i != j:
-                        rows.append(var)
-                        cols.append(j * s + i)
-                        data.append(-val)
-                a = sp.coo_matrix((data, (rows, cols)), shape=(m, veclen)).tocsr()
-                a.sum_duplicates()
-            else:
-                rows = list(vs)
-                cols = list(is_)
-                data = [-v for v in vals]
-                a = sp.coo_matrix((data, (rows, cols)), shape=(m, veclen)).tocsr()
-                a.sum_duplicates()
-            a_blocks.append(a)
-            c_blocks.append(const)
-        b = self.obj if self.sense == "max" else -self.obj
-        meta = dict(metadata or {})
-        meta.update({"lmi_sense": self.sense, "lmi_offset": self.offset})
-        return SdpProblem(tuple(self.block_sizes), c_blocks, a_blocks, b,
-                          "min", meta)
-
-    def value_from(self, solution: SdpSolution) -> float:
-        """Optimal value of the original LMI problem."""
-        v = solution.value
-        return self.offset + v if self.sense == "max" else self.offset - v
-
-    @staticmethod
-    def interpret(solution: SdpSolution) -> str:
-        """Status of the original LMI problem.
-
-        The LMI variables live on the canonical dual side, so canonical
-        dual infeasibility means the LMI has no feasible point, and
-        canonical primal infeasibility means the LMI objective is unbounded.
-        """
-        return {
-            SolveStatus.OPTIMAL: "optimal",
-            SolveStatus.DUAL_INFEASIBLE: "infeasible",
-            SolveStatus.PRIMAL_INFEASIBLE: "unbounded",
-            SolveStatus.INACCURATE: "inaccurate",
-            SolveStatus.ITER_LIMIT: "iterlimit",
-        }[solution.status]
+    row, i, j = (np.asarray(v, dtype=np.intp) for v in (row, i, j))
+    val = np.asarray(val, dtype=float)
+    col = i
+    if size > 0:
+        off = i != j
+        row = np.concatenate((row, row[off]))
+        col = np.concatenate((i * size + j, j[off] * size + i[off]))
+        val = np.concatenate((val, val[off]))
+    veclen = _block_veclen(size)
+    head = row == 0
+    c = np.zeros(veclen)
+    np.add.at(c, col[head], val[head])
+    body = ~head
+    a = sp.coo_matrix((val[body], (row[body] - 1, col[body])), shape=(m, veclen)).tocsr()
+    a.sum_duplicates()
+    return c.reshape(size, size) if size > 0 else c, a
 
 
-class PrimalBuilder:
-    """Assembles  min <C, X>  s.t.  <A_i, X> = b_i  over block psd X.
-
-    Entry coefficients are given on matrix positions (i, j) of a symmetric
-    block; off-diagonal contributions are split over the two mirror
-    positions so that <G, X> reproduces the stated functional.
-    """
-
-    def __init__(self):
-        self.block_sizes = []
-        self._cost = []
-        self._rows = []  # per constraint: list of (block, i, j, val)
-        self._rhs = []
-
-    def add_block(self, size: int) -> int:
-        if size == 0:
-            raise InvalidInput("block size must be nonzero")
-        self.block_sizes.append(size)
-        self._cost.append(np.zeros((size, size)) if size > 0 else np.zeros(-size))
-        return len(self.block_sizes) - 1
-
-    def add_cost(self, block: int, i: int, j: int, val: float):
-        c = self._cost[block]
-        if self.block_sizes[block] > 0:
-            if i == j:
-                c[i, i] += val
-            else:
-                c[i, j] += val / 2.0
-                c[j, i] += val / 2.0
-        else:
-            if i != j:
-                raise InvalidInput("diagonal block entries need i == j")
-            c[i] += val
-
-    def new_constraint(self, rhs: float) -> int:
-        self._rows.append([])
-        self._rhs.append(float(rhs))
-        return len(self._rhs) - 1
-
-    def add_entry(self, con: int, block: int, i: int, j: int, val: float):
-        self._rows[con].append((block, i, j, val))
-
-    def build(self, metadata=None) -> SdpProblem:
-        m = len(self._rhs)
-        if m == 0:
-            raise InvalidInput("no constraints")
-        per_block = [([], [], []) for _ in self.block_sizes]
-        for con, row in enumerate(self._rows):
-            for block, i, j, val in row:
-                rows, cols, data = per_block[block]
-                size = self.block_sizes[block]
-                if size > 0:
-                    if i == j:
-                        rows.append(con)
-                        cols.append(i * size + i)
-                        data.append(val)
-                    else:
-                        rows.append(con)
-                        cols.append(i * size + j)
-                        data.append(val / 2.0)
-                        rows.append(con)
-                        cols.append(j * size + i)
-                        data.append(val / 2.0)
-                else:
-                    if i != j:
-                        raise InvalidInput("diagonal block entries need i == j")
-                    rows.append(con)
-                    cols.append(i)
-                    data.append(val)
-        a_blocks = []
-        for size, (rows, cols, data) in zip(self.block_sizes, per_block):
-            a = sp.coo_matrix((data, (rows, cols)),
-                              shape=(m, _block_veclen(size))).tocsr()
-            a.sum_duplicates()
-            a_blocks.append(a)
-        return SdpProblem(tuple(self.block_sizes), list(self._cost), a_blocks,
-                          np.array(self._rhs), "min", dict(metadata or {}))
+# the statuses of a program whose variables are the canonical dual's y (an
+# LMI): canonical dual infeasibility means the LMI has no feasible point,
+# canonical primal infeasibility that its objective is unbounded
+_LMI_STATUS = {
+    SolveStatus.OPTIMAL: "optimal",
+    SolveStatus.DUAL_INFEASIBLE: "infeasible",
+    SolveStatus.PRIMAL_INFEASIBLE: "unbounded",
+    SolveStatus.INACCURATE: "inaccurate",
+    SolveStatus.ITER_LIMIT: "iterlimit",
+}
 
 
 def _margin_lmi(f0, fs, cap: float, box: float | None = None,
@@ -1065,21 +900,25 @@ def _margin_lmi(f0, fs, cap: float, box: float | None = None,
     """
     nq = len(fs)
     k = f0.shape[0]
-    # LmiBuilder's canonical form: C is F0, A's rows -F_q (mirrored) and +I for s
-    upper = np.triu(np.asarray(fs, dtype=float).reshape(nq, k, k))
-    pencil_rows = np.concatenate((-(upper + _t(np.triu(upper, 1))), np.eye(k)[None]))
-    e_s = np.eye(nq + 1)[nq]  # the unit vector of s
+    # an LMI's canonical form: C is F0, A's rows -F_q and +I for s
+    pencil_mats = np.concatenate((np.asarray(f0, dtype=float)[None],
+                                  -np.asarray(fs, dtype=float).reshape(nq, k, k),
+                                  np.eye(k)[None]))
+    row, i, j = np.nonzero(np.triu(pencil_mats))
     sizes = [k, -1]
-    c_blocks = [np.triu(f0) + np.triu(f0, 1).T, np.array([float(cap)])]
-    a_blocks = [sp.csr_matrix(pencil_rows.reshape(nq + 1, k * k)),
-                sp.csr_matrix(e_s[:, None])]
+    blocks = [_block_data(nq + 1, k, row, i, j, pencil_mats[row, i, j]),
+              _block_data(nq + 1, -1, [0, nq + 1], [0, 0], [0, 0], [cap, 1.0])]
     if box is not None and nq > 0:
-        box_rows = np.kron(np.eye(nq + 1, nq), [1.0, -1.0])  # +-y_q <= box, none for s
+        # C holds box twice per q; row q has +y_q and -y_q, none for s
+        pos = np.arange(2 * nq)
         sizes.append(-2 * nq)
-        c_blocks.append(np.full(2 * nq, float(box)))
-        a_blocks.append(sp.csr_matrix(box_rows))
-    meta = {**(metadata or {}), "lmi_sense": "max", "lmi_offset": 0.0}
-    return SdpProblem(tuple(sizes), c_blocks, a_blocks, e_s, "min", meta)
+        blocks.append(_block_data(
+            nq + 1, -2 * nq, np.concatenate((np.zeros(2 * nq), pos // 2 + 1)),
+            np.tile(pos, 2), np.tile(pos, 2),
+            np.concatenate((np.full(2 * nq, float(box)), np.tile([1.0, -1.0], nq)))))
+    c_blocks, a_blocks = zip(*blocks)
+    return SdpProblem(tuple(sizes), list(c_blocks), list(a_blocks), np.eye(nq + 1)[nq],
+                      dict(metadata or {}))
 
 
 # ---------------------------------------------------------------------------

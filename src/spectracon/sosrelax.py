@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, OrderTooSmall
-from .momrelax import MonomialBasis, basis_size
+from .momrelax import _exponent_array, _positions, basis_size, monomials_upto
 from .pencil import LinearPencil
-from .sdpcore import PrimalBuilder, SdpSolution, SolveStatus, solve
+from .sdpcore import SdpProblem, SdpSolution, SolveStatus, _block_data, solve
 
 
 def count_unknowns(n: int, k: int, l: int, t: int) -> dict:
@@ -42,8 +42,13 @@ def count_unknowns(n: int, k: int, l: int, t: int) -> dict:
     sos_gram counts the scalar unknowns of the order-t Gram formulation
     (both Gram matrices plus the eigenvalue bound); moment_matrix counts
     the strictly-upper entries of the order-t moment matrix in the joint
-    variables.  The remaining keys report what the assembled programs
-    actually carry.
+    variables; sos_equations counts every coefficient match of the Gram
+    identity, and moment_total every moment of degree <= 2t but the pinned
+    constant.  These are the unreduced closed forms, not the sizes of the
+    assembled programs: the Gram program eliminates the match that defines
+    lambda (SosInfo.n_equations is sos_equations - 1), and the moment
+    relaxation drops the moments that a sign symmetry makes odd
+    (RelaxationInfo.n_moments <= moment_total).
     """
     N = basis_size(n, t)
     gram = 1 + N * (k * k * l * l * N + l * l * N + k * l + l) // 2
@@ -90,103 +95,67 @@ class SosResult:
 
 
 def sos_relaxation(a: LinearPencil, b: LinearPencil, t: int):
-    """Assemble the order-t Gram program; returns (problem, info)."""
+    """Assemble the order-t Gram program; returns (problem, info).
+
+    The (gamma, i, j) coefficient match, i <= j, is row gamma * l(l+1)/2 +
+    pair(i, j) of the assembly, with gamma numbered as in monomials_upto(n,
+    2t+1) and the pairs (i, j) in row-major order.  Row 0, the (1, 0, 0)
+    match that defines lambda, is the cost, and its entries are subtracted
+    in every (1, i, i) match; row r > 0 is equation r - 1.  A coefficient
+    at an off-diagonal position (p, q) of a Gram matrix enters its match as
+    two halves, at (p, q) and at (q, p).
+    """
     if a.n != b.n:
         raise InvalidInput("pencils must share the variable count")
     if t < 0:
         raise OrderTooSmall("order must be nonnegative")
     n, k, l = a.n, a.k, b.k
-    basis = MonomialBasis(n, t)
-    N = len(basis)
     kl = k * l
+    basis = _exponent_array(monomials_upto(n, t), n)
+    N = len(basis)
+    gammas = _exponent_array(monomials_upto(n, 2 * t + 1), n)
+    units = np.vstack((np.zeros(n, dtype=np.intp), np.eye(n, dtype=np.intp)))
+    unit_rows = _positions(gammas, units)  # the monomials 1, x_1, ..., x_n
+    pi, pj = np.triu_indices(l)
+    npair = len(pi)
+    diag = np.flatnonzero(pi == pj)  # pair(i, i)
+    n_eq = len(gammas) * npair - 1
+    alpha, beta = np.divmod(np.arange(N * N), N)  # ordered basis pairs
 
-    def qs_idx(alpha, i, aa):
-        return alpha * kl + i * k + aa
+    def gram_block(size, stride, gamma, p, q, v):
+        # the (0, 0) positions p, q of the entries, moved by (i, j) * stride
+        # into every (gamma, i, j) match, then the cost entries negated in
+        # the (1, i, i) matches, i > 0
+        cost = gamma == 0
+        row = np.concatenate(((gamma[:, None] * npair + np.arange(npair)).ravel(),
+                              np.tile(diag[1:], np.count_nonzero(cost))))
+        p = np.concatenate(((p[:, None] + pi * stride).ravel(), np.repeat(p[cost], l - 1)))
+        q = np.concatenate(((q[:, None] + pj * stride).ravel(), np.repeat(q[cost], l - 1)))
+        v = np.concatenate((np.repeat(v, npair), np.repeat(-v[cost], l - 1)))
+        return _block_data(n_eq, size, row, p, q, np.where(p == q, v, v / 2.0))
 
-    def qt_idx(alpha, i):
-        return alpha * l + i
+    # Q_S: coefficient entry (aa, bb) of A's x^u term at basis pair
+    # (alpha, beta) matches x^(alpha + beta + u)
+    coeffs = a.coeff_array()
+    match = _positions(gammas, (basis[alpha][:, None] + basis[beta][:, None] + units)
+                       .reshape(N * N * (n + 1), n)).reshape(N * N, n + 1)
+    r, aa, bb = np.nonzero(coeffs)
+    c_s, a_s = gram_block(kl * N, k, match[:, r].ravel(),
+                          (alpha[:, None] * kl + aa).ravel(),
+                          (beta[:, None] * kl + bb).ravel(),
+                          np.tile(coeffs[r, aa, bb], N * N))
+    # Q_T: entry (alpha, beta) matches x^(alpha + beta)
+    c_t, a_t = gram_block(l * N, 1, _positions(gammas, basis[alpha] + basis[beta]),
+                          alpha * l, beta * l, np.ones(N * N))
 
-    zero = tuple(0 for _ in range(n))
-    a_coeffs = {zero: a.coeffs[0].mat}
-    b_coeffs = {zero: b.coeffs[0].mat}
-    for p in range(1, n + 1):
-        e = [0] * n
-        e[p - 1] = 1
-        a_coeffs[tuple(e)] = a.coeffs[p].mat
-        b_coeffs[tuple(e)] = b.coeffs[p].mat
-
-    def a_coeff(gamma):
-        if sum(gamma) <= 1:
-            return a_coeffs.get(gamma)
-        return None
-
-    builder = PrimalBuilder()
-    qs = builder.add_block(kl * N)
-    qt = builder.add_block(l * N)
-
-    def row_entries(con, gamma, i, j, sign=1.0):
-        # Q_S part: [P]_{gamma,(ij)} summed over ordered basis pairs
-        for alpha in range(N):
-            ea = basis.exponents[alpha]
-            for beta in range(N):
-                rest = tuple(g - x - y for g, x, y in
-                             zip(gamma, ea, basis.exponents[beta]))
-                if any(v < 0 for v in rest):
-                    continue
-                amat = a_coeff(rest)
-                if amat is None:
-                    continue
-                for aa in range(k):
-                    for bb in range(k):
-                        v = amat[aa, bb]
-                        if v != 0.0:
-                            builder.add_entry(con, qs, qs_idx(alpha, i, aa),
-                                              qs_idx(beta, j, bb), sign * v)
-        # Q_T part: [T]_{gamma,(ij)}
-        for alpha in range(N):
-            ea = basis.exponents[alpha]
-            rest = tuple(g - x for g, x in zip(gamma, ea))
-            if any(v < 0 for v in rest):
-                continue
-            beta = basis.index.get(rest)
-            if beta is not None:
-                builder.add_entry(con, qt, qt_idx(alpha, i),
-                                  qt_idx(beta, j), sign)
-
-    monomials = MonomialBasis(n, 2 * t + 1).exponents
-    n_eq = 0
-    point_rows = np.empty((n, l), dtype=int)
-    for gamma in monomials:
-        bmat = b_coeffs.get(gamma) if sum(gamma) <= 1 else None
-        for i in range(l):
-            for j in range(i, l):
-                rhs = 0.0 if bmat is None else bmat[i, j]
-                if gamma == zero and i == j == 0:
-                    continue  # defines lambda; eliminated
-                if gamma == zero and i == j:
-                    con = builder.new_constraint(rhs - b_coeffs[zero][0, 0])
-                    row_entries(con, gamma, i, i)
-                    row_entries(con, zero, 0, 0, sign=-1.0)
-                else:
-                    con = builder.new_constraint(rhs)
-                    row_entries(con, gamma, i, j)
-                    if i == j and sum(gamma) == 1:
-                        point_rows[gamma.index(1), i] = con
-                n_eq += 1
-
-    # objective: minimize the constant (0,0) coefficient of P + T
-    amat0 = a_coeffs[zero]
-    for aa in range(k):
-        for bb in range(k):
-            if amat0[aa, bb] != 0.0:
-                builder.add_cost(qs, qs_idx(0, 0, aa), qs_idx(0, 0, bb),
-                                 amat0[aa, bb])
-    builder.add_cost(qt, qt_idx(0, 0), qt_idx(0, 0), 1.0)
-
-    problem = builder.build(metadata={"origin": "sos_gram", "order": t})
+    rhs = np.zeros((len(gammas), npair))
+    rhs[unit_rows] = b.coeff_array()[:, pi, pj]
+    rhs[0, diag[1:]] -= rhs[0, 0]
+    problem = SdpProblem((kl * N, l * N), [c_s, c_t], [a_s, a_t], rhs.ravel()[1:],
+                         {"origin": "sos_gram", "order": t})
     info = SosInfo(order=t, n=n, k=k, l=l, basis_n=N, gram_s_dim=kl * N,
                    gram_t_dim=l * N, n_equations=n_eq,
-                   point_rows=point_rows)
+                   point_rows=unit_rows[1:, None] * npair + diag - 1)
     return problem, info
 
 
@@ -236,10 +205,10 @@ def certificate_gap(a: LinearPencil, b: LinearPencil, result: SosResult,
     if result.gram_s is None:
         raise InvalidInput("result carries no certificate")
     n, k, l = result.info.n, result.info.k, result.info.l
-    basis = MonomialBasis(n, result.order)
+    basis = monomials_upto(n, result.order)
     worst = 0.0
     for x in np.atleast_2d(np.asarray(points, dtype=float)):
-        w = np.array([float(np.prod(x ** np.array(e))) for e in basis.exponents])
+        w = np.array([float(np.prod(x ** np.array(e))) for e in basis])
         vs = np.kron(w, np.eye(k * l))  # (kl, N*kl), row blocks scaled by w
         s_eval = vs @ result.gram_s @ vs.T
         vt = np.kron(w, np.eye(l))

@@ -1,0 +1,390 @@
+"""Term-by-term problem builders and loop assemblies of the relaxations.
+
+``LmiBuilder`` and ``PrimalBuilder`` assemble a problem one entry at a time;
+the tests build small fixtures with them and use them as references for the
+array assembly of the package.  ``moment_relaxation_by_terms`` and
+``gram_program_by_terms`` are the relaxations assembled by Python loops over
+basis pairs and matrix entries through these builders: the package's
+relaxations must be equal to them, entry for entry.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from spectracon.errors import InvalidInput
+from spectracon.momrelax import Poly, _ParityClasses, _parity, monomials_upto
+from spectracon.sdpcore import (SdpProblem, SdpSolution, SolveStatus,
+                                _block_veclen)
+
+
+class LmiBuilder:
+    """Assembles  opt c'y + c0  s.t.  F0 + sum_q y_q F_q  psd (block diagonal).
+
+    Internally mapped to the canonical form with the y living on the dual
+    side: C = F0, A_q = -F_q, b = +-c depending on the sense.  The optimal
+    value of the original problem is recovered by :meth:`value_from`.
+    """
+
+    def __init__(self, nvars: int, sense: str = "min"):
+        if nvars < 1:
+            raise InvalidInput("need at least one variable")
+        if sense not in ("min", "max"):
+            raise InvalidInput("sense must be 'min' or 'max'")
+        self.nvars = nvars
+        self.sense = sense
+        self.offset = 0.0
+        self.obj = np.zeros(nvars)
+        self.block_sizes = []
+        self._const = []
+        self._coo = []  # per block: (rows var, i, j, val) lists
+
+    def add_block(self, size: int) -> int:
+        """New dense block (size > 0) or diagonal block (size < 0)."""
+        if size == 0:
+            raise InvalidInput("block size must be nonzero")
+        self.block_sizes.append(size)
+        if size > 0:
+            self._const.append(np.zeros((size, size)))
+        else:
+            self._const.append(np.zeros(-size))
+        self._coo.append(([], [], [], []))
+        return len(self.block_sizes) - 1
+
+    def add_const(self, block: int, i: int, j: int, val: float):
+        """Add to the constant term F0; dense entries mirror automatically."""
+        if self.block_sizes[block] > 0:
+            self._const[block][i, j] += val
+            if i != j:
+                self._const[block][j, i] += val
+        else:
+            if i != j:
+                raise InvalidInput("diagonal block entries need i == j")
+            self._const[block][i] += val
+
+    def add_term(self, block: int, var: int, i: int, j: int, val: float):
+        """Add val to entry (i, j) (and (j, i)) of F_var in this block."""
+        vs, is_, js_, vals = self._coo[block]
+        vs.append(var)
+        is_.append(i)
+        js_.append(j)
+        vals.append(val)
+
+    def set_objective(self, var: int, coeff: float):
+        self.obj[var] = coeff
+
+    def add_objective(self, var: int, coeff: float):
+        self.obj[var] += coeff
+
+    def build(self, metadata=None) -> SdpProblem:
+        m = self.nvars
+        a_blocks = []
+        c_blocks = []
+        for size, const, (vs, is_, js_, vals) in zip(
+                self.block_sizes, self._const, self._coo):
+            veclen = _block_veclen(size)
+            if size > 0:
+                s = size
+                rows = []
+                cols = []
+                data = []
+                for var, i, j, val in zip(vs, is_, js_, vals):
+                    rows.append(var)
+                    cols.append(i * s + j)
+                    data.append(-val)  # A_q = -F_q
+                    if i != j:
+                        rows.append(var)
+                        cols.append(j * s + i)
+                        data.append(-val)
+                a = sp.coo_matrix((data, (rows, cols)), shape=(m, veclen)).tocsr()
+                a.sum_duplicates()
+            else:
+                rows = list(vs)
+                cols = list(is_)
+                data = [-v for v in vals]
+                a = sp.coo_matrix((data, (rows, cols)), shape=(m, veclen)).tocsr()
+                a.sum_duplicates()
+            a_blocks.append(a)
+            c_blocks.append(const)
+        b = self.obj if self.sense == "max" else -self.obj
+        return SdpProblem(tuple(self.block_sizes), c_blocks, a_blocks, b,
+                          dict(metadata or {}))
+
+    def value_from(self, solution: SdpSolution) -> float:
+        """Optimal value of the original LMI problem."""
+        v = solution.value
+        return self.offset + v if self.sense == "max" else self.offset - v
+
+    @staticmethod
+    def interpret(solution: SdpSolution) -> str:
+        """Status of the original LMI problem.
+
+        The LMI variables live on the canonical dual side, so canonical
+        dual infeasibility means the LMI has no feasible point, and
+        canonical primal infeasibility means the LMI objective is unbounded.
+        """
+        return {
+            SolveStatus.OPTIMAL: "optimal",
+            SolveStatus.DUAL_INFEASIBLE: "infeasible",
+            SolveStatus.PRIMAL_INFEASIBLE: "unbounded",
+            SolveStatus.INACCURATE: "inaccurate",
+            SolveStatus.ITER_LIMIT: "iterlimit",
+        }[solution.status]
+
+
+class PrimalBuilder:
+    """Assembles  min <C, X>  s.t.  <A_i, X> = b_i  over block psd X.
+
+    Entry coefficients are given on matrix positions (i, j) of a symmetric
+    block; off-diagonal contributions are split over the two mirror
+    positions so that <G, X> reproduces the stated functional.
+    """
+
+    def __init__(self):
+        self.block_sizes = []
+        self._cost = []
+        self._rows = []  # per constraint: list of (block, i, j, val)
+        self._rhs = []
+
+    def add_block(self, size: int) -> int:
+        if size == 0:
+            raise InvalidInput("block size must be nonzero")
+        self.block_sizes.append(size)
+        self._cost.append(np.zeros((size, size)) if size > 0 else np.zeros(-size))
+        return len(self.block_sizes) - 1
+
+    def add_cost(self, block: int, i: int, j: int, val: float):
+        c = self._cost[block]
+        if self.block_sizes[block] > 0:
+            if i == j:
+                c[i, i] += val
+            else:
+                c[i, j] += val / 2.0
+                c[j, i] += val / 2.0
+        else:
+            if i != j:
+                raise InvalidInput("diagonal block entries need i == j")
+            c[i] += val
+
+    def new_constraint(self, rhs: float) -> int:
+        self._rows.append([])
+        self._rhs.append(float(rhs))
+        return len(self._rhs) - 1
+
+    def add_entry(self, con: int, block: int, i: int, j: int, val: float):
+        self._rows[con].append((block, i, j, val))
+
+    def build(self, metadata=None) -> SdpProblem:
+        m = len(self._rhs)
+        if m == 0:
+            raise InvalidInput("no constraints")
+        per_block = [([], [], []) for _ in self.block_sizes]
+        for con, row in enumerate(self._rows):
+            for block, i, j, val in row:
+                rows, cols, data = per_block[block]
+                size = self.block_sizes[block]
+                if size > 0:
+                    if i == j:
+                        rows.append(con)
+                        cols.append(i * size + i)
+                        data.append(val)
+                    else:
+                        rows.append(con)
+                        cols.append(i * size + j)
+                        data.append(val / 2.0)
+                        rows.append(con)
+                        cols.append(j * size + i)
+                        data.append(val / 2.0)
+                else:
+                    if i != j:
+                        raise InvalidInput("diagonal block entries need i == j")
+                    rows.append(con)
+                    cols.append(i)
+                    data.append(val)
+        a_blocks = []
+        for size, (rows, cols, data) in zip(self.block_sizes, per_block):
+            a = sp.coo_matrix((data, (rows, cols)),
+                              shape=(m, _block_veclen(size))).tocsr()
+            a.sum_duplicates()
+            a_blocks.append(a)
+        return SdpProblem(tuple(self.block_sizes), list(self._cost), a_blocks,
+                          np.array(self._rhs), dict(metadata or {}))
+
+
+def _eadd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def moment_relaxation_by_terms(objective, constraints, t, sense="min", metadata=None):
+    """``build_pmi_relaxation``'s program, one LmiBuilder term per entry:
+    the moment matrix's blocks, then each constraint's localizing blocks,
+    every basis split by sign class.  Returns (problem, builder)."""
+    nvars = objective.nvars
+    half_degs = [(g.degree() + 1) // 2 for g in constraints]
+    classes = _ParityClasses(_parity(e) for g in (objective, *constraints)
+                             for e in g.terms)
+    moments = [e for e in monomials_upto(nvars, 2 * t) if classes.of(e) == 0]
+    index = {e: i for i, e in enumerate(moments)}
+    nmom = len(moments) - 1  # y_0 is pinned to 1
+    builder = LmiBuilder(nvars=max(nmom, 1), sense=sense)
+
+    def term(blk, e, i, j, c):
+        if sum(e) == 0:
+            builder.add_const(blk, i, j, c)
+        else:
+            builder.add_term(blk, index[e] - 1, i, j, c)
+
+    for part in classes.split(monomials_upto(nvars, t)):
+        blk = builder.add_block(len(part))
+        for i in range(len(part)):
+            for j in range(i, len(part)):
+                term(blk, _eadd(part[i], part[j]), i, j, 1.0)
+
+    for g, d in zip(constraints, half_degs):
+        parts = classes.split(monomials_upto(nvars, t - d))
+        if isinstance(g, Poly):
+            for loc in parts:
+                nloc = len(loc)
+                blk = builder.add_block(nloc)
+                for i in range(nloc):
+                    for j in range(i, nloc):
+                        ebase = _eadd(loc[i], loc[j])
+                        for eg, c in g.terms.items():
+                            term(blk, _eadd(ebase, eg), i, j, c)
+            continue
+        for group in g.diagonal_components():
+            sub = g.restricted(group) if len(group) < g.k else g
+            kk = sub.k
+            for loc in parts:
+                nloc = len(loc)
+                blk = builder.add_block(nloc * kk)
+                for i in range(nloc):
+                    for j in range(i, nloc):
+                        ebase = _eadd(loc[i], loc[j])
+                        for eg, mat in sub.terms.items():
+                            e = _eadd(ebase, eg)
+                            for a in range(kk):
+                                brange = range(a, kk) if i == j else range(kk)
+                                for b in brange:
+                                    c = mat[a, b]
+                                    if c != 0.0:
+                                        term(blk, e, i * kk + a, j * kk + b, c)
+
+    for e, c in objective.terms.items():
+        if sum(e) == 0:
+            builder.offset += c
+        else:
+            builder.add_objective(index[e] - 1, c)
+    return builder.build(metadata=metadata), builder
+
+
+def gram_program_by_terms(a, b, t):
+    """``sos_relaxation``'s Gram program, one PrimalBuilder entry per
+    coefficient match.  Returns (problem, n_equations, point_rows)."""
+    n, k, l = a.n, a.k, b.k
+    exponents = monomials_upto(n, t)
+    index = {e: i for i, e in enumerate(exponents)}
+    N = len(exponents)
+    kl = k * l
+
+    def qs_idx(alpha, i, aa):
+        return alpha * kl + i * k + aa
+
+    def qt_idx(alpha, i):
+        return alpha * l + i
+
+    zero = tuple(0 for _ in range(n))
+    a_coeffs = {zero: a.coeffs[0].mat}
+    b_coeffs = {zero: b.coeffs[0].mat}
+    for p in range(1, n + 1):
+        e = [0] * n
+        e[p - 1] = 1
+        a_coeffs[tuple(e)] = a.coeffs[p].mat
+        b_coeffs[tuple(e)] = b.coeffs[p].mat
+
+    def a_coeff(gamma):
+        if sum(gamma) <= 1:
+            return a_coeffs.get(gamma)
+        return None
+
+    builder = PrimalBuilder()
+    qs = builder.add_block(kl * N)
+    qt = builder.add_block(l * N)
+
+    def row_entries(con, gamma, i, j, sign=1.0):
+        # Q_S part: [P]_{gamma,(ij)} summed over ordered basis pairs
+        for alpha in range(N):
+            ea = exponents[alpha]
+            for beta in range(N):
+                rest = tuple(g - x - y for g, x, y in
+                             zip(gamma, ea, exponents[beta]))
+                if any(v < 0 for v in rest):
+                    continue
+                amat = a_coeff(rest)
+                if amat is None:
+                    continue
+                for aa in range(k):
+                    for bb in range(k):
+                        v = amat[aa, bb]
+                        if v != 0.0:
+                            builder.add_entry(con, qs, qs_idx(alpha, i, aa),
+                                              qs_idx(beta, j, bb), sign * v)
+        # Q_T part: [T]_{gamma,(ij)}
+        for alpha in range(N):
+            ea = exponents[alpha]
+            rest = tuple(g - x for g, x in zip(gamma, ea))
+            if any(v < 0 for v in rest):
+                continue
+            beta = index.get(rest)
+            if beta is not None:
+                builder.add_entry(con, qt, qt_idx(alpha, i),
+                                  qt_idx(beta, j), sign)
+
+    n_eq = 0
+    point_rows = np.empty((n, l), dtype=int)
+    for gamma in monomials_upto(n, 2 * t + 1):
+        bmat = b_coeffs.get(gamma) if sum(gamma) <= 1 else None
+        for i in range(l):
+            for j in range(i, l):
+                rhs = 0.0 if bmat is None else bmat[i, j]
+                if gamma == zero and i == j == 0:
+                    continue  # defines lambda; eliminated
+                if gamma == zero and i == j:
+                    con = builder.new_constraint(rhs - b_coeffs[zero][0, 0])
+                    row_entries(con, gamma, i, i)
+                    row_entries(con, zero, 0, 0, sign=-1.0)
+                else:
+                    con = builder.new_constraint(rhs)
+                    row_entries(con, gamma, i, j)
+                    if i == j and sum(gamma) == 1:
+                        point_rows[gamma.index(1), i] = con
+                n_eq += 1
+
+    # objective: minimize the constant (0,0) coefficient of P + T
+    amat0 = a_coeffs[zero]
+    for aa in range(k):
+        for bb in range(k):
+            if amat0[aa, bb] != 0.0:
+                builder.add_cost(qs, qs_idx(0, 0, aa), qs_idx(0, 0, bb),
+                                 amat0[aa, bb])
+    builder.add_cost(qt, qt_idx(0, 0), qt_idx(0, 0), 1.0)
+    problem = builder.build(metadata={"origin": "sos_gram", "order": t})
+    return problem, n_eq, point_rows
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_problem(got, want):
+    """The two problems hold the same blocks, C, A and b, bit for bit, and
+    the same metadata."""
+    assert got.block_sizes == want.block_sizes
+    assert got.metadata == want.metadata
+    assert _same_bits(got.b, want.b)
+    for cg, cw, ag, aw in zip(got.c_blocks, want.c_blocks, got.a_blocks,
+                              want.a_blocks):
+        assert _same_bits(cg, cw)
+        assert ag.shape == aw.shape
+        for part in ("indptr", "indices", "data"):
+            assert _same_bits(getattr(ag, part), getattr(aw, part))

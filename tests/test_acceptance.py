@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 
+from builders import LmiBuilder, PrimalBuilder
 from spectracon.families import (ball_elliptope_pair, choi_map_spec,
                                  choi_pair, disk_pair, random_pair)
 from spectracon.momrelax import shrink_to_certify, solve_mu_mom
@@ -17,8 +18,7 @@ from spectracon.posmap import choi_matrix, cp_sdfp, implication_report
 from spectracon.radii import boundedness_certificate, circumradius_sq
 from spectracon.sampling import mu_grid
 from spectracon.sdpa import export_sdpa, parse_sdpa
-from spectracon.sdpcore import (LmiBuilder, PrimalBuilder, SolveStatus,
-                                compute_residuals, solve)
+from spectracon.sdpcore import SolveStatus, compute_residuals, solve
 from spectracon.sosrelax import lambda_sos
 from spectracon.verdict import check_containment
 

@@ -51,6 +51,16 @@ def test_no_public_function_takes_kwargs():
     assert open_ended == []
 
 
+def test_settable_values_do_not_grow():
+    """Every parameter with a default, and every ``**kwargs``, is a value a
+    caller can set; their number over the public functions may only fall."""
+    settable = [(qual, p.name) for qual, fn in _public_functions()
+                for p in inspect.signature(fn).parameters.values()
+                if p.default is not inspect.Parameter.empty
+                or p.kind is inspect.Parameter.VAR_KEYWORD]
+    assert len(settable) <= 71
+
+
 def test_solve_takes_only_the_problem():
     assert list(inspect.signature(solve).parameters) == ["problem"]
 

@@ -1,9 +1,9 @@
 """No module imports a name it never uses.
 
 The repository configures no linter, so this test is the check: every
-name bound by an import in ``src/spectracon`` and ``tests/`` must be
-referenced in its module.  Package ``__init__`` files are exempt, since
-their imports are the package's re-exports.
+name bound by an import in ``src/spectracon``, ``tests/`` and ``scripts/``
+must be referenced in its module.  Package ``__init__`` files are exempt,
+since their imports are the package's re-exports.
 """
 
 import ast
@@ -13,7 +13,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(p for p in [*(ROOT / "src" / "spectracon").glob("*.py"),
-                           *(ROOT / "tests").glob("*.py")]
+                           *(ROOT / "tests").glob("*.py"),
+                           *(ROOT / "scripts").glob("*.py")]
                if p.name != "__init__.py")
 
 

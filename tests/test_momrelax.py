@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectracon import radii
+from builders import LmiBuilder, assert_same_problem, moment_relaxation_by_terms
+from spectracon import momrelax, radii
 from spectracon.errors import InvalidInput, OrderTooSmall
-from spectracon.families import disk_pair, random_pair
+from spectracon.families import choi_pair, disk_pair, random_pair
 from spectracon.momrelax import (MatPoly, Poly,
                                  annulus_constraints, basis_size,
                                  build_pmi_relaxation, containment_relaxation,
@@ -15,7 +16,7 @@ from spectracon.momrelax import (MatPoly, Poly,
                                  solve_mu_mom)
 from spectracon.pencil import (elliptope_pencil, ellipsoid_pencil,
                                polytope_pencil, random_pencil)
-from spectracon.sdpcore import LmiBuilder, solve
+from spectracon.sdpcore import solve
 
 
 def test_monomials_graded_then_lex():
@@ -360,3 +361,25 @@ def test_circumradius_program_is_unchanged_without_symmetry(make, monkeypatch):
         assert np.array_equal(ag.indptr, aw.indptr)
         assert np.array_equal(ag.indices, aw.indices)
         assert np.array_equal(ag.data, aw.data)
+
+
+_PAIRS = {"disk-0.7": lambda: disk_pair(0.7), "disk-1.2": lambda: disk_pair(1.2),
+          "ball-0": lambda: _criterion6_ball(0), "random-1": lambda: random_pair(1),
+          "random-12": lambda: random_pair(12), "random-18": lambda: random_pair(18),
+          "choi": choi_pair}
+
+
+@pytest.mark.parametrize("name,t", [(name, t) for name in _PAIRS for t in (2, 3)
+                                    if name != "choi" or t == 2])
+def test_moment_program_equals_loop_assembly(name, t, monkeypatch):
+    calls = []
+    build = momrelax.build_pmi_relaxation
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(momrelax, "build_pmi_relaxation", record)
+    got = containment_relaxation(*_PAIRS[name](), t)[0]
+    (args, kwargs), = calls
+    assert_same_problem(got, moment_relaxation_by_terms(*args, **kwargs)[0])

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from builders import LmiBuilder, PrimalBuilder
 from spectracon import sdpcore
 
 from spectracon.errors import InvalidInput
@@ -11,9 +12,9 @@ from spectracon.momrelax import containment_relaxation
 from spectracon.pencil import elliptope_pencil, pencil
 from spectracon.sdpa import export_sdpa, parse_sdpa
 from spectracon.sosrelax import sos_relaxation
-from spectracon.sdpcore import (LmiBuilder, PrimalBuilder, SdpProblem,
-                                SdpSolution, SolveStatus, _margin_lmi,
-                                compute_residuals, feasibility_probe, solve)
+from spectracon.sdpcore import (_LMI_STATUS, SdpProblem, SdpSolution,
+                                SolveStatus, _margin_lmi, compute_residuals,
+                                feasibility_probe, solve)
 
 TOL = 1e-8
 
@@ -171,7 +172,7 @@ def test_lmi_infeasible_maps_through_interpret():
     lb.add_term(blk, 0, 1, 1, -1.0)
     lb.set_objective(0, 1.0)
     sol = solve(lb.build())
-    assert LmiBuilder.interpret(sol) == "infeasible"
+    assert _LMI_STATUS[sol.status] == "infeasible"
 
 
 def test_lmi_unbounded_maps_through_interpret():
@@ -181,7 +182,7 @@ def test_lmi_unbounded_maps_through_interpret():
     lb.add_term(blk, 0, 0, 0, 1.0)  # 1 + x >= 0, maximize x
     lb.set_objective(0, 1.0)
     sol = solve(lb.build())
-    assert LmiBuilder.interpret(sol) == "unbounded"
+    assert _LMI_STATUS[sol.status] == "unbounded"
 
 
 def test_sdpa_round_trip_exact(tmp_path):
@@ -552,8 +553,7 @@ def _as_unit_blocks(prob):
             sizes.append(1)
             c_blocks.append(c[j:j + 1, None])
             a_blocks.append(a[:, [j]])
-    return SdpProblem(tuple(sizes), c_blocks, a_blocks, prob.b, prob.sense,
-                      prob.metadata)
+    return SdpProblem(tuple(sizes), c_blocks, a_blocks, prob.b, prob.metadata)
 
 
 @pytest.mark.parametrize("make", [
@@ -648,7 +648,7 @@ def test_margin_lmi_matches_term_assembly(k, nq, box):
     got = _margin_lmi(f0, fs, 1.5, box=box, metadata=meta)
     want = _margin_lmi_by_terms(f0, fs, 1.5, box=box, metadata=meta)
     assert got.block_sizes == want.block_sizes
-    assert got.sense == want.sense and got.metadata == want.metadata
+    assert got.metadata == want.metadata
     assert _same_bits(got.b, want.b)
     for cg, cw in zip(got.c_blocks, want.c_blocks):
         assert _same_bits(cg, cw)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from builders import assert_same_problem, gram_program_by_terms
 from spectracon.errors import InvalidInput
-from spectracon.families import ball_elliptope_pair, disk_pair
+from spectracon.families import ball_elliptope_pair, choi_pair, disk_pair, random_pair
+from spectracon.momrelax import containment_relaxation
 from spectracon.sosrelax import (certificate_gap, count_unknowns, lambda_sos,
                                  sos_relaxation)
 
@@ -75,3 +77,28 @@ def test_info_dimensions():
     assert info.basis_n == 3  # 1, x1, x2
     assert info.gram_s_dim == info.basis_n * a.k * b.k
     assert info.gram_t_dim == info.basis_n * b.k
+
+
+@pytest.mark.parametrize("make", [lambda: disk_pair(0.7), lambda: random_pair(1)],
+                         ids=["disk-0.7", "random-1"])
+def test_count_unknowns_are_the_unreduced_sizes(make):
+    a, b = make()
+    n, k, l = a.n, a.k, b.k
+    _, info = sos_relaxation(a, b, 1)
+    assert info.n_equations == count_unknowns(n, k, l, 1)["sos_equations"] - 1
+    _, _, moments = containment_relaxation(a, b, 2)
+    assert moments.n_moments <= count_unknowns(n, k, l, 2)["moment_total"]
+
+
+@pytest.mark.parametrize("t", [0, 1])
+@pytest.mark.parametrize("make", [
+    lambda: disk_pair(0.8), lambda: ball_elliptope_pair(3), lambda: random_pair(1),
+    lambda: random_pair(18), choi_pair,
+], ids=["disk-0.8", "ball-elliptope-3", "random-1", "random-18", "choi"])
+def test_gram_program_equals_loop_assembly(make, t):
+    a, b = make()
+    got, info = sos_relaxation(a, b, t)
+    want, n_equations, point_rows = gram_program_by_terms(a, b, t)
+    assert_same_problem(got, want)
+    assert info.n_equations == n_equations
+    assert np.array_equal(info.point_rows, point_rows)
