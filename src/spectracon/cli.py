@@ -5,7 +5,8 @@ circumradius, generate reference instances, render pictures, export
 relaxations in SDPA sparse format, and regenerate the experiment tables.
 
 Exit codes for `check`: 0 certified, 1 refuted, 2 inconclusive.  Malformed
-input exits 64, unexpected internal failures exit 70.
+input exits 64.  A LAPACK failure exits 70, and so does `radius` when its
+circumradius bound is not reliable.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import families
-from .errors import InvalidInput, NumericalFailure, OrderTooSmall, SpectraconError
+from .errors import InvalidInput, OrderTooSmall, SpectraconError
 from .momrelax import containment_relaxation, shrink_to_certify
 from .pencil import load_pencil, save_pencil
 from .radii import boundedness_certificate, circumradius_sq
@@ -93,6 +94,10 @@ def _cmd_radius(args) -> int:
         print("squared circumradius: inf")
         return 0
     res = circumradius_sq(p, t=args.order)
+    if not res.reliable:
+        print(f"squared circumradius: no reliable bound (order {res.order}, "
+              f"{res.status}): {res.solution.message}")
+        return _EX_SOFTWARE
     print(f"squared circumradius <= {res.value:.9g} "
           f"(order {res.order}, {res.status})")
     return 0
@@ -251,7 +256,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EX_USAGE
-    except (NumericalFailure, SpectraconError) as exc:
+    except SpectraconError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return _EX_SOFTWARE
 

@@ -21,14 +21,11 @@ class NoInteriorPoint(InvalidInput):
 
 
 class NumericalFailure(SpectraconError):
-    """A numerical routine could not produce a trustworthy result.
-
-    Carries an optional ``report`` attribute with diagnostic data.
+    """A LAPACK routine outside the SDP solver failed (the eigenvalue and
+    SVD wrappers of symcore).  ``sdpcore.solve`` does not raise it: a solve
+    that goes wrong returns a status, and ``SdpSolution.reliable`` says
+    whether its iterate may be used.
     """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class OrderTooSmall(InvalidInput):

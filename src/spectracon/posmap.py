@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, InvariantViolation, NumericalFailure
+from .errors import InvalidInput, InvariantViolation
 from .pencil import LinearPencil, MapSpec, extend
 from .sdpcore import _margin_lmi, solve
 from .symcore import min_eigenvalue, nullspace, smat, svec
@@ -94,9 +94,9 @@ def cp_sdfp(a: LinearPencil, b: LinearPencil,
 
     Feasible results carry a validated witness; Infeasible means the psd
     margin is decisively negative (or the equations themselves are
-    inconsistent); anything in the gray band, or a solver breakdown, is
-    Inconclusive.  first_moments is set whenever the margin program returns
-    a point with tr Y_0 > 0.
+    inconsistent); anything in the gray band, or an unreliable solve (its
+    message in details["solver_message"]), is Inconclusive.  first_moments
+    is set whenever the margin program returns a point with tr Y_0 > 0.
     """
     if a.n != b.n:
         raise InvalidInput("pencils must share the variable count")
@@ -122,17 +122,13 @@ def cp_sdfp(a: LinearPencil, b: LinearPencil,
     problem = _margin_lmi(c_part, smat(null_basis.T, d), cap,
                           metadata={"origin": "cp_sdfp", "extended": extended})
 
-    try:
-        sol = solve(problem)
-    except NumericalFailure as exc:
-        return CpResult("Inconclusive", float("nan"), None, extended,
-                        {**details, "error": str(exc)})
+    sol = solve(problem)
     details["solver_status"] = sol.status.value
     first = (_first_moments(eq, sol.x_blocks[0], inner.n, b.k)
              if sol.has_point else None)
     if not sol.reliable:
-        return CpResult("Inconclusive", float("nan"), None, extended, details,
-                        first)
+        return CpResult("Inconclusive", float("nan"), None, extended,
+                        {**details, "solver_message": sol.message}, first)
 
     margin = sol.value
     details["margin"] = margin

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput
 from .momrelax import Poly, build_pmi_relaxation, pencil_as_matpoly
 from .pencil import LinearPencil
 from .reduce import lineality_space
@@ -100,11 +100,7 @@ def boundedness_certificate(p: LinearPencil) -> BoundednessReport:
         nullity = null_basis.shape[1]
         problem = _margin_lmi(smat(part, k), smat(null_basis.T, k),
                               2.0, metadata={"origin": "boundedness"})
-        try:
-            sol = solve(problem)
-        except NumericalFailure as exc:
-            return BoundednessReport("Unknown", None, float("nan"),
-                                     {**details, "error": str(exc)})
+        sol = solve(problem)
         if sol.reliable:
             margin = sol.value
             if margin > _MARGIN_TOL:
@@ -117,11 +113,7 @@ def boundedness_certificate(p: LinearPencil) -> BoundednessReport:
     lin_coeffs = p.coeff_array()[1:]
     problem = _margin_lmi(np.zeros((k, k)), list(lin_coeffs), 2.0, box=1.0,
                           metadata={"origin": "recession"})
-    try:
-        sol = solve(problem)
-    except NumericalFailure as exc:
-        return BoundednessReport("Unknown", None, float("nan"),
-                                 {**details, "error": str(exc)})
+    sol = solve(problem)
     if sol.reliable:
         smargin = sol.value
         details["recession_margin"] = float(smargin)

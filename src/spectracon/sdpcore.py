@@ -66,8 +66,9 @@ Every program is assembled one block at a time from entry arrays by
 that knows the vectorized layout.  The moment relaxations, the Gram
 programs, SDPA files and the margin LMI shared by the interior probe, the
 block certificate and the boundedness searches (``_margin_lmi``) are built
-through it.  Whether a returned iterate may be used is decided in one place,
-:attr:`SdpSolution.reliable`.
+through it.  ``solve`` returns every outcome, breakdowns included, as a
+status with the reason in ``message``; whether a returned iterate may be
+used is decided in one place, :attr:`SdpSolution.reliable`.
 """
 
 from __future__ import annotations
@@ -75,14 +76,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput
 from .pencil import LinearPencil
 from .symcore import min_eigenvalue
 
@@ -200,16 +200,11 @@ class SdpProblem:
             out += a @ np.ravel(x)
         return out
 
-    @cached_property
-    def _a_t(self) -> list:
-        """CSR transposes of the constraint blocks, built on first use."""
-        return [a.T.tocsr() for a in self.a_blocks]
-
     def apply_at(self, y) -> list:
         """A*(y): list of blocks sum_i y_i A_{i,b}."""
         out = []
-        for size, a_t in zip(self.block_sizes, self._a_t):
-            v = a_t @ y
+        for size, a in zip(self.block_sizes, self.a_blocks):
+            v = a.T @ y
             if size > 0:
                 mat = v.reshape(size, size)
                 out.append((mat + mat.T) / 2.0)
@@ -547,7 +542,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     Returns Optimal with a feasible primal-dual pair, an infeasibility status
     with a validated improving ray, or Inaccurate / IterLimit with the best
-    iterate found.  Raises NumericalFailure only on hard breakdown.
+    iterate found, residuals recomputed and the reason in ``message``.  It
+    raises nothing of its own: a failed Schur factorization, a degenerate
+    reduced system and more than ``_MAX_CONSTRAINTS`` (8000) constraints
+    are Inaccurate too, the last from the start point before any m x m work.
 
     The settings are fixed: Optimal means a relative gap of at most
     ``_TOL_GAP`` (1e-8) and relative primal and dual residuals of at most
@@ -556,9 +554,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     ``_MAX_ITER`` (200) iterations; each step goes ``_STEP_FRAC`` (0.98) of
     the way to the cone boundary.
     """
-    if problem.m > _MAX_CONSTRAINTS:
-        raise NumericalFailure(
-            f"constraint count {problem.m} exceeds the dense Schur limit")
+    start_time = time.perf_counter()
     # normalize data scales; solutions are de-scaled on exit
     size_b, size_c = problem.norm_b(), problem.norm_c()
     sigma_b, sigma_c = max(1.0, size_b), max(1.0, size_c)
@@ -587,18 +583,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
     starts = dict(zip(order, np.cumsum([0] + [_block_veclen(sizes[bi]) for bi in order])))
 
     m = problem.m
-    a_mat = sp.hstack([problem.a_blocks[bi] for bi in order], format="csr")
-    a_t = a_mat.T.tocsr()
-    b = problem.b / sigma_b
-    c = np.concatenate([problem.c_blocks[bi].ravel() for bi in order]) / sigma_c
-    # the plan sees the dense blocks as given, the diagonal class as one block
-    plan_sizes = [sizes[bi] for bi in dense] + ([-d] if diag else [])
-    plan_a = [problem.a_blocks[bi] for bi in dense] + ([a_mat[:, -d:]] if diag else [])
-    plan = _schur_plan(SimpleNamespace(block_sizes=plan_sizes, a_blocks=plan_a))
-    schur_work = np.empty((m, m))
-    nu = problem.cone_dim + 1.0
-    norm_b = float(np.linalg.norm(b))
-    norm_c = float(np.linalg.norm(c))
 
     def views(v):
         return [v[sl].reshape(shape) for _, sl, shape in classes]
@@ -628,34 +612,58 @@ def solve(problem: SdpProblem) -> SdpSolution:
     s = x.copy()
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
+    mu = 1.0
+    it = 0
 
-    best = None
-    best_phi = np.inf
-    log = []
-    start_time = time.perf_counter()
-
-    def finish(status, message, ray=None):
+    def finish(status, message, point):
+        """The answer at point: a ray (x, y, s, certificate) for the
+        infeasibility statuses, else an iterate (x, y, s, tau, kappa),
+        de-scaled here and with its residuals recomputed."""
         if status in (SolveStatus.PRIMAL_INFEASIBLE, SolveStatus.DUAL_INFEASIBLE):
-            xf, yv, sf, res = ray
+            xf, yv, sf, res = point
             xb, sb = blocks(xf), blocks(sf)
             pv = dv = np.nan
+            t, k = tau, kappa
         else:
-            xb = blocks(x / tau * sigma_b)
-            yv = y / tau * sigma_c
-            sb = blocks(s / tau * sigma_c)
+            xf, yf, sf, t, k = point
+            xb = blocks(xf / t * sigma_b)
+            yv = yf / t * sigma_c
+            sb = blocks(sf / t * sigma_c)
             res = compute_residuals(problem, xb, yv, sb)
             pv, dv = res["primal_obj"], res["dual_obj"]
-        hsd = {"tau": tau, "kappa": kappa, "mu": mu, "time_s": time.perf_counter() - start_time}
+        hsd = {"tau": t, "kappa": k, "mu": mu, "time_s": time.perf_counter() - start_time}
         return SdpSolution(status=status, x_blocks=xb, y=yv, s_blocks=sb,
                            primal_value=pv, dual_value=dv, residuals=res,
                            iterations=it, hsd=hsd, message=message,
                            metadata=dict(problem.metadata))
 
+    # the exits without a ray or convergence return the best iterate seen
+    best = (x, y, s, tau, kappa)
+    best_phi = np.inf
+
+    def give_up(status, reason):
+        return finish(status, f"{reason}; returning best iterate", best)
+
+    if m > _MAX_CONSTRAINTS:
+        return give_up(SolveStatus.INACCURATE, f"constraint count {m} exceeds the "
+                       f"dense Schur limit of {_MAX_CONSTRAINTS}")
+
+    a_mat = sp.hstack([problem.a_blocks[bi] for bi in order], format="csr")
+    a_t = a_mat.T.tocsr()
+    b = problem.b / sigma_b
+    c = np.concatenate([problem.c_blocks[bi].ravel() for bi in order]) / sigma_c
+    # the plan sees the dense blocks as given, the diagonal class as one block
+    plan_sizes = [sizes[bi] for bi in dense] + ([-d] if diag else [])
+    plan_a = [problem.a_blocks[bi] for bi in dense] + ([a_mat[:, -d:]] if diag else [])
+    plan = _schur_plan(SimpleNamespace(block_sizes=plan_sizes, a_blocks=plan_a))
+    schur_work = np.empty((m, m))
+    nu = problem.cone_dim + 1.0
+    norm_b = float(np.linalg.norm(b))
+    norm_c = float(np.linalg.norm(c))
+
     def converged(primal_res, dual_res, gap_rel, **_):
         return primal_res <= _TOL_FEAS and dual_res <= _TOL_FEAS and gap_rel <= _TOL_GAP
 
-    mu = 1.0
-    it = 0
     stall = 0
     for it in range(1, _MAX_ITER + 1):
         # residuals of the homogeneous system
@@ -676,7 +684,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
         dobj = sigma_b * sigma_c / tau * by
         gap_rel = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
         phi = max(primal_res, dual_res, gap_rel)
-        log.append({"iter": it, "mu": mu, "tau": tau, "kappa": kappa, "phi": phi})
         if phi < best_phi:
             best_phi = phi
             best = (x.copy(), y.copy(), s.copy(), tau, kappa)
@@ -685,7 +692,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
             stall += 1
         if converged(primal_res, dual_res, gap_rel):
             # Optimal only if the recomputed residuals pass as well
-            sol = finish(SolveStatus.OPTIMAL, f"converged in {it} iterations")
+            sol = finish(SolveStatus.OPTIMAL, f"converged in {it} iterations",
+                         (x, y, s, tau, kappa))
             if converged(**sol.residuals):
                 return sol
 
@@ -699,7 +707,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
                         "kind": "dual_improving_ray"}
                 return finish(SolveStatus.PRIMAL_INFEASIBLE,
                               "primal infeasibility certified by dual ray",
-                              ray=(np.zeros_like(x), y / by_base, s / by_base, cert))
+                              (np.zeros_like(x), y / by_base, s / by_base, cert))
         if cx < 0:
             ax_norm = float(np.linalg.norm(ax))
             if (ax_norm / (-cx) <= _TOL_FEAS * (1.0 + norm_b)
@@ -709,30 +717,26 @@ def solve(problem: SdpProblem) -> SdpSolution:
                         "kind": "primal_improving_ray"}
                 return finish(SolveStatus.DUAL_INFEASIBLE,
                               "dual infeasibility certified by primal ray",
-                              ray=(x / (-cx_base), np.zeros(m), np.zeros_like(s), cert))
+                              (x / (-cx_base), np.zeros(m), np.zeros_like(s), cert))
 
         if stall >= 25 or mu > 1e12:
-            x, y, s, tau, kappa = best
-            return finish(SolveStatus.INACCURATE,
-                          "progress stalled; returning best iterate")
+            return give_up(SolveStatus.INACCURATE, "progress stalled")
 
         # NT scaling
         try:
             scal = [op.nt_scaling(xv, sv)
                     for (op, _, _), xv, sv in zip(classes, views(x), views(s))]
         except np.linalg.LinAlgError:
-            x, y, s, tau, kappa = best
-            return finish(SolveStatus.INACCURATE,
-                          "iterate left the cone interior; returning best iterate")
+            return give_up(SolveStatus.INACCURATE, "iterate left the cone interior")
         ws = [sc["w"] for sc in scal]
         block_w = [{"w": w} for wc in ws for w in (wc if wc.ndim == 3 else (wc,))]
 
         try:
             schur = _schur_matrix(m, plan, block_w, out=schur_work)
             l_schur = _chol_with_jitter(schur)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"Schur factorization failed at iteration {it}",
-                                   report={"log": log}) from exc
+        except np.linalg.LinAlgError:
+            return give_up(SolveStatus.INACCURATE,
+                           f"Schur factorization failed at iteration {it}")
         # the F-ordered upper factor L' reaches potrs without a copy; it
         # came out of a successful potrf, so only right-hand sides are checked
         factor = (l_schur.T, False)
@@ -753,8 +757,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
         den = (kappa / tau + float(b @ gb)
                + max(0.0, float(c @ wcw) - float(v_vec @ gv)))
         if den <= 0 or not np.isfinite(den):
-            raise NumericalFailure(f"degenerate reduced system at iteration {it}",
-                                   report={"log": log})
+            return give_up(SolveStatus.INACCURATE,
+                           f"degenerate reduced system at iteration {it}")
 
         r1 = -p_res
         r2 = d_res
@@ -830,9 +834,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
             alpha = min(alpha, -kappa / dkappa)
         alpha = min(_STEP_FRAC * alpha, 1.0)
         if alpha < 1e-9:
-            x, y, s, tau, kappa = best
-            return finish(SolveStatus.INACCURATE,
-                          "step length collapsed; returning best iterate")
+            return give_up(SolveStatus.INACCURATE, "step length collapsed")
 
         x = symmetrize_dense(x + alpha * dx)
         s = symmetrize_dense(s + alpha * ds)
@@ -840,8 +842,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         tau += alpha * dtau
         kappa += alpha * dkappa
 
-    x, y, s, tau, kappa = best
-    return finish(SolveStatus.ITER_LIMIT, f"no convergence within {_MAX_ITER} iterations")
+    return give_up(SolveStatus.ITER_LIMIT, f"no convergence within {_MAX_ITER} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -955,11 +956,7 @@ def feasibility_probe(p: LinearPencil) -> ProbeResult:
     prob = _margin_lmi(a0, [c.mat for c in p.coeffs[1:]], cap=1.0,
                        box=_PROBE_BOX, metadata={"origin": "feasibility_probe"})
 
-    try:
-        sol = solve(prob)
-    except NumericalFailure as exc:
-        return ProbeResult("Unknown", None, None, None,
-                           {"error": str(exc)})
+    sol = solve(prob)
     details = {"status": sol.status.value, "residuals": sol.residuals}
     if not sol.reliable:
         return ProbeResult("Unknown", None, None, None, details)

@@ -13,7 +13,8 @@ and solves a feasibility probe for a start point otherwise.
 details["witness_source"] says which one refuted ("solution" or
 "sampling").  Every verdict is one of Certified / Refuted / Inconclusive;
 Refuted always carries a point that confirm_witness confirmed, never just
-a negative bound.
+a negative bound.  The machine runs through one call, _bound; a bound that
+is not reliable carries its solve's message in details["solver_message"].
 """
 
 from __future__ import annotations
@@ -80,6 +81,30 @@ def _lineality_witness(a: LinearPencil, b: LinearPencil, direction, tol):
             if hit is not None:
                 return hit
     return None
+
+
+def _bound(a: LinearPencil, b: LinearPencil, method: str, order: int,
+           r: float, R: float, tol: float):
+    """(details, certified, point) of one machine on the pair: moment and
+    sos certify with a reliable value >= -tol, sdfp with a Feasible block
+    certificate; point is the x part of the machine's solution or None."""
+    if method == "sdfp":
+        res = cp_sdfp(a, b)
+        det = {"value": res.margin, "order": None, "sdfp_kind": res.kind}
+        if "solver_message" in res.details:
+            det["solver_message"] = res.details["solver_message"]
+        return det, res.kind == "Feasible", res.first_moments
+    if method == "moment":
+        res = solve_mu_mom(a, b, order, r=r, R=R)
+        det = {"value": res.value, "order": order, "solve_status": res.status,
+               "r": r, "R": R, "moments": res.info.n_moments,
+               "block_sizes": list(res.info.block_sizes)}
+    else:
+        res = lambda_sos(a, b, order)
+        det = {"value": res.value, "order": order, "solve_status": res.status}
+    if not res.reliable:
+        det["solver_message"] = res.solution.message
+    return det, res.reliable and res.value >= -tol, res.first_moments
 
 
 def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
@@ -176,42 +201,14 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
                        None, {**details, **det,
                               "note": "negative bound without a confirmed point"})
 
-    if method == "moment":
-        try:
-            res = solve_mu_mom(ar, br, order, r=r, R=R)
-        except NumericalFailure as exc:
-            return refutation({"value": float("nan"), "order": order,
-                               "solver_error": str(exc)}, None)
-        det = {"value": res.value, "order": order, "solve_status": res.status,
-               "r": r, "R": R, "moments": res.info.n_moments,
-               "block_sizes": list(res.info.block_sizes)}
-        if res.reliable and res.value >= -tol:
-            return Verdict("Certified", res.value, order, method, None,
-                           {**details, **det})
-        if not res.reliable:
-            det["note_solver"] = "bound not reliable"
-        return refutation(det, res.first_moments)
-
-    if method == "sos":
-        try:
-            res = lambda_sos(ar, br, order)
-        except NumericalFailure as exc:
-            return refutation({"value": float("nan"), "order": order,
-                               "solver_error": str(exc)}, None)
-        det = {"value": res.value, "order": order, "solve_status": res.status}
-        if res.reliable and np.isfinite(res.value) and res.value >= -tol:
-            return Verdict("Certified", res.value, order, method, None,
-                           {**details, **det})
-        # absence of a certificate at this order never refutes by itself
-        return refutation(det, res.first_moments)
-
     try:
-        res = cp_sdfp(ar, br)
+        det, certified, point = _bound(ar, br, method, order, r, R, tol)
     except NumericalFailure as exc:
-        return refutation({"value": float("nan"), "order": None,
-                           "solver_error": str(exc)}, None)
-    det = {"value": res.margin, "order": None, "sdfp_kind": res.kind}
-    if res.kind == "Feasible":
-        return Verdict("Certified", res.margin, None, method, None,
+        # a LAPACK failure outside the solve, such as cp_sdfp's nullspace SVD
+        return refutation({"value": float("nan"), "order": None if method == "sdfp"
+                           else order, "solver_error": str(exc)}, None)
+    if certified:
+        return Verdict("Certified", det["value"], det["order"], method, None,
                        {**details, **det})
-    return refutation(det, res.first_moments)
+    # absence of a certificate at this order never refutes by itself
+    return refutation(det, point)

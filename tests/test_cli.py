@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from spectracon import sdpcore
 from spectracon.cli import main
 from spectracon.families import disk_pair
-from spectracon.pencil import ellipsoid_pencil, load_pencil, pencil, save_pencil
+from spectracon.pencil import (elliptope_pencil, ellipsoid_pencil, load_pencil, pencil,
+                               save_pencil)
 from spectracon.sdpa import parse_sdpa
 from spectracon.sdpcore import SolveStatus, solve
 
@@ -157,3 +159,15 @@ def test_reproduce_single_table(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "circumradius.csv").exists()
+
+
+def test_radius_without_a_reliable_bound_exits_70(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "el.json")
+    save_pencil(elliptope_pencil(3), path)
+    monkeypatch.setattr(sdpcore, "_MAX_CONSTRAINTS", 5)
+    code = main(["radius", path])
+    out = capsys.readouterr().out
+    assert code == 70
+    assert "no reliable bound (order 2, inaccurate)" in out
+    assert "exceeds the dense Schur limit of 5" in out
+    assert "<=" not in out

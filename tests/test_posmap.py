@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from spectracon import sdpcore
 from spectracon.errors import InvariantViolation
 from spectracon.families import (ball_elliptope_pair, choi_map_spec, choi_pair,
                                  disk_pair)
@@ -70,3 +71,12 @@ def test_implication_report_strict_raises():
         implication_report(cp=cp, lam0=bad)
     rep = implication_report(cp=cp, lam0=bad, strict=False)
     assert rep["violations"] == ["certificate_implies_gram"]
+
+
+def test_unreliable_solve_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(sdpcore, "_MAX_CONSTRAINTS", 0)
+    res = cp_sdfp(*disk_pair(0.5))
+    assert res.kind == "Inconclusive"
+    assert res.witness is None
+    assert res.details["solver_status"] == "Inaccurate"
+    assert "exceeds the dense Schur limit of 0" in res.details["solver_message"]

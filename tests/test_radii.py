@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spectracon import radii, sdpcore
 from spectracon.pencil import elliptope_pencil, ellipsoid_pencil, pencil
 from spectracon.radii import boundedness_certificate, circumradius_sq
 
@@ -66,3 +67,18 @@ def test_trivial_pencil_bounded():
 def test_unknown_when_neither_certificate_exists():
     halfline = pencil([np.diag([1.0, 1.0]), np.diag([1.0, 0.0])])
     assert boundedness_certificate(halfline).kind == "Unknown"
+
+
+def test_unknown_after_both_searches_when_no_solve_is_reliable(monkeypatch):
+    origins = []
+    real = radii.solve
+
+    def recorded(problem):
+        origins.append(problem.metadata["origin"])
+        return real(problem)
+
+    monkeypatch.setattr(radii, "solve", recorded)
+    monkeypatch.setattr(sdpcore, "_MAX_CONSTRAINTS", 0)
+    rep = boundedness_certificate(ellipsoid_pencil([1.0, 2.0]))
+    assert rep.kind == "Unknown"
+    assert origins == ["boundedness", "recession"]

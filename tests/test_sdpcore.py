@@ -8,7 +8,8 @@ from spectracon import sdpcore
 
 from spectracon.errors import InvalidInput
 from spectracon.families import disk_pair, random_pair
-from spectracon.momrelax import containment_relaxation
+from spectracon.momrelax import (Poly, build_pmi_relaxation, containment_relaxation,
+                                 pencil_as_matpoly)
 from spectracon.pencil import elliptope_pencil, pencil
 from spectracon.sdpa import export_sdpa, parse_sdpa
 from spectracon.sosrelax import sos_relaxation
@@ -656,3 +657,81 @@ def test_margin_lmi_matches_term_assembly(k, nq, box):
         assert ag.shape == aw.shape
         for part in ("indptr", "indices", "data"):
             assert _same_bits(getattr(ag, part), getattr(aw, part))
+
+
+# ---------------------------------------------------------------------------
+# Every exit of solve: a status, its reason and recomputed residuals
+
+
+def _stalling_problem():
+    """The order-2 circumradius program of the half-line x >= -1: its
+    supremum is +inf, and the solve stalls instead of certifying that."""
+    halfline = pencil([np.diag([1.0, 1.0]), np.diag([1.0, 0.0])])
+    problem, _, _ = build_pmi_relaxation(Poly(1, {(2,): 1.0}),
+                                         [pencil_as_matpoly(halfline, 1)], 2,
+                                         sense="max")
+    return problem
+
+
+def _no_factor(mat):
+    raise np.linalg.LinAlgError("Schur complement factorization failed")
+
+
+def _nan_factor(mat):
+    return np.full_like(mat, np.nan)
+
+
+@pytest.mark.parametrize("patch, status, reason, iterations", [
+    (None, SolveStatus.INACCURATE, "progress stalled", None),
+    # steps go half again past the cone boundary
+    (("_STEP_FRAC", 1.5), SolveStatus.INACCURATE, "iterate left the cone interior",
+     None),
+    (("_STEP_FRAC", 1e-12), SolveStatus.INACCURATE, "step length collapsed", 1),
+    (("_chol_with_jitter", _no_factor), SolveStatus.INACCURATE,
+     "Schur factorization failed at iteration 1", 1),
+    (("_chol_with_jitter", _nan_factor), SolveStatus.INACCURATE,
+     "degenerate reduced system at iteration 1", 1),
+    (("_MAX_CONSTRAINTS", 5), SolveStatus.INACCURATE,
+     "constraint count 6 exceeds the dense Schur limit of 5", 0),
+    (("_MAX_ITER", 3), SolveStatus.ITER_LIMIT, "no convergence within 3 iterations", 3),
+], ids=["stall", "cone", "collapse", "schur", "reduced", "oversize", "iterlimit"])
+def test_every_exit_returns_the_best_iterate(monkeypatch, patch, status, reason,
+                                             iterations):
+    if patch is None:
+        prob = _stalling_problem()
+    else:
+        prob = _random_problem(0)
+        monkeypatch.setattr(sdpcore, *patch)
+    sol = solve(prob)
+    assert sol.status is status
+    assert sol.message == f"{reason}; returning best iterate"
+    if iterations is not None:
+        assert sol.iterations == iterations
+    assert sol.residuals == compute_residuals(prob, sol.x_blocks, sol.y, sol.s_blocks)
+    assert sol.value == pytest.approx(0.5 * (sol.residuals["primal_obj"]
+                                             + sol.residuals["dual_obj"]))
+    assert not sol.reliable
+
+
+def _no_plan(problem):
+    raise AssertionError("the Schur plan should not be built")
+
+
+def test_oversize_returns_the_start_point_before_any_schur_work(monkeypatch):
+    prob = _random_problem(0)
+    monkeypatch.setattr(sdpcore, "_MAX_CONSTRAINTS", prob.m - 1)
+    monkeypatch.setattr(sdpcore, "_schur_plan", _no_plan)
+    sol = solve(prob)
+    # the start point X = S = I, y = 0, de-scaled
+    sigma_b, sigma_c = max(1.0, prob.norm_b()), max(1.0, prob.norm_c())
+    assert np.array_equal(sol.x_blocks[0], sigma_b * np.eye(3))
+    assert np.array_equal(sol.x_blocks[1], sigma_b * np.ones(2))
+    assert np.array_equal(sol.s_blocks[0], sigma_c * np.eye(3))
+    assert np.array_equal(sol.y, np.zeros(prob.m))
+
+
+def test_probe_is_unknown_when_the_solve_is_oversize(monkeypatch):
+    monkeypatch.setattr(sdpcore, "_MAX_CONSTRAINTS", 0)
+    probe = feasibility_probe(elliptope_pencil(3))
+    assert probe.kind == "Unknown"
+    assert probe.details["status"] == "Inaccurate"

@@ -209,3 +209,38 @@ def test_refute_false_ignores_the_solution_point(monkeypatch, method, order):
     assert v.status == "Inconclusive"
     assert v.witness is None
     assert "witness_source" not in v.details
+
+
+@pytest.mark.parametrize("method, order", MACHINES,
+                         ids=["moment", "sos0", "sos1", "sdfp"])
+def test_unreliable_bound_is_inconclusive_with_the_solver_message(
+        monkeypatch, method, order):
+    monkeypatch.setattr(sdpcore, "_MAX_CONSTRAINTS", 0)
+    v = check_containment(*disk_pair(0.7), order=order, method=method)
+    assert v.status == "Inconclusive"
+    assert "exceeds the dense Schur limit of 0" in v.details["solver_message"]
+
+
+def test_polish_refutes_a_barely_wider_disk():
+    # no sample lands outside the unit disk; the local descent from the
+    # most negative ones does
+    v = check_containment(*disk_pair(1.0001))
+    assert v.status == "Refuted"
+    assert v.details["witness_source"] == "sampling"
+
+
+def test_direct_path_refutes_a_fixed_point():
+    # the only variable is lineality of both sets, so each is one point
+    inner = pencil([np.eye(2), np.zeros((2, 2))])
+    v = check_containment(inner, pencil([np.diag([1.0, -1.0]), np.zeros((2, 2))]))
+    assert v.status == "Refuted"
+    assert v.method == "direct"
+    assert v.witness["b_margin"] == pytest.approx(-1.0)
+
+
+def test_direct_path_certifies_an_empty_inner_set():
+    empty = pencil([np.diag([-1.0, 1.0]), np.zeros((2, 2))])
+    v = check_containment(empty, pencil([np.diag([1.0, -1.0]), np.zeros((2, 2))]))
+    assert v.status == "Certified"
+    assert v.method == "direct"
+    assert v.details["note"] == "inner set is empty"
