@@ -7,18 +7,20 @@ C = (C_ij), i, j = 1..k, with l x l blocks, satisfying the linear equations
 
 Feasibility is decided through the margin program
 
-    max  m   s.t.   C psd shifted by -mI,  C solves the equations,
+    max  m   s.t.   C psd shifted by -mI,  C solves the equations,  m <= cap,
 
-after parametrizing the affine solution set by a particular solution plus
-an orthonormal nullspace basis.  A nonnegative optimal margin produces a
-validated witness; a clearly negative one certifies that no psd solution
-exists.  By default the test runs on the extended pencil 1 (+) A, which
-makes it exactly as strong as the order-0 Gram certificate; the plain and
-extended tests agree whenever A_0 = I and the A_p are traceless.
+which is solved through its dual, posed on the equations: one variable
+w_r per independent equation <E_r, C> = rhs_r, with E_r = sym(A_p (x)
+E_uv), so its size is the rank of the equations rather than the dimension
+of their solution set.  A nonnegative optimal margin produces a validated
+witness, the psd part X of C - mI plus mI, projected onto the equations;
+a clearly negative one certifies that no psd solution exists.  By default
+the test runs on the extended pencil 1 (+) A, which makes it exactly as
+strong as the order-0 Gram certificate; the plain and extended tests agree
+whenever A_0 = I and the A_p are traceless.
 
-The margin program's primal block X is orthogonal to the null basis, so
-svec(X) lies in the row space of the equations: X = sum_p A_p (x) Y_p for
-multipliers Y_p of the block equations.  For a point mass Y_p = x_p Y_0,
+The dual variables are the multipliers of the block equations:
+sum_r w_r E_r = sum_p A_p (x) Y_p, psd.  For a point mass Y_p = x_p Y_0,
 so x_p = tr Y_p / tr Y_0 is a candidate minimizer of the eigenvalue margin,
 kept as CpResult.first_moments.
 
@@ -32,11 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import InvalidInput, InvariantViolation
 from .pencil import LinearPencil, MapSpec, extend
-from .sdpcore import _margin_lmi, solve
-from .symcore import min_eigenvalue, nullspace, smat, svec
+from .sdpcore import SdpProblem, _block_data, solve
+from .symcore import min_eigenvalue, smat, svec
 
 _EQ_TOL = 1e-7
 _FEAS_TOL = 1e-8
@@ -54,38 +57,53 @@ class CpResult:
     witness: np.ndarray | None
     extended: bool
     details: dict = field(default_factory=dict)
-    first_moments: np.ndarray | None = None  # candidate minimizer, from X
+    first_moments: np.ndarray | None = None  # candidate minimizer, from y
+
+
+def _equation_matrices(a: LinearPencil, b: LinearPencil):
+    """Matrices sym(A_p (x) E_uv), shape (rows, d, d), and right-hand sides
+    B_p[u, v], for p = 0..n and u <= v: the equations <E_r, C> = rhs_r."""
+    l = b.k
+    u, v = np.triu_indices(l)
+    units = np.zeros((u.size, l, l))
+    units[np.arange(u.size), u, v] = 1.0
+    mats, rhs = [], []
+    for ap, bp in zip(a.coeffs, b.coeffs):
+        g = np.kron(ap.mat, units)
+        mats.append((g + g.swapaxes(1, 2)) / 2.0)
+        rhs.append(bp.mat[u, v])
+    return np.concatenate(mats), np.concatenate(rhs)
 
 
 def _equation_system(a: LinearPencil, b: LinearPencil):
     """Rows svec(sym(A_p (x) E_uv)) and right-hand sides B_p[u, v], for
     p = 0..n and u <= v: the equations on svec(C)."""
-    l = b.k
-    u, v = np.triu_indices(l)
-    units = np.zeros((u.size, l, l))
-    units[np.arange(u.size), u, v] = 1.0
-    rows, rhs = [], []
-    for ap, bp in zip(a.coeffs, b.coeffs):
-        g = np.kron(ap.mat, units)
-        rows.append(svec((g + g.swapaxes(1, 2)) / 2.0))
-        rhs.append(bp.mat[u, v])
-    return np.concatenate(rows), np.concatenate(rhs), a.k * l
+    mats, rhs = _equation_matrices(a, b)
+    return svec(mats), rhs, a.k * b.k
 
 
-def _first_moments(eq: np.ndarray, x_block: np.ndarray, n: int,
-                   l: int) -> np.ndarray | None:
-    """x_p = tr Y_p / tr Y_0 from the margin program's primal block X, or
-    None unless tr Y_0 > 0.
+def _certificate_program(mats: np.ndarray, rhs: np.ndarray, cap: float,
+                         metadata: dict) -> SdpProblem:
+    """The margin program's dual on the equations <E_r, C> = rhs_r:
 
-    A least-squares fit svec(X) = eq' w gives the upper triangles of the
-    Y_p, p = 0..n, in the row order of _equation_system.
+        min  rhs'w + cap mu   s.t.  sum_r w_r E_r psd,  mu = 1 - t'w >= 0,
+
+    with t_r = tr E_r.  Its canonical primal is the margin program: the
+    psd block X and the scalar cap - m, with C = X + m I solving the
+    equations, so a solution's margin is cap - ``value``.
     """
-    w = np.linalg.lstsq(eq.T, svec(x_block), rcond=None)[0]
-    u, v = np.triu_indices(l)
-    tr = w.reshape(n + 1, u.size)[:, u == v].sum(axis=1)
-    if not tr[0] > 0.0:
-        return None
-    return tr[1:] / tr[0]
+    m, d, _ = mats.shape
+    # canonical form: C is 0 and 1, A's rows -E_r and t_r, b = cap t - rhs
+    row, i, j = np.nonzero(np.triu(mats))
+    trace = np.trace(mats, axis1=1, axis2=2)
+    traced = np.flatnonzero(trace)
+    zeros = np.zeros(traced.size + 1)
+    blocks = [_block_data(m, d, row + 1, i, j, -mats[row, i, j]),
+              _block_data(m, -1, np.r_[0, traced + 1], zeros, zeros,
+                          np.r_[1.0, trace[traced]])]
+    c_blocks, a_blocks = zip(*blocks)
+    return SdpProblem((d, -1), list(c_blocks), list(a_blocks), cap * trace - rhs,
+                      metadata)
 
 
 def cp_sdfp(a: LinearPencil, b: LinearPencil,
@@ -101,10 +119,12 @@ def cp_sdfp(a: LinearPencil, b: LinearPencil,
     if a.n != b.n:
         raise InvalidInput("pencils must share the variable count")
     inner = extend(a) if extended else a
-    eq, rhs, d = _equation_system(inner, b)
+    mats, rhs = _equation_matrices(inner, b)
+    eq = svec(mats)
+    d = inner.k * b.k
     scale = 1.0 + float(np.linalg.norm(rhs))
 
-    part, _, rank, sv = np.linalg.lstsq(eq, rhs, rcond=None)
+    part, _, rank, _ = np.linalg.lstsq(eq, rhs, rcond=None)
     lin_res = float(np.linalg.norm(eq @ part - rhs))
     details = {"equation_residual": lin_res, "rank": int(rank),
                "nullity": eq.shape[1] - int(rank), "dim": d}
@@ -112,28 +132,31 @@ def cp_sdfp(a: LinearPencil, b: LinearPencil,
         return CpResult("Infeasible", float("-inf"), None, extended,
                         {**details, "reason": "linear obstruction"})
 
-    # rank_tol = eps: the cutoff of numpy's matrix_rank
-    null_basis = nullspace(eq, rank_tol=np.finfo(float).eps)
-    nullity = null_basis.shape[1]
-    details["nullity"] = nullity
-
+    # the first rank pivots of a column-pivoted QR of eq' are independent rows
+    keep = np.sort(sla.qr(eq.T, mode="r", pivoting=True)[1][:rank])
     c_part = smat(part, d)
     cap = 10.0 * scale + float(np.abs(np.diag(c_part)).max(initial=0.0))
-    problem = _margin_lmi(c_part, smat(null_basis.T, d), cap,
-                          metadata={"origin": "cp_sdfp", "extended": extended})
-
-    sol = solve(problem)
+    sol = solve(_certificate_program(mats[keep], rhs[keep], cap,
+                                     {"origin": "cp_sdfp", "extended": extended}))
     details["solver_status"] = sol.status.value
-    first = (_first_moments(eq, sol.x_blocks[0], inner.n, b.k)
-             if sol.has_point else None)
+    first = None
+    if sol.has_point:
+        # the multipliers Y_p of the block equations, zero on dependent rows
+        w = np.zeros(rhs.size)
+        w[keep] = sol.y
+        u, v = np.triu_indices(b.k)
+        tr = w.reshape(inner.n + 1, u.size)[:, u == v].sum(axis=1)
+        if tr[0] > 0.0:
+            first = tr[1:] / tr[0]
     if not sol.reliable:
         return CpResult("Inconclusive", float("nan"), None, extended,
                         {**details, "solver_message": sol.message}, first)
 
-    margin = sol.value
+    margin = cap - sol.value
     details["margin"] = margin
-    theta = sol.y[:nullity]
-    witness = smat(part + null_basis @ theta, d)
+    # X + m I, projected onto the equations
+    c = svec(sol.x_blocks[0] + margin * np.eye(d))
+    witness = smat(c + np.linalg.lstsq(eq, rhs - eq @ c, rcond=None)[0], d)
     details["witness_eq_residual"] = float(np.linalg.norm(eq @ svec(witness) - rhs))
     details["witness_min_eig"] = min_eigenvalue(witness)
 

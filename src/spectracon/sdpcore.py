@@ -18,12 +18,14 @@ A solve works on one flat iterate in class order: the dense blocks grouped
 by size, each size a contiguous (nb, s, s) stack, then all diagonal blocks
 and 1 x 1 dense blocks merged into one.  A is one CSR matrix with its
 transpose, so A(X), A*(y), <C, X> and <X, S> are one product each, and the
-cone arithmetic runs once per class.  The de-scaled residuals are the
-homogeneous ones, formed once per iteration, times a scalar; Optimal also
-needs those compute_residuals recomputes on exit to pass.  Late on, the
-Schur complement M (below) is ill-conditioned, and a corrector that misses
-its primal or gap equation by more than ``_TOL_FEAS`` of the right-hand
-side is refined with M's factor.
+cone arithmetic runs once per class.  The rows of A are fully mirrored, so
+A*(y) is exactly symmetric, and so is every direction and iterate built
+from it and from the symmetrized congruences: none is symmetrized again.
+The de-scaled residuals are the homogeneous ones, formed once per
+iteration, times a scalar; Optimal also needs those compute_residuals
+recomputes on exit to pass.  Late on, the Schur complement M (below) is
+ill-conditioned, and a corrector that misses its primal or gap equation by
+more than ``_TOL_FEAS`` of the right-hand side is refined with M's factor.
 
 Each iteration assembles the Schur complement
 M_ij = sum_b <A_ib, W_b A_jb W_b> for the NT scalings W_b, read from their
@@ -59,16 +61,18 @@ side psd is -1 / lam_min(lam^-1/2 d^ lam^-1/2), so no factor of X or S
 is solved against.  The predictor's dX^ and dS^ serve both its step
 length and the corrector's second-order term, and S^-1 = R lam^-1 R'.
 The Schur factor is used as the F-ordered upper factor that LAPACK's
-solver reads without a copy.
+potrs, called directly, reads without a copy.
 
 Every program is assembled one block at a time from entry arrays by
-``_block_data``; outside the solver and the SDPA writer it is the only code
-that knows the vectorized layout.  The moment relaxations, the Gram
-programs, SDPA files and the margin LMI shared by the interior probe, the
-block certificate and the boundedness searches (``_margin_lmi``) are built
-through it.  ``solve`` returns every outcome, breakdowns included, as a
-status with the reason in ``message``; whether a returned iterate may be
-used is decided in one place, :attr:`SdpSolution.reliable`.
+``_block_data``; outside the solver, the SDPA writer and
+``_principal_split``, which cuts an assembled program into principal
+sub-blocks, it is the only code that knows the vectorized layout.  The
+moment relaxations, the Gram programs, the block certificate's program,
+SDPA files and the margin LMI shared by the interior probe and the
+boundedness searches (``_margin_lmi``) are built through it.  ``solve``
+returns every outcome, breakdowns included, as a status with the reason in
+``message``; whether a returned iterate may be used is decided in one
+place, :attr:`SdpSolution.reliable`.
 """
 
 from __future__ import annotations
@@ -79,8 +83,8 @@ from enum import Enum
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrs
 
 from .errors import InvalidInput
 from .pencil import LinearPencil
@@ -579,7 +583,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
     ends = np.cumsum([np.prod(shape) for _, shape in classes])
     classes = [(op, slice(end - np.prod(shape), end), shape)
                for (op, shape), end in zip(classes, ends)]
-    dense_classes = [(sl, shape) for op, sl, shape in classes if len(shape) == 3]
     starts = dict(zip(order, np.cumsum([0] + [_block_veclen(sizes[bi]) for bi in order])))
 
     m = problem.m
@@ -587,19 +590,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
     def views(v):
         return [v[sl].reshape(shape) for _, sl, shape in classes]
 
-    def symmetrize_dense(v):
-        for sl, shape in dense_classes:
-            blk = v[sl].reshape(shape)
-            blk[...] = (blk + _t(blk)) / 2.0
-        return v
-
     def per_class(fn, *parts):
         """fn(op, *items) for every class, joined into one flat vector."""
         return np.concatenate([np.ravel(fn(op, *items))
                                for (op, _, _), *items in zip(classes, *parts)])
-
-    def apply_at(v):
-        return symmetrize_dense(a_t @ v)
 
     def blocks(v):
         """The blocks of a flat vector, in the problem's block order."""
@@ -669,7 +663,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         # residuals of the homogeneous system
         ax = a_mat @ x
         p_res = ax - b * tau
-        aty = apply_at(y)
+        aty = a_t @ y
         d_res = aty + s - c * tau
         cx = float(c @ x)
         by = float(b @ y)
@@ -739,10 +733,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
                            f"Schur factorization failed at iteration {it}")
         # the F-ordered upper factor L' reaches potrs without a copy; it
         # came out of a successful potrf, so only right-hand sides are checked
-        factor = (l_schur.T, False)
+        upper = l_schur.T
 
         def schur_solve(rhs):
-            return sla.cho_solve(factor, np.asarray_chkfinite(rhs), check_finite=False)
+            return dpotrs(upper, np.asarray_chkfinite(rhs), lower=0)[0]
 
         def congruence(v):
             return per_class(lambda op, w, vb: op.congruence(w, vb), ws, views(v))
@@ -774,8 +768,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
         def newton_dir(r4, r5):
             q = wr2w + r4
             dy, dtau = reduced_solve(r1 - a_mat @ q, r3 + float(c @ q) + r5 / tau)
-            at_dy = apply_at(dy)
-            dx = symmetrize_dense(q + congruence(at_dy) - wcw * dtau)
+            at_dy = a_t @ dy
+            dx = q + congruence(at_dy) - wcw * dtau
             ds = c * dtau - at_dy - r2
             dkappa = (r5 - kappa * dtau) / tau
             return dx, dy, ds, dtau, dkappa
@@ -790,8 +784,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
             dx, dy, ds, dtau, dkappa = direction
             e1, e3 = leftover(*direction)
             ey, et = reduced_solve(e1, e3) if with_tau else (schur_solve(e1), 0.0)
-            at_ey = apply_at(ey)
-            return (symmetrize_dense(dx + congruence(at_ey) - wcw * et), dy + ey,
+            at_ey = a_t @ ey
+            return (dx + congruence(at_ey) - wcw * et, dy + ey,
                     ds + c * et - at_ey, dtau + et, dkappa - kappa * et / tau)
 
         def max_step(hats):
@@ -836,8 +830,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
         if alpha < 1e-9:
             return give_up(SolveStatus.INACCURATE, "step length collapsed")
 
-        x = symmetrize_dense(x + alpha * dx)
-        s = symmetrize_dense(s + alpha * ds)
+        x = x + alpha * dx
+        s = s + alpha * ds
         y = y + alpha * dy
         tau += alpha * dtau
         kappa += alpha * dkappa
@@ -871,10 +865,37 @@ def _block_data(m: int, size: int, row, i, j, val):
     head = row == 0
     c = np.zeros(veclen)
     np.add.at(c, col[head], val[head])
+    # canonical CSR: entries sorted by (row, column), the entries at one
+    # position summed in the order given
     body = ~head
-    a = sp.coo_matrix((val[body], (row[body] - 1, col[body])), shape=(m, veclen)).tocsr()
-    a.sum_duplicates()
+    row, col, val = row[body] - 1, col[body], val[body]
+    order = np.lexsort((col, row))
+    row, col = row[order], col[order]
+    first = np.flatnonzero(np.diff(row * veclen + col, prepend=-1))
+    indptr = np.searchsorted(row[first], np.arange(m + 1))
+    a = sp.csr_matrix((np.add.reduceat(val[order], first), col[first], indptr),
+                      shape=(m, veclen))
     return c.reshape(size, size) if size > 0 else c, a
+
+
+def _principal_split(problem: SdpProblem, parts, rows) -> SdpProblem:
+    """The problem on the constraints ``rows`` (increasing), with dense block
+    bi cut into the principal sub-blocks on the index arrays ``parts[bi]``.
+
+    Entries outside the sub-blocks are dropped, so this is exact only when
+    they vanish at some optimum and the dropped constraints hold there, as
+    for a sign symmetry's classes.  Every block of ``problem`` must be dense.
+    """
+    sizes, c_blocks, a_blocks = [], [], []
+    for size, c, a, idx_list in zip(problem.block_sizes, problem.c_blocks,
+                                    problem.a_blocks, parts):
+        a = a[rows]
+        for idx in idx_list:
+            sizes.append(idx.size)
+            c_blocks.append(c[np.ix_(idx, idx)])
+            a_blocks.append(a[:, (idx[:, None] * size + idx).ravel()])
+    return SdpProblem(tuple(sizes), c_blocks, a_blocks, problem.b[rows],
+                      dict(problem.metadata))
 
 
 # the statuses of a program whose variables are the canonical dual's y (an

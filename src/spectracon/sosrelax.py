@@ -22,6 +22,13 @@ of the (gamma, i, j) coefficient match is -L(x^gamma z_i z_j), and the
 elimination of lambda normalizes tr L(z z') = 1.  The first moments
 x_p = L(x_p |z|^2) = -sum_i y[(e_p, i, i)] are therefore a candidate
 minimizer of the eigenvalue margin, kept as SosResult.first_moments.
+
+lambda_sos solves the program reduced exactly by its sign flips, which
+negate some x_p together with some indices of A and of B and fix every
+coefficient: averaged over them, an optimal Gram pair is zero across flip
+classes, so Q_S and Q_T split into one block per class and the equations
+between classes hold trivially.  sos_relaxation returns the unsplit
+program.
 """
 
 from __future__ import annotations
@@ -31,9 +38,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, OrderTooSmall
-from .momrelax import _exponent_array, _positions, basis_size, monomials_upto
+from .momrelax import (_exponent_array, _ParityClasses, _positions, basis_size,
+                       monomials_upto)
 from .pencil import LinearPencil
-from .sdpcore import SdpProblem, SdpSolution, SolveStatus, _block_data, solve
+from .sdpcore import (SdpProblem, SdpSolution, SolveStatus, _block_data,
+                      _principal_split, solve)
 
 
 def count_unknowns(n: int, k: int, l: int, t: int) -> dict:
@@ -168,22 +177,78 @@ _STATUS = {
 }
 
 
+def _flip_split(a: LinearPencil, b: LinearPencil, info: SosInfo):
+    """(parts, rows): the Gram program's blocks split by its sign flips.
+
+    A flip negates some x_p, some indices of A and some of B at once, and
+    fixes the pair when it fixes every coefficient entry; in GF(2) bit
+    masks (x_p, then A's indices, then B's) the flips are orthogonal to the
+    row masks x_p ^ A_i ^ A_j of the nonzero A_p[i, j] and x_p ^ B_u ^ B_v
+    of the nonzero B_p[u, v].  A Q_S position (alpha, u, a) has mask
+    parity(alpha) ^ B_u ^ A_a and a Q_T position (alpha, u) parity(alpha) ^
+    B_u; the positions of one class modulo the rows are a part of their
+    block.  The flips map an optimal Gram pair to optimal ones, so their
+    average, zero across classes, is optimal too; then an equation
+    (gamma, u, v) whose mask parity(gamma) ^ B_u ^ B_v is not in the row
+    space holds trivially (its right-hand side is 0), and ``rows`` are the
+    other equations.
+    """
+    n, k, l = info.n, info.k, info.l
+    masks = []
+    for pen, first in ((a, n), (b, n + k)):
+        for p, c in enumerate(pen.coeffs):
+            x_bit = 1 << (p - 1) if p else 0
+            for i, j in zip(*np.nonzero(np.triu(c.mat))):
+                masks.append(x_bit ^ 1 << (first + int(i)) ^ 1 << (first + int(j)))
+    flips = _ParityClasses(masks)
+    # a mask's class is linear in its bits: the XOR of the classes of its bits
+    rep = np.array([flips.reduce(1 << q) for q in range(n + k + l)], dtype=object)
+    x_rep, a_rep, b_rep = rep[:n], rep[n:n + k], rep[n + k:]
+
+    def monomial_classes(degree):
+        odd = _exponent_array(monomials_upto(n, degree), n) % 2 == 1
+        return np.bitwise_xor.reduce(np.where(odd, x_rep, 0), axis=1)
+
+    alpha = monomial_classes(info.order)
+    parts = []
+    for cls in (alpha[:, None, None] ^ b_rep[:, None] ^ a_rep, alpha[:, None] ^ b_rep):
+        _, label = np.unique(cls.ravel(), return_inverse=True)
+        parts.append([np.flatnonzero(label == c) for c in range(label.max() + 1)])
+    pi, pj = np.triu_indices(l)
+    eq_cls = monomial_classes(2 * info.order + 1)[:, None] ^ b_rep[pi] ^ b_rep[pj]
+    rows = np.flatnonzero(eq_cls.ravel()[1:] == 0)
+    return parts, rows
+
+
 def lambda_sos(a: LinearPencil, b: LinearPencil, t: int = 0) -> SosResult:
     """Best eigenvalue bound certified by an order-t Gram pair.
+
+    The program of :func:`sos_relaxation` is solved split by its sign flips
+    (:func:`_flip_split`): one block per class, without the equations that
+    hold trivially.  The solution is mapped back, so gram_s and gram_t are
+    the full Gram matrices (zero across classes) and the multipliers of the
+    dropped equations are 0; ``solution`` is the split program's solve.
+    With a single class per block and no dropped equation the program is
+    solved as assembled.
 
     Returns -inf with status "infeasible" when no certificate of this order
     exists for any lambda.  first_moments is None when the solve returns no
     point.
     """
     problem, info = sos_relaxation(a, b, t)
-    sol = solve(problem)
+    parts, rows = _flip_split(a, b, info)
+    whole = rows.size == problem.m and all(len(p) == 1 for p in parts)
+    sol = solve(problem if whole else _principal_split(problem, parts, rows))
     status = _STATUS[sol.status]
     first = None
     if sol.has_point:
         value = b.coeffs[0].mat[0, 0] - sol.value
-        gram_s = sol.x_blocks[0]
-        gram_t = sol.x_blocks[1]
-        first = -sol.y[info.point_rows].sum(axis=1)
+        blocks = iter(sol.x_blocks)
+        gram_s, gram_t = (_unsplit(size, idx_list, blocks) for size, idx_list
+                          in zip(problem.block_sizes, parts))
+        y = np.zeros(problem.m)
+        y[rows] = sol.y
+        first = -y[info.point_rows].sum(axis=1)
     elif status == "infeasible":
         value = float("-inf")
         gram_s = gram_t = None
@@ -193,6 +258,15 @@ def lambda_sos(a: LinearPencil, b: LinearPencil, t: int = 0) -> SosResult:
     return SosResult(value=float(value), status=status, order=t, info=info,
                      gram_s=gram_s, gram_t=gram_t, solution=sol,
                      first_moments=first)
+
+
+def _unsplit(size: int, parts, blocks) -> np.ndarray:
+    """The size x size matrix with the next of ``blocks`` on each part's
+    principal submatrix, zero elsewhere."""
+    out = np.zeros((size, size))
+    for idx in parts:
+        out[np.ix_(idx, idx)] = next(blocks)
+    return out
 
 
 def certificate_gap(a: LinearPencil, b: LinearPencil, result: SosResult,

@@ -14,7 +14,8 @@ details["witness_source"] says which one refuted ("solution" or
 "sampling").  Every verdict is one of Certified / Refuted / Inconclusive;
 Refuted always carries a point that confirm_witness confirmed, never just
 a negative bound.  The machine runs through one call, _bound; a bound that
-is not reliable carries its solve's message in details["solver_message"].
+is not reliable has value nan and carries its solve's message in
+details["solver_message"].
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ def _bound(a: LinearPencil, b: LinearPencil, method: str, order: int,
         res = lambda_sos(a, b, order)
         det = {"value": res.value, "order": order, "solve_status": res.status}
     if not res.reliable:
-        det["solver_message"] = res.solution.message
+        # an unreliable solve's value bounds nothing
+        det.update(value=float("nan"), solver_message=res.solution.message)
     return det, res.reliable and res.value >= -tol, res.first_moments
 
 
@@ -204,7 +206,7 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
     try:
         det, certified, point = _bound(ar, br, method, order, r, R, tol)
     except NumericalFailure as exc:
-        # a LAPACK failure outside the solve, such as cp_sdfp's nullspace SVD
+        # a LAPACK failure outside the solve, such as a witness's eigenvalues
         return refutation({"value": float("nan"), "order": None if method == "sdfp"
                            else order, "solver_error": str(exc)}, None)
     if certified:

@@ -5,16 +5,22 @@ the tests build small fixtures with them and use them as references for the
 array assembly of the package.  ``moment_relaxation_by_terms`` and
 ``gram_program_by_terms`` are the relaxations assembled by Python loops over
 basis pairs and matrix entries through these builders: the package's
-relaxations must be equal to them, entry for entry.
+relaxations must be equal to them, entry for entry.  ``cp_sdfp_by_nullspace``
+decides the block certificate through the nullspace form of its margin
+program, a reference for the equation form that ``cp_sdfp`` solves.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
+from spectracon import posmap
 from spectracon.errors import InvalidInput
 from spectracon.momrelax import Poly, _ParityClasses, _parity, monomials_upto
+from spectracon.pencil import extend
+from spectracon.posmap import _equation_system
 from spectracon.sdpcore import (SdpProblem, SdpSolution, SolveStatus,
-                                _block_veclen)
+                                _block_veclen, _margin_lmi, solve)
+from spectracon.symcore import min_eigenvalue, nullspace, smat, svec
 
 
 class LmiBuilder:
@@ -369,6 +375,35 @@ def gram_program_by_terms(a, b, t):
     builder.add_cost(qt, qt_idx(0, 0), qt_idx(0, 0), 1.0)
     problem = builder.build(metadata={"origin": "sos_gram", "order": t})
     return problem, n_eq, point_rows
+
+
+def cp_sdfp_by_nullspace(a, b, extended=True):
+    """``cp_sdfp``'s decision with the margin program posed as an LMI over
+    the nullspace of the block equations: max s  s.t.  C_part + sum_q
+    theta_q N_q - s I psd,  s <= cap, for a particular solution C_part and
+    an orthonormal nullspace basis N_q.  Same cap, tolerances and witness
+    validation; returns (kind, margin)."""
+    inner = extend(a) if extended else a
+    eq, rhs, d = _equation_system(inner, b)
+    scale = 1.0 + float(np.linalg.norm(rhs))
+    part = np.linalg.lstsq(eq, rhs, rcond=None)[0]
+    if np.linalg.norm(eq @ part - rhs) > posmap._EQ_TOL * scale:
+        return "Infeasible", float("-inf")
+    null_basis = nullspace(eq, rank_tol=np.finfo(float).eps)
+    c_part = smat(part, d)
+    cap = 10.0 * scale + float(np.abs(np.diag(c_part)).max(initial=0.0))
+    sol = solve(_margin_lmi(c_part, smat(null_basis.T, d), cap))
+    if not sol.reliable:
+        return "Inconclusive", float("nan")
+    margin = sol.value
+    witness = smat(part + null_basis @ sol.y[:null_basis.shape[1]], d)
+    if margin >= -posmap._FEAS_TOL * scale:
+        ok = (np.linalg.norm(eq @ svec(witness) - rhs) <= posmap._EQ_TOL * scale
+              and min_eigenvalue(witness) >= -10.0 * posmap._FEAS_TOL * scale)
+        return ("Feasible" if ok else "Inconclusive"), margin
+    if margin < -posmap._INFEAS_TOL * scale:
+        return "Infeasible", margin
+    return "Inconclusive", margin
 
 
 def _same_bits(a, b):

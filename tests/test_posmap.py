@@ -3,14 +3,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from builders import cp_sdfp_by_nullspace
 from spectracon import sdpcore
 from spectracon.errors import InvariantViolation
 from spectracon.families import (ball_elliptope_pair, choi_map_spec, choi_pair,
-                                 disk_pair)
+                                 disk_pair, random_pair)
 from spectracon.posmap import (_equation_system, choi_matrix, cp_sdfp,
                                implication_report)
-from spectracon.pencil import extend
+from spectracon.pencil import extend, pencil
 from spectracon.symcore import svec
+from test_momrelax import _criterion6_ball
 
 
 def test_disk_transition():
@@ -80,3 +82,31 @@ def test_unreliable_solve_is_inconclusive(monkeypatch):
     assert res.witness is None
     assert res.details["solver_status"] == "Inaccurate"
     assert "exceeds the dense Schur limit of 0" in res.details["solver_message"]
+
+
+_PAIRS = {
+    "ball-0": lambda: _criterion6_ball(0), "ball-5": lambda: _criterion6_ball(5),
+    "disk-0.8": lambda: disk_pair(0.8), "disk-1.2": lambda: disk_pair(1.2),
+    "ball-elliptope-3": lambda: ball_elliptope_pair(3),
+    "random-1": lambda: random_pair(1), "random-18": lambda: random_pair(18),
+    "choi": choi_pair,
+    # x_2 repeats x_1 in both pencils: the equations of p = 1 and 2 coincide
+    "dependent": lambda: tuple(pencil([p.coeffs[0].mat, p.coeffs[1].mat, p.coeffs[1].mat])
+                               for p in disk_pair(0.6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAIRS))
+def test_equation_form_matches_nullspace_form(name):
+    a, b = _PAIRS[name]()
+    got = cp_sdfp(a, b)
+    kind, margin = cp_sdfp_by_nullspace(a, b)
+    assert got.kind == kind
+    assert got.margin == pytest.approx(margin, abs=1e-6 * (1.0 + abs(margin)))
+
+
+def test_dependent_equations_are_dropped():
+    res = cp_sdfp(*_PAIRS["dependent"]())
+    # three of the nine equations repeat others
+    assert res.details["rank"] == 6
+    assert res.kind == "Feasible"

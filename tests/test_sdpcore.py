@@ -597,6 +597,14 @@ def test_optimal_means_recomputed_residuals_pass(name):
     assert max(res["primal_res"], res["dual_res"], res["gap_rel"]) <= 1e-8
 
 
+@pytest.mark.parametrize("name", sorted(_CORPUS))
+def test_returned_dense_blocks_are_exactly_symmetric(name):
+    sol = solve(_CORPUS[name]())
+    for blk in sol.x_blocks + sol.s_blocks:
+        if blk.ndim == 2:
+            assert np.array_equal(blk, blk.T)
+
+
 def _margin_lmi_by_terms(f0, fs, cap, box=None, metadata=None):
     """The margin LMI assembled one LmiBuilder term per nonzero entry."""
     nq = len(fs)

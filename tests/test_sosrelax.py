@@ -5,8 +5,10 @@ from builders import assert_same_problem, gram_program_by_terms
 from spectracon.errors import InvalidInput
 from spectracon.families import ball_elliptope_pair, choi_pair, disk_pair, random_pair
 from spectracon.momrelax import containment_relaxation
-from spectracon.sosrelax import (certificate_gap, count_unknowns, lambda_sos,
-                                 sos_relaxation)
+from spectracon.sdpcore import solve
+from spectracon.sosrelax import (_flip_split, certificate_gap, count_unknowns,
+                                 lambda_sos, sos_relaxation)
+from test_momrelax import _criterion6_ball
 
 
 def test_count_unknowns_closed_forms():
@@ -102,3 +104,50 @@ def test_gram_program_equals_loop_assembly(make, t):
     assert_same_problem(got, want)
     assert info.n_equations == n_equations
     assert np.array_equal(info.point_rows, point_rows)
+
+
+_SPLIT_PAIRS = {
+    "ball-0": lambda: _criterion6_ball(0), "ball-5": lambda: _criterion6_ball(5),
+    "disk-0.8": lambda: disk_pair(0.8), "disk-1.2": lambda: disk_pair(1.2),
+    "ball-elliptope-3": lambda: ball_elliptope_pair(3),
+    "random-1": lambda: random_pair(1), "random-18": lambda: random_pair(18),
+    "choi": choi_pair,
+}
+
+
+@pytest.mark.parametrize("t", [0, 1])
+@pytest.mark.parametrize("name", sorted(_SPLIT_PAIRS))
+def test_split_gram_program_keeps_the_value(name, t):
+    a, b = _SPLIT_PAIRS[name]()
+    problem, info = sos_relaxation(a, b, t)
+    whole = solve(problem)
+    assert whole.reliable
+    want = b.coeffs[0].mat[0, 0] - whole.value
+    res = lambda_sos(a, b, t)
+    assert res.reliable
+    assert res.value == pytest.approx(want, abs=1e-6 * (1.0 + abs(want)))
+    # the Gram pair, mapped back, solves the unsplit equations
+    resid = problem.apply_a([res.gram_s, res.gram_t]) - problem.b
+    assert np.linalg.norm(resid) <= 1e-7 * (1.0 + problem.norm_b())
+
+
+def test_polytope_gram_pair_splits_by_the_outer_index():
+    # B is diagonal: Q_S and Q_T split by B's index, and only the u = v
+    # equations remain
+    a, b = _criterion6_ball(5)
+    res = lambda_sos(a, b, 1)
+    assert sorted(x.shape[0] for x in res.solution.x_blocks) == [4] * 5 + [16] * 5
+    assert res.solution.y.size == 99
+    assert res.info.n_equations == 299
+
+
+def test_trivial_flips_solve_the_assembled_program():
+    a, b = random_pair(1)
+    problem, info = sos_relaxation(a, b, 1)
+    parts, rows = _flip_split(a, b, info)
+    assert [len(p) for p in parts] == [1, 1]
+    assert rows.size == problem.m
+    whole = solve(problem)
+    res = lambda_sos(a, b, 1)
+    assert res.solution.iterations == whole.iterations
+    assert res.solution.value == whole.value

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,7 @@ def test_unreliable_bound_is_inconclusive_with_the_solver_message(
     v = check_containment(*disk_pair(0.7), order=order, method=method)
     assert v.status == "Inconclusive"
     assert "exceeds the dense Schur limit of 0" in v.details["solver_message"]
+    assert math.isnan(v.value)
 
 
 def test_polish_refutes_a_barely_wider_disk():
