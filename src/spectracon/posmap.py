@@ -14,10 +14,9 @@ w_r per independent equation <E_r, C> = rhs_r, with E_r = sym(A_p (x)
 E_uv), so its size is the rank of the equations rather than the dimension
 of their solution set.  A nonnegative optimal margin produces a validated
 witness, the psd part X of C - mI plus mI, projected onto the equations;
-a clearly negative one certifies that no psd solution exists.  By default
-the test runs on the extended pencil 1 (+) A, which makes it exactly as
-strong as the order-0 Gram certificate; the plain and extended tests agree
-whenever A_0 = I and the A_p are traceless.
+a clearly negative one certifies that no psd solution exists.  The test
+runs on the extended pencil 1 (+) A, which makes it exactly as strong as
+the order-0 Gram certificate.
 
 The dual variables are the multipliers of the block equations:
 sum_r w_r E_r = sum_p A_p (x) Y_p, psd.  For a point mass Y_p = x_p Y_0,
@@ -55,7 +54,6 @@ class CpResult:
     kind: str  # Feasible | Infeasible | Inconclusive
     margin: float
     witness: np.ndarray | None
-    extended: bool
     details: dict = field(default_factory=dict)
     first_moments: np.ndarray | None = None  # candidate minimizer, from y
 
@@ -73,13 +71,6 @@ def _equation_matrices(a: LinearPencil, b: LinearPencil):
         mats.append((g + g.swapaxes(1, 2)) / 2.0)
         rhs.append(bp.mat[u, v])
     return np.concatenate(mats), np.concatenate(rhs)
-
-
-def _equation_system(a: LinearPencil, b: LinearPencil):
-    """Rows svec(sym(A_p (x) E_uv)) and right-hand sides B_p[u, v], for
-    p = 0..n and u <= v: the equations on svec(C)."""
-    mats, rhs = _equation_matrices(a, b)
-    return svec(mats), rhs, a.k * b.k
 
 
 def _certificate_program(mats: np.ndarray, rhs: np.ndarray, cap: float,
@@ -106,8 +97,7 @@ def _certificate_program(mats: np.ndarray, rhs: np.ndarray, cap: float,
                       metadata)
 
 
-def cp_sdfp(a: LinearPencil, b: LinearPencil,
-            extended: bool = True) -> CpResult:
+def cp_sdfp(a: LinearPencil, b: LinearPencil) -> CpResult:
     """Decide solvability of the block certificate equations over psd C.
 
     Feasible results carry a validated witness; Infeasible means the psd
@@ -118,7 +108,7 @@ def cp_sdfp(a: LinearPencil, b: LinearPencil,
     """
     if a.n != b.n:
         raise InvalidInput("pencils must share the variable count")
-    inner = extend(a) if extended else a
+    inner = extend(a)
     mats, rhs = _equation_matrices(inner, b)
     eq = svec(mats)
     d = inner.k * b.k
@@ -129,7 +119,7 @@ def cp_sdfp(a: LinearPencil, b: LinearPencil,
     details = {"equation_residual": lin_res, "rank": int(rank),
                "nullity": eq.shape[1] - int(rank), "dim": d}
     if lin_res > _EQ_TOL * scale:
-        return CpResult("Infeasible", float("-inf"), None, extended,
+        return CpResult("Infeasible", float("-inf"), None,
                         {**details, "reason": "linear obstruction"})
 
     # the first rank pivots of a column-pivoted QR of eq' are independent rows
@@ -137,7 +127,7 @@ def cp_sdfp(a: LinearPencil, b: LinearPencil,
     c_part = smat(part, d)
     cap = 10.0 * scale + float(np.abs(np.diag(c_part)).max(initial=0.0))
     sol = solve(_certificate_program(mats[keep], rhs[keep], cap,
-                                     {"origin": "cp_sdfp", "extended": extended}))
+                                     {"origin": "cp_sdfp"}))
     details["solver_status"] = sol.status.value
     first = None
     if sol.has_point:
@@ -149,7 +139,7 @@ def cp_sdfp(a: LinearPencil, b: LinearPencil,
         if tr[0] > 0.0:
             first = tr[1:] / tr[0]
     if not sol.reliable:
-        return CpResult("Inconclusive", float("nan"), None, extended,
+        return CpResult("Inconclusive", float("nan"), None,
                         {**details, "solver_message": sol.message}, first)
 
     margin = cap - sol.value
@@ -164,16 +154,13 @@ def cp_sdfp(a: LinearPencil, b: LinearPencil,
         ok = (details["witness_eq_residual"] <= _EQ_TOL * scale
               and details["witness_min_eig"] >= -10.0 * _FEAS_TOL * scale)
         if ok:
-            return CpResult("Feasible", float(margin), witness, extended,
-                            details, first)
-        return CpResult("Inconclusive", float(margin), witness, extended,
+            return CpResult("Feasible", float(margin), witness, details, first)
+        return CpResult("Inconclusive", float(margin), witness,
                         {**details, "reason": "witness validation failed"},
                         first)
     if margin < -_INFEAS_TOL * scale:
-        return CpResult("Infeasible", float(margin), None, extended, details,
-                        first)
-    return CpResult("Inconclusive", float(margin), None, extended, details,
-                    first)
+        return CpResult("Infeasible", float(margin), None, details, first)
+    return CpResult("Inconclusive", float(margin), None, details, first)
 
 
 # ---------------------------------------------------------------------------

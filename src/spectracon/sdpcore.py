@@ -64,15 +64,14 @@ The Schur factor is used as the F-ordered upper factor that LAPACK's
 potrs, called directly, reads without a copy.
 
 Every program is assembled one block at a time from entry arrays by
-``_block_data``; outside the solver, the SDPA writer and
-``_principal_split``, which cuts an assembled program into principal
-sub-blocks, it is the only code that knows the vectorized layout.  The
-moment relaxations, the Gram programs, the block certificate's program,
-SDPA files and the margin LMI shared by the interior probe and the
-boundedness searches (``_margin_lmi``) are built through it.  ``solve``
-returns every outcome, breakdowns included, as a status with the reason in
-``message``; whether a returned iterate may be used is decided in one
-place, :attr:`SdpSolution.reliable`.
+``_block_data``; outside the solver and the SDPA writer, it is the only
+code that knows the vectorized layout.  The moment relaxations, the Gram
+programs, the block certificate's program, SDPA files and the margin LMI
+shared by the interior probe and the boundedness searches
+(``_margin_lmi``) are built through it.  ``solve`` returns every outcome,
+breakdowns included, as a status with the reason in ``message``; whether a
+returned iterate may be used is decided in one place,
+:attr:`SdpSolution.reliable`.
 """
 
 from __future__ import annotations
@@ -876,26 +875,6 @@ def _block_data(m: int, size: int, row, i, j, val):
     a = sp.csr_matrix((np.add.reduceat(val[order], first), col[first], indptr),
                       shape=(m, veclen))
     return c.reshape(size, size) if size > 0 else c, a
-
-
-def _principal_split(problem: SdpProblem, parts, rows) -> SdpProblem:
-    """The problem on the constraints ``rows`` (increasing), with dense block
-    bi cut into the principal sub-blocks on the index arrays ``parts[bi]``.
-
-    Entries outside the sub-blocks are dropped, so this is exact only when
-    they vanish at some optimum and the dropped constraints hold there, as
-    for a sign symmetry's classes.  Every block of ``problem`` must be dense.
-    """
-    sizes, c_blocks, a_blocks = [], [], []
-    for size, c, a, idx_list in zip(problem.block_sizes, problem.c_blocks,
-                                    problem.a_blocks, parts):
-        a = a[rows]
-        for idx in idx_list:
-            sizes.append(idx.size)
-            c_blocks.append(c[np.ix_(idx, idx)])
-            a_blocks.append(a[:, (idx[:, None] * size + idx).ravel()])
-    return SdpProblem(tuple(sizes), c_blocks, a_blocks, problem.b[rows],
-                      dict(problem.metadata))
 
 
 # the statuses of a program whose variables are the canonical dual's y (an

@@ -23,12 +23,12 @@ elimination of lambda normalizes tr L(z z') = 1.  The first moments
 x_p = L(x_p |z|^2) = -sum_i y[(e_p, i, i)] are therefore a candidate
 minimizer of the eigenvalue margin, kept as SosResult.first_moments.
 
-lambda_sos solves the program reduced exactly by its sign flips, which
-negate some x_p together with some indices of A and of B and fix every
+The program is assembled reduced exactly by its sign flips, which negate
+some x_p together with some indices of A and of B and fix every
 coefficient: averaged over them, an optimal Gram pair is zero across flip
 classes, so Q_S and Q_T split into one block per class and the equations
-between classes hold trivially.  sos_relaxation returns the unsplit
-program.
+between classes hold trivially and are left out.  lambda_sos maps the
+solution back to the full Gram matrices and equation index.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from .errors import InvalidInput, OrderTooSmall
 from .momrelax import (_exponent_array, _ParityClasses, _positions, basis_size,
                        monomials_upto)
 from .pencil import LinearPencil
-from .sdpcore import (SdpProblem, SdpSolution, SolveStatus, _block_data,
-                      _principal_split, solve)
+from .sdpcore import SdpProblem, SdpSolution, SolveStatus, _block_data, solve
 
 
 def count_unknowns(n: int, k: int, l: int, t: int) -> dict:
@@ -55,9 +54,10 @@ def count_unknowns(n: int, k: int, l: int, t: int) -> dict:
     identity, and moment_total every moment of degree <= 2t but the pinned
     constant.  These are the unreduced closed forms, not the sizes of the
     assembled programs: the Gram program eliminates the match that defines
-    lambda (SosInfo.n_equations is sos_equations - 1), and the moment
-    relaxation drops the moments that a sign symmetry makes odd
-    (RelaxationInfo.n_moments <= moment_total).
+    lambda (SosInfo.n_equations is sos_equations - 1) and keeps the
+    equations SosInfo.rows, and the moment relaxation drops the moments
+    that a sign symmetry makes odd (RelaxationInfo.n_moments <=
+    moment_total).
     """
     N = basis_size(n, t)
     gram = 1 + N * (k * k * l * l * N + l * l * N + k * l + l) // 2
@@ -80,8 +80,12 @@ class SosInfo:
     gram_s_dim: int
     gram_t_dim: int
     n_equations: int
-    # constraint index of the (x_p, z_i z_i) coefficient match, shape (n, l)
+    # equation index of the (x_p, z_i z_i) coefficient match, shape (n, l)
     point_rows: np.ndarray = field(repr=False)
+    # per Gram matrix, the positions of each flip class (one program block
+    # each, in block order), and the equations the program keeps
+    parts: list = field(default=None, repr=False)
+    rows: np.ndarray = field(default=None, repr=False)
 
 
 @dataclass
@@ -104,7 +108,8 @@ class SosResult:
 
 
 def sos_relaxation(a: LinearPencil, b: LinearPencil, t: int):
-    """Assemble the order-t Gram program; returns (problem, info).
+    """Assemble the order-t Gram program, split by its sign flips; returns
+    (problem, info).
 
     The (gamma, i, j) coefficient match, i <= j, is row gamma * l(l+1)/2 +
     pair(i, j) of the assembly, with gamma numbered as in monomials_upto(n,
@@ -113,6 +118,11 @@ def sos_relaxation(a: LinearPencil, b: LinearPencil, t: int):
     in every (1, i, i) match; row r > 0 is equation r - 1.  A coefficient
     at an off-diagonal position (p, q) of a Gram matrix enters its match as
     two halves, at (p, q) and at (q, p).
+
+    The program keeps the equations ``info.rows``, in order, and has one
+    block per part of ``info.parts`` (Q_S's parts, then Q_T's), on that
+    part's positions in order (:func:`_flip_split`); entries on the other
+    equations or joining two parts are left out.
     """
     if a.n != b.n:
         raise InvalidInput("pencils must share the variable count")
@@ -129,9 +139,16 @@ def sos_relaxation(a: LinearPencil, b: LinearPencil, t: int):
     npair = len(pi)
     diag = np.flatnonzero(pi == pj)  # pair(i, i)
     n_eq = len(gammas) * npair - 1
+    info = SosInfo(order=t, n=n, k=k, l=l, basis_n=N, gram_s_dim=kl * N,
+                   gram_t_dim=l * N, n_equations=n_eq,
+                   point_rows=unit_rows[1:, None] * npair + diag - 1)
+    info.parts, info.rows = _flip_split(a, b, info)
+    m = info.rows.size
+    program_row = np.full(n_eq + 1, -1)  # -1 on the equations left out
+    program_row[np.r_[0, info.rows + 1]] = np.arange(m + 1)
     alpha, beta = np.divmod(np.arange(N * N), N)  # ordered basis pairs
 
-    def gram_block(size, stride, gamma, p, q, v):
+    def gram_blocks(parts, stride, gamma, p, q, v):
         # the (0, 0) positions p, q of the entries, moved by (i, j) * stride
         # into every (gamma, i, j) match, then the cost entries negated in
         # the (1, i, i) matches, i > 0
@@ -141,7 +158,17 @@ def sos_relaxation(a: LinearPencil, b: LinearPencil, t: int):
         p = np.concatenate(((p[:, None] + pi * stride).ravel(), np.repeat(p[cost], l - 1)))
         q = np.concatenate(((q[:, None] + pj * stride).ravel(), np.repeat(q[cost], l - 1)))
         v = np.concatenate((np.repeat(v, npair), np.repeat(-v[cost], l - 1)))
-        return _block_data(n_eq, size, row, p, q, np.where(p == q, v, v / 2.0))
+        v = np.where(p == q, v, v / 2.0)
+        # each position's part and its index there
+        part = np.empty(sum(idx.size for idx in parts), dtype=np.intp)
+        local = np.empty_like(part)
+        for c, idx in enumerate(parts):
+            part[idx] = c
+            local[idx] = np.arange(idx.size)
+        row, cls = program_row[row], part[p]
+        kept = (row >= 0) & (cls == part[q])
+        return [_block_data(m, idx.size, row[sel], local[p[sel]], local[q[sel]], v[sel])
+                for c, idx in enumerate(parts) for sel in [kept & (cls == c)]]
 
     # Q_S: coefficient entry (aa, bb) of A's x^u term at basis pair
     # (alpha, beta) matches x^(alpha + beta + u)
@@ -149,22 +176,22 @@ def sos_relaxation(a: LinearPencil, b: LinearPencil, t: int):
     match = _positions(gammas, (basis[alpha][:, None] + basis[beta][:, None] + units)
                        .reshape(N * N * (n + 1), n)).reshape(N * N, n + 1)
     r, aa, bb = np.nonzero(coeffs)
-    c_s, a_s = gram_block(kl * N, k, match[:, r].ravel(),
-                          (alpha[:, None] * kl + aa).ravel(),
-                          (beta[:, None] * kl + bb).ravel(),
-                          np.tile(coeffs[r, aa, bb], N * N))
+    blocks = gram_blocks(info.parts[0], k, match[:, r].ravel(),
+                         (alpha[:, None] * kl + aa).ravel(),
+                         (beta[:, None] * kl + bb).ravel(),
+                         np.tile(coeffs[r, aa, bb], N * N))
     # Q_T: entry (alpha, beta) matches x^(alpha + beta)
-    c_t, a_t = gram_block(l * N, 1, _positions(gammas, basis[alpha] + basis[beta]),
+    blocks += gram_blocks(info.parts[1], 1,
+                          _positions(gammas, basis[alpha] + basis[beta]),
                           alpha * l, beta * l, np.ones(N * N))
 
     rhs = np.zeros((len(gammas), npair))
     rhs[unit_rows] = b.coeff_array()[:, pi, pj]
     rhs[0, diag[1:]] -= rhs[0, 0]
-    problem = SdpProblem((kl * N, l * N), [c_s, c_t], [a_s, a_t], rhs.ravel()[1:],
+    c_blocks, a_blocks = zip(*blocks)
+    problem = SdpProblem(tuple(idx.size for parts in info.parts for idx in parts),
+                         list(c_blocks), list(a_blocks), rhs.ravel()[1:][info.rows],
                          {"origin": "sos_gram", "order": t})
-    info = SosInfo(order=t, n=n, k=k, l=l, basis_n=N, gram_s_dim=kl * N,
-                   gram_t_dim=l * N, n_equations=n_eq,
-                   point_rows=unit_rows[1:, None] * npair + diag - 1)
     return problem, info
 
 
@@ -178,7 +205,7 @@ _STATUS = {
 
 
 def _flip_split(a: LinearPencil, b: LinearPencil, info: SosInfo):
-    """(parts, rows): the Gram program's blocks split by its sign flips.
+    """(parts, rows): the positions of Q_S and Q_T split by the sign flips.
 
     A flip negates some x_p, some indices of A and some of B at once, and
     fixes the pair when it fixes every coefficient entry; in GF(2) bit
@@ -187,8 +214,8 @@ def _flip_split(a: LinearPencil, b: LinearPencil, info: SosInfo):
     of the nonzero B_p[u, v].  A Q_S position (alpha, u, a) has mask
     parity(alpha) ^ B_u ^ A_a and a Q_T position (alpha, u) parity(alpha) ^
     B_u; the positions of one class modulo the rows are a part of their
-    block.  The flips map an optimal Gram pair to optimal ones, so their
-    average, zero across classes, is optimal too; then an equation
+    Gram matrix.  The flips map an optimal Gram pair to optimal ones, so
+    their average, zero across classes, is optimal too; then an equation
     (gamma, u, v) whose mask parity(gamma) ^ B_u ^ B_v is not in the row
     space holds trivially (its right-hand side is 0), and ``rows`` are the
     other equations.
@@ -223,31 +250,26 @@ def _flip_split(a: LinearPencil, b: LinearPencil, info: SosInfo):
 def lambda_sos(a: LinearPencil, b: LinearPencil, t: int = 0) -> SosResult:
     """Best eigenvalue bound certified by an order-t Gram pair.
 
-    The program of :func:`sos_relaxation` is solved split by its sign flips
-    (:func:`_flip_split`): one block per class, without the equations that
-    hold trivially.  The solution is mapped back, so gram_s and gram_t are
-    the full Gram matrices (zero across classes) and the multipliers of the
-    dropped equations are 0; ``solution`` is the split program's solve.
-    With a single class per block and no dropped equation the program is
-    solved as assembled.
+    Solves the program of :func:`sos_relaxation`, one block per flip class,
+    and maps the solution back: gram_s and gram_t are the full Gram matrices
+    (zero across classes), and the multipliers of the equations left out
+    are 0.  ``solution`` is the solve of that program.
 
     Returns -inf with status "infeasible" when no certificate of this order
     exists for any lambda.  first_moments is None when the solve returns no
     point.
     """
     problem, info = sos_relaxation(a, b, t)
-    parts, rows = _flip_split(a, b, info)
-    whole = rows.size == problem.m and all(len(p) == 1 for p in parts)
-    sol = solve(problem if whole else _principal_split(problem, parts, rows))
+    sol = solve(problem)
     status = _STATUS[sol.status]
     first = None
     if sol.has_point:
         value = b.coeffs[0].mat[0, 0] - sol.value
         blocks = iter(sol.x_blocks)
-        gram_s, gram_t = (_unsplit(size, idx_list, blocks) for size, idx_list
-                          in zip(problem.block_sizes, parts))
-        y = np.zeros(problem.m)
-        y[rows] = sol.y
+        gram_s, gram_t = (_unsplit(size, parts, blocks) for size, parts
+                          in zip((info.gram_s_dim, info.gram_t_dim), info.parts))
+        y = np.zeros(info.n_equations)
+        y[info.rows] = sol.y
         first = -y[info.point_rows].sum(axis=1)
     elif status == "infeasible":
         value = float("-inf")

@@ -5,9 +5,11 @@ the tests build small fixtures with them and use them as references for the
 array assembly of the package.  ``moment_relaxation_by_terms`` and
 ``gram_program_by_terms`` are the relaxations assembled by Python loops over
 basis pairs and matrix entries through these builders: the package's
-relaxations must be equal to them, entry for entry.  ``cp_sdfp_by_nullspace``
-decides the block certificate through the nullspace form of its margin
-program, a reference for the equation form that ``cp_sdfp`` solves.
+relaxations must be equal to them, entry for entry; ``principal_split`` cuts
+a Gram program by its sign flips, the reference for the split that
+``sos_relaxation`` assembles directly.  ``cp_sdfp_by_nullspace`` decides the
+block certificate through the nullspace form of its margin program, a
+reference for the equation form that ``cp_sdfp`` solves.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from spectracon import posmap
 from spectracon.errors import InvalidInput
 from spectracon.momrelax import Poly, _ParityClasses, _parity, monomials_upto
 from spectracon.pencil import extend
-from spectracon.posmap import _equation_system
+from spectracon.posmap import _equation_matrices
 from spectracon.sdpcore import (SdpProblem, SdpSolution, SolveStatus,
                                 _block_veclen, _margin_lmi, solve)
 from spectracon.symcore import min_eigenvalue, nullspace, smat, svec
@@ -377,14 +379,40 @@ def gram_program_by_terms(a, b, t):
     return problem, n_eq, point_rows
 
 
-def cp_sdfp_by_nullspace(a, b, extended=True):
+def principal_split(problem, parts, rows):
+    """The problem on the constraints ``rows`` (increasing), with dense block
+    bi cut into the principal sub-blocks on the index arrays ``parts[bi]``.
+
+    Entries outside the sub-blocks are dropped, so this is exact only when
+    they vanish at some optimum and the dropped constraints hold there, as
+    for a sign symmetry's classes.  Every block of ``problem`` must be dense.
+    """
+    sizes, c_blocks, a_blocks = [], [], []
+    for size, c, a, idx_list in zip(problem.block_sizes, problem.c_blocks,
+                                    problem.a_blocks, parts):
+        a = a[rows]
+        for idx in idx_list:
+            sizes.append(idx.size)
+            c_blocks.append(c[np.ix_(idx, idx)])
+            a_blocks.append(a[:, (idx[:, None] * size + idx).ravel()])
+    return SdpProblem(tuple(sizes), c_blocks, a_blocks, problem.b[rows],
+                      dict(problem.metadata))
+
+
+def equation_system(a, b):
+    """Rows svec(sym(A_p (x) E_uv)) and right-hand sides B_p[u, v], for
+    p = 0..n and u <= v: the equations on svec(C)."""
+    mats, rhs = _equation_matrices(a, b)
+    return svec(mats), rhs, a.k * b.k
+
+
+def cp_sdfp_by_nullspace(a, b):
     """``cp_sdfp``'s decision with the margin program posed as an LMI over
     the nullspace of the block equations: max s  s.t.  C_part + sum_q
     theta_q N_q - s I psd,  s <= cap, for a particular solution C_part and
     an orthonormal nullspace basis N_q.  Same cap, tolerances and witness
     validation; returns (kind, margin)."""
-    inner = extend(a) if extended else a
-    eq, rhs, d = _equation_system(inner, b)
+    eq, rhs, d = equation_system(extend(a), b)
     scale = 1.0 + float(np.linalg.norm(rhs))
     part = np.linalg.lstsq(eq, rhs, rcond=None)[0]
     if np.linalg.norm(eq @ part - rhs) > posmap._EQ_TOL * scale:

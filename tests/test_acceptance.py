@@ -94,7 +94,7 @@ def test_criterion_4_choi_map():
     if not eig < 0:
         bad.append(f"Choi matrix min eig = {eig:.6f}, wanted < 0")
     a, b = choi_pair()
-    res = cp_sdfp(a, b, extended=True)
+    res = cp_sdfp(a, b)
     if res.kind != "Infeasible":
         bad.append(f"extended certificate test = {res.kind}, wanted Infeasible")
     m3 = solve_mu_mom(a, b, 3, r=1.0, R=1.0)

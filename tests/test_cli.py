@@ -6,10 +6,12 @@ import pytest
 from spectracon import sdpcore
 from spectracon.cli import main
 from spectracon.families import disk_pair
+from spectracon.momrelax import solve_mu_mom
 from spectracon.pencil import (elliptope_pencil, ellipsoid_pencil, load_pencil, pencil,
                                save_pencil)
 from spectracon.sdpa import parse_sdpa
 from spectracon.sdpcore import SolveStatus, solve
+from spectracon.sosrelax import lambda_sos
 
 
 @pytest.fixture
@@ -141,7 +143,7 @@ def test_render_command(tmp_path, disk_files):
 
 @pytest.mark.parametrize("machine, order, blocks",
                          [("moment", 2, (9, 6, 9, 6, 3, 2, 3, 2)),
-                          ("sos", 0, (6, 2))],
+                          ("sos", 0, (3, 3, 1, 1))],
                          ids=["moment", "sos"])
 def test_export_round_trips_through_sdpa(tmp_path, disk_files, machine, order,
                                          blocks):
@@ -152,6 +154,22 @@ def test_export_round_trips_through_sdpa(tmp_path, disk_files, machine, order,
     prob = parse_sdpa(out)
     assert tuple(prob.block_sizes) == blocks
     assert solve(prob).status is SolveStatus.OPTIMAL
+
+
+@pytest.mark.parametrize("machine, order, solution", [
+    ("moment", 2, lambda a, b: solve_mu_mom(a, b, 2).solution),
+    ("sos", 0, lambda a, b: lambda_sos(a, b, 0).solution),
+], ids=["moment", "sos"])
+def test_export_writes_the_solved_program(tmp_path, disk_files, machine, order,
+                                          solution):
+    out = str(tmp_path / "m.dat-s")
+    assert main(["export", *disk_files, "--machine", machine, "--order", str(order),
+                 "--out", out]) == 0
+    prob = parse_sdpa(out)
+    sol = solution(*disk_pair(0.7))
+    assert prob.block_sizes == tuple(x.shape[0] if x.ndim == 2 else -x.size
+                                     for x in sol.x_blocks)
+    assert prob.m == sol.y.size
 
 
 def test_reproduce_single_table(tmp_path, capsys):

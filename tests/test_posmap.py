@@ -3,13 +3,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from builders import cp_sdfp_by_nullspace
+from builders import cp_sdfp_by_nullspace, equation_system
 from spectracon import sdpcore
 from spectracon.errors import InvariantViolation
 from spectracon.families import (ball_elliptope_pair, choi_map_spec, choi_pair,
                                  disk_pair, random_pair)
-from spectracon.posmap import (_equation_system, choi_matrix, cp_sdfp,
-                               implication_report)
+from spectracon.posmap import choi_matrix, cp_sdfp, implication_report
 from spectracon.pencil import extend, pencil
 from spectracon.symcore import svec
 from test_momrelax import _criterion6_ball
@@ -29,7 +28,7 @@ def test_feasible_witness_solves_equations():
     assert res.kind == "Feasible"
     c = res.witness
     assert float(np.linalg.eigvalsh(c).min()) >= -1e-8
-    eq, rhs, d = _equation_system(extend(a), b)
+    eq, rhs, d = equation_system(extend(a), b)
     assert c.shape == (d, d)
     assert float(np.linalg.norm(eq @ svec(c) - rhs)) <= 1e-6 * (1 + np.linalg.norm(rhs))
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from builders import assert_same_problem, gram_program_by_terms
+from builders import assert_same_problem, gram_program_by_terms, principal_split
+from spectracon import sosrelax
 from spectracon.errors import InvalidInput
 from spectracon.families import ball_elliptope_pair, choi_pair, disk_pair, random_pair
 from spectracon.momrelax import containment_relaxation
@@ -95,13 +96,17 @@ def test_count_unknowns_are_the_unreduced_sizes(make):
 @pytest.mark.parametrize("t", [0, 1])
 @pytest.mark.parametrize("make", [
     lambda: disk_pair(0.8), lambda: ball_elliptope_pair(3), lambda: random_pair(1),
-    lambda: random_pair(18), choi_pair,
-], ids=["disk-0.8", "ball-elliptope-3", "random-1", "random-18", "choi"])
+    lambda: random_pair(18), choi_pair, lambda: _criterion6_ball(0),
+    lambda: _criterion6_ball(5), lambda: disk_pair(1.2), lambda: ball_elliptope_pair(4),
+    lambda: random_pair(12), lambda: _criterion6_ball(11),
+], ids=["disk-0.8", "ball-elliptope-3", "random-1", "random-18", "choi", "ball-0",
+        "ball-5", "disk-1.2", "ball-elliptope-4", "random-12", "ball-11"])
 def test_gram_program_equals_loop_assembly(make, t):
+    # the assembled program is the loop assembly cut by the sign flips
     a, b = make()
     got, info = sos_relaxation(a, b, t)
     want, n_equations, point_rows = gram_program_by_terms(a, b, t)
-    assert_same_problem(got, want)
+    assert_same_problem(got, principal_split(want, *_flip_split(a, b, info)))
     assert info.n_equations == n_equations
     assert np.array_equal(info.point_rows, point_rows)
 
@@ -119,7 +124,7 @@ _SPLIT_PAIRS = {
 @pytest.mark.parametrize("name", sorted(_SPLIT_PAIRS))
 def test_split_gram_program_keeps_the_value(name, t):
     a, b = _SPLIT_PAIRS[name]()
-    problem, info = sos_relaxation(a, b, t)
+    problem, _, _ = gram_program_by_terms(a, b, t)
     whole = solve(problem)
     assert whole.reliable
     want = b.coeffs[0].mat[0, 0] - whole.value
@@ -151,3 +156,19 @@ def test_trivial_flips_solve_the_assembled_program():
     res = lambda_sos(a, b, 1)
     assert res.solution.iterations == whole.iterations
     assert res.solution.value == whole.value
+
+
+@pytest.mark.parametrize("make", [lambda: _criterion6_ball(5), lambda: random_pair(1)],
+                         ids=["ball-5", "random-1"])
+def test_lambda_sos_solves_the_assembled_program(make, monkeypatch):
+    a, b = make()
+    solved = []
+
+    def record(problem):
+        solved.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(sosrelax, "solve", record)
+    lambda_sos(a, b, 1)
+    assert len(solved) == 1
+    assert_same_problem(solved[0], sos_relaxation(a, b, 1)[0])
