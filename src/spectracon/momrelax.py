@@ -19,11 +19,14 @@ of the second (over the searched annulus), and negative iff some point of
 the first set escapes the second.
 
 Two exact reductions shrink every relaxation without moving its bound.
-Moments that are odd under a sign symmetry of the problem (for
-containment, at least z -> -z) vanish at some optimum and are dropped,
-which splits each moment and localizing matrix into one block per class.
-And containment_relaxation rescales x so that its moments are O(1); the
-first moments and moment matrix are mapped back to the original x.
+Moments that are odd under a sign flip of the problem, which negates some
+variables together with some indices of its matrix constraints (for
+containment, at least z -> -z), vanish at some optimum and are dropped,
+which splits each moment and localizing matrix into one block per class;
+the Gram programs of sosrelax split by the same flips.  And
+containment_relaxation and radii.circumradius_sq rescale x so that its
+moments are O(1); the first moments and moment matrix are mapped back to
+the original x.
 """
 
 from __future__ import annotations
@@ -138,37 +141,6 @@ class MatPoly:
             total += m * float(np.prod(point ** np.array(e)))
         return total
 
-    def diagonal_components(self) -> list:
-        """Index groups whose cross entries vanish in every coefficient.
-
-        A localizing matrix built from a block-diagonal constraint splits
-        into one psd block per group; the split is exact (it is a
-        permutation of the unsplit matrix).
-        """
-        parent = list(range(self.k))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for m in self.terms.values():
-            nz = np.argwhere(m != 0.0)
-            for i, j in nz:
-                ri, rj = find(int(i)), find(int(j))
-                if ri != rj:
-                    parent[ri] = rj
-        groups = {}
-        for i in range(self.k):
-            groups.setdefault(find(i), []).append(i)
-        return sorted(groups.values())
-
-    def restricted(self, idx) -> "MatPoly":
-        idx = list(idx)
-        sub = {e: m[np.ix_(idx, idx)] for e, m in self.terms.items()}
-        return MatPoly(self.nvars, len(idx), sub)
-
 
 def pencil_as_matpoly(p: LinearPencil, nvars: int, offset: int = 0) -> MatPoly:
     """Embed a linear pencil into a polynomial in nvars joint variables.
@@ -226,51 +198,70 @@ def annulus_constraints(nvars: int, z_offset: int, l: int, r: float, R: float):
 # ---------------------------------------------------------------------------
 # Sign symmetry
 #
-# A sign flip (a set s of variables, v_i -> -v_i for i in s) leaves v^e
-# unchanged iff s meets the parity mask of e, the set of its odd exponents,
-# in an even number of variables.  The flips that leave every term of the
-# problem unchanged are the GF(2) nullspace of the matrix of term parities,
-# and two monomials change sign alike under all of them iff their parities
-# differ by an element of that matrix's row space (the annihilator of the
-# nullspace).  The class of a monomial is its parity reduced by an echelon
-# basis of the row space, zero for the invariant ones.  Averaging a feasible
-# moment sequence over the flips keeps it feasible and keeps its value, and
-# zeroes every moment of nonzero class: the relaxation keeps only the
-# class-zero moments, and its moment and localizing matrices, whose entry
-# (a, b) has the class of a + b, split into one block per class of the basis.
+# A sign flip negates some variables and some indices of the matrix
+# polynomials at once.  In GF(2) bit masks (the variables, then the indices)
+# it fixes a term v^e G_e when it meets the row mask parity(e) ^ bit(i) ^
+# bit(j) of each nonzero entry (i, j) of G_e in an even number of bits (a
+# scalar term counts as 1 x 1), parity(e) being the set of odd exponents.
+# Two masks change sign alike under all such flips iff they differ by an
+# element of the row space; a mask's class is its coset representative with
+# every leading bit of the row space cleared (zero for the invariant masks),
+# and is linear in the mask.  A flip maps a feasible moment sequence to a
+# feasible one of the same value (a localizing matrix M goes to D M D, D a
+# diagonal of signs), so the average over the flips is optimal too.  It
+# zeroes every moment of nonzero class and every entry of a localizing matrix
+# between positions (u, a) and (w, b), u, w basis monomials and a, b indices,
+# whose classes u ^ a and w ^ b differ: the relaxation keeps the class-zero
+# moments and has one block per position class.
 
 
-def _parity(e: Exponent) -> int:
-    return sum(1 << i for i, v in enumerate(e) if v % 2)
+def _monomial_classes(exps: np.ndarray, var_classes: np.ndarray) -> np.ndarray:
+    """Class of each exponent row: the XOR of its odd variables' classes."""
+    return np.bitwise_xor.reduce(np.where(exps % 2 == 1, var_classes, 0), axis=1)
 
 
-class _ParityClasses:
-    """Cosets of the GF(2) row space spanned by a set of bit masks."""
+def _flip_classes(nvars: int, polys) -> np.ndarray:
+    """The class of every bit under the sign flips that fix ``polys``.
 
-    def __init__(self, masks):
-        self.rows = []  # leading bits distinct, rows in decreasing order
-        for mask in masks:
-            mask = self.reduce(mask)
-            if mask:
-                self.rows.append(mask)
-                self.rows.sort(reverse=True)
+    ``polys`` are matrix polynomials as (exponents, coefficients), their
+    terms stacked as (T, nvars) and (T, k, k) arrays; a scalar one counts as
+    1 x 1.  Bit q < nvars is variable q, and each polynomial's k indices
+    take the next k bits.  Returns an object array of int masks.
+    """
+    bits = np.array([1 << q for q in range(nvars + sum(c.shape[1] for _, c in polys))],
+                    dtype=object)
+    masks, first = set(), nvars
+    for exps, coeffs in polys:
+        term, i, j = np.nonzero(coeffs)
+        upper = i <= j
+        term, i, j = term[upper], first + i[upper], first + j[upper]
+        masks.update((_monomial_classes(exps, bits[:nvars])[term] ^ bits[i] ^ bits[j]).tolist())
+        first += coeffs.shape[1]
+    # the row space's reduced echelon basis by leading bit: no row holds
+    # another's leading bit, so a mask's class is the mask with every leading
+    # bit it holds cleared by that bit's row
+    rows = {}
+    for mask in masks:
+        for lead, row in rows.items():
+            if mask >> lead & 1:
+                mask ^= row
+        if mask:
+            lead = mask.bit_length() - 1
+            for q, row in rows.items():
+                if row >> lead & 1:
+                    rows[q] = row ^ mask
+            rows[lead] = mask
+    return np.array([rows.get(q, 0) ^ 1 << q for q in range(len(bits))], dtype=object)
 
-    def reduce(self, mask: int) -> int:
-        """The coset's representative: mask with every leading bit cleared."""
-        for row in self.rows:
-            mask = min(mask, mask ^ row)
-        return mask
 
-    def of(self, e: Exponent) -> int:
-        """Class of the monomial with exponent e."""
-        return self.reduce(_parity(e))
-
-    def split(self, exponents) -> list:
-        """The exponents grouped by class, classes in order of first appearance."""
-        groups = {}
-        for e in exponents:
-            groups.setdefault(self.of(e), []).append(e)
-        return list(groups.values())
+def _position_blocks(basis_classes: np.ndarray, index_classes: np.ndarray) -> np.ndarray:
+    """Block of each position (u, a) of a localizing matrix, u-major: one
+    block per class u ^ a, numbered in order of first appearance over the
+    positions taken index-major, so that a block-diagonal constraint's
+    blocks come index group by index group."""
+    cls = basis_classes[None, :] ^ index_classes[:, None]
+    _, first, label = np.unique(cls.ravel(), return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[label].reshape(cls.shape).T.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -307,34 +298,39 @@ class RelaxationInfo:
         return value * float(np.prod(self.scale ** np.array(e)))
 
 
-def _localizing_entries(g: MatPoly, parts, moments: np.ndarray):
-    """The localizing matrix of g, one block per part of its basis, as
-    entries (block, moment, i, j, value) with i <= j, in block order.
+def _stacked_terms(g, nvars: int):
+    """(exponents, coefficients) of g's terms as (T, nvars) and (T, k, k)
+    arrays; a Poly counts as 1 x 1."""
+    k = 1 if isinstance(g, Poly) else g.k
+    return (_exponent_array(list(g.terms), nvars),
+            np.array(list(g.terms.values()), dtype=float).reshape(len(g.terms), k, k))
 
-    Entry (a, b) of g's coefficient of v^e, at the monomials in positions u
-    and w of one part, sits at (u k + a, w k + b) of that part's block, on
-    the moment of their product with v^e: row ``moment`` of ``moments``.
+
+def _localizing_entries(exps, mats, basis, block, moments: np.ndarray):
+    """The localizing matrix of the terms (exps, mats) on ``basis``, as
+    entries (block, moment, i, j, value) on position pairs P <= P' of one
+    block.
+
+    Position P = u k + a is basis monomial u and index a; ``block`` labels
+    the positions, and i, j are the indices of P and P' in their block's
+    positions.  Entry (a, b) of the coefficient of v^e sits at (P, P') on
+    the moment of basis[u] + basis[w] + e: row ``moment`` of ``moments``.
     """
-    k, nvars = g.k, g.nvars
-    sizes = [len(part) for part in parts]
-    basis = _exponent_array([e for part in parts for e in part], nvars)
-    block = np.repeat(np.arange(len(parts)), sizes)
-    local = np.arange(len(basis)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    k = mats.shape[1]
+    order = np.argsort(block, kind="stable")
+    counts = np.bincount(block)
+    local = np.empty_like(order)
+    local[order] = np.arange(block.size) - np.repeat(np.cumsum(counts) - counts, counts)
     u, w = np.triu_indices(len(basis))
-    same = block[u] == block[w]
-    u, w = u[same], w[same]
-    exps = _exponent_array(list(g.terms), nvars)
-    mats = np.array(list(g.terms.values())).reshape(len(exps), k, k)
-    sums = basis[u][:, None] + basis[w][:, None] + exps
-    moment = _positions(moments, sums.reshape(len(u) * len(exps), nvars))
-    moment = moment.reshape(len(u), len(exps))
     term, a, b = np.nonzero(mats)
     # both triangles of an off-diagonal basis pair, the upper one of a diagonal pair
     pair, nz = np.nonzero((u < w)[:, None] | (a <= b))
-    term, a, b = term[nz], a[nz], b[nz]
-    u, w = u[pair], w[pair]
-    return (block[u], moment[pair, term], local[u] * k + a, local[w] * k + b,
-            mats[term, a, b])
+    term, a, b, u, w = term[nz], a[nz], b[nz], u[pair], w[pair]
+    P, Q = u * k + a, w * k + b
+    same = block[P] == block[Q]
+    term, a, b, u, w, P, Q = (v[same] for v in (term, a, b, u, w, P, Q))
+    moment = _positions(moments, basis[u] + basis[w] + exps[term])
+    return block[P], moment, local[P], local[Q], mats[term, a, b]
 
 
 def build_pmi_relaxation(objective: Poly, constraints, t: int,
@@ -343,8 +339,10 @@ def build_pmi_relaxation(objective: Poly, constraints, t: int,
 
     ``constraints`` is a list of Poly (scalar inequalities g >= 0) and
     MatPoly (matrix inequalities G psd).  Moments that are odd under a sign
-    symmetry of the terms are dropped and every block is split by class
-    (see above); the bound is the unreduced relaxation's.  Returns
+    flip of the problem are dropped and the moment matrix and each
+    localizing matrix are split into one block per position class (see
+    above and :func:`_position_blocks`), each block on its positions (u, a)
+    ordered by u, then a; the bound is the unreduced relaxation's.  Returns
     (problem, value, info); the bound is value(solve(problem)).
     """
     nvars = objective.nvars
@@ -365,9 +363,15 @@ def build_pmi_relaxation(objective: Poly, constraints, t: int,
                 f"order {t} below half-degree {d} of a constraint")
         half_degs.append(d)
 
-    classes = _ParityClasses(_parity(e) for g in (objective, *constraints)
-                             for e in g.terms)
-    moments = [e for e in monomials_upto(nvars, 2 * t) if classes.of(e) == 0]
+    # the moment matrix is the localizing matrix of the constant 1, and a
+    # scalar constraint is a 1 x 1 matrix one
+    full = monomials_upto(nvars, 2 * t)
+    terms = [_stacked_terms(g, nvars)
+             for g in (Poly(nvars, {full[0]: 1.0}), *constraints)]
+    obj_exps, obj_coeffs = _stacked_terms(objective, nvars)
+    classes = _flip_classes(nvars, [*terms, (obj_exps, obj_coeffs)])
+    kept = _monomial_classes(_exponent_array(full, nvars), classes[:nvars]) == 0
+    moments = [e for e, keep in zip(full, kept) if keep]
     table = _exponent_array(moments, nvars)
     m = max(len(moments) - 1, 1)  # y_0 is pinned to 1
     # The moments y are the canonical dual's variables: C = F0 (the entries
@@ -375,25 +379,23 @@ def build_pmi_relaxation(objective: Poly, constraints, t: int,
     # objective's constant +- the solve's value.
     sign = 1.0 if sense == "max" else -1.0
     sizes, c_blocks, a_blocks = [], [], []
-    # the moment matrix is the localizing matrix of the constant 1, and a
-    # scalar constraint is a 1 x 1 matrix one
-    for g, d in zip((Poly(nvars, {moments[0]: 1.0}), *constraints), (0, *half_degs)):
-        if isinstance(g, Poly):
-            g = MatPoly(nvars, 1, {e: [[c]] for e, c in g.terms.items()})
-        parts = classes.split(monomials_upto(nvars, t - d))
-        for group in g.diagonal_components():
-            sub = g.restricted(group) if len(group) < g.k else g
-            block, moment, i, j, v = _localizing_entries(sub, parts, table)
-            v = np.where(moment == 0, v, -v)
-            cuts = np.searchsorted(block, np.arange(len(parts) + 1))
-            for part, lo, hi in zip(parts, cuts[:-1], cuts[1:]):
-                sizes.append(len(part) * sub.k)
-                c, a = _block_data(m, sizes[-1], moment[lo:hi], i[lo:hi], j[lo:hi], v[lo:hi])
-                c_blocks.append(c)
-                a_blocks.append(a)
+    first = nvars  # the bit of the next index
+    for (exps, mats), d in zip(terms, (0, *half_degs)):
+        k = mats.shape[1]
+        basis = _exponent_array(monomials_upto(nvars, t - d), nvars)
+        block = _position_blocks(_monomial_classes(basis, classes[:nvars]),
+                                 classes[first:first + k])
+        first += k
+        blk, moment, i, j, v = _localizing_entries(exps, mats, basis, block, table)
+        v = np.where(moment == 0, v, -v)
+        for label, size in enumerate(np.bincount(block)):
+            sel = blk == label
+            sizes.append(int(size))
+            c, a = _block_data(m, sizes[-1], moment[sel], i[sel], j[sel], v[sel])
+            c_blocks.append(c)
+            a_blocks.append(a)
     obj = np.zeros(m + 1)
-    np.add.at(obj, _positions(table, _exponent_array(list(objective.terms), nvars)),
-              list(objective.terms.values()))
+    np.add.at(obj, _positions(table, obj_exps), obj_coeffs.ravel())
     offset = obj[0]
     problem = SdpProblem(tuple(sizes), c_blocks, a_blocks, sign * obj[1:],
                          dict(metadata or {}))
@@ -446,6 +448,11 @@ def _x_scale(a: LinearPencil) -> np.ndarray:
     return d
 
 
+def _scaled_pencil(p: LinearPencil, d: np.ndarray) -> LinearPencil:
+    """The pencil x' -> p(D x'), D = diag(d)."""
+    return pencil([p.coeffs[0].mat] + [dp * c.mat for dp, c in zip(d, p.coeffs[1:])])
+
+
 def containment_relaxation(a: LinearPencil, b: LinearPencil, t: int,
                            r: float = 1.0, R: float = 2.0):
     """Assemble the order-t moment program for  inf z'B(x)z  over
@@ -464,8 +471,7 @@ def containment_relaxation(a: LinearPencil, b: LinearPencil, t: int,
     n, l = a.n, b.k
     nvars = n + l
     d = _x_scale(a)
-    a, b = (pencil([p.coeffs[0].mat] + [dp * c.mat for dp, c in zip(d, p.coeffs[1:])])
-            for p in (a, b))
+    a, b = _scaled_pencil(a, d), _scaled_pencil(b, d)
     obj = quadratic_objective(b, nvars, z_offset=n)
     ga = pencil_as_matpoly(a, nvars)
     lo, hi = annulus_constraints(nvars, n, l, r, R)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .momrelax import Poly, build_pmi_relaxation, pencil_as_matpoly
+from .momrelax import (Poly, _scaled_pencil, _x_scale, build_pmi_relaxation,
+                       pencil_as_matpoly)
 from .pencil import LinearPencil
 from .reduce import lineality_space
 from .sdpcore import _LMI_STATUS, SdpSolution, _margin_lmi, solve
@@ -41,19 +42,17 @@ class RadiusResult:
 def circumradius_sq(p: LinearPencil, t: int = 2) -> RadiusResult:
     """Order-t upper bound nu2(t) on the squared circumradius of S_A.
 
+    The relaxation is built in x' with x = D x' (``momrelax._x_scale``), so
+    that the moments are O(1); its objective is sum_q D_qq^2 x'_q^2.
     Status "unbounded" signals that the relaxation found no finite bound,
     which happens in particular for unbounded spectrahedra.
     """
     n = p.n
     if n == 0:
         raise InvalidInput("pencil has no variables")
-    terms = {}
-    for q in range(n):
-        e = [0] * n
-        e[q] = 2
-        terms[tuple(e)] = 1.0
-    obj = Poly(n, terms)
-    ga = pencil_as_matpoly(p, n)
+    d = _x_scale(p)
+    obj = Poly(n, {tuple(2 * np.eye(n, dtype=int)[q]): d[q] ** 2 for q in range(n)})
+    ga = pencil_as_matpoly(_scaled_pencil(p, d), n)
     problem, value_of, _ = build_pmi_relaxation(
         obj, [ga], t, sense="max", metadata={"origin": "circumradius"})
     sol = solve(problem)

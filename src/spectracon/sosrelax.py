@@ -23,9 +23,10 @@ elimination of lambda normalizes tr L(z z') = 1.  The first moments
 x_p = L(x_p |z|^2) = -sum_i y[(e_p, i, i)] are therefore a candidate
 minimizer of the eigenvalue margin, kept as SosResult.first_moments.
 
-The program is assembled reduced exactly by its sign flips, which negate
-some x_p together with some indices of A and of B and fix every
-coefficient: averaged over them, an optimal Gram pair is zero across flip
+The program is assembled reduced exactly by its sign flips, those of
+momrelax's moment relaxation of the pair with B's indices for z: they
+negate some x_p together with some indices of A and of B and fix every
+coefficient.  Averaged over them, an optimal Gram pair is zero across flip
 classes, so Q_S and Q_T split into one block per class and the equations
 between classes hold trivially and are left out.  lambda_sos maps the
 solution back to the full Gram matrices and equation index.
@@ -38,8 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, OrderTooSmall
-from .momrelax import (_exponent_array, _ParityClasses, _positions, basis_size,
-                       monomials_upto)
+from .momrelax import (_exponent_array, _flip_classes, _monomial_classes, _positions,
+                       basis_size, monomials_upto)
 from .pencil import LinearPencil
 from .sdpcore import SdpProblem, SdpSolution, SolveStatus, _block_data, solve
 
@@ -207,11 +208,10 @@ _STATUS = {
 def _flip_split(a: LinearPencil, b: LinearPencil, info: SosInfo):
     """(parts, rows): the positions of Q_S and Q_T split by the sign flips.
 
-    A flip negates some x_p, some indices of A and some of B at once, and
-    fixes the pair when it fixes every coefficient entry; in GF(2) bit
-    masks (x_p, then A's indices, then B's) the flips are orthogonal to the
-    row masks x_p ^ A_i ^ A_j of the nonzero A_p[i, j] and x_p ^ B_u ^ B_v
-    of the nonzero B_p[u, v].  A Q_S position (alpha, u, a) has mask
+    The flips are those of ``momrelax._flip_classes`` on the bits x_p, then
+    A's indices, then B's: they fix the pair when they meet the row masks
+    x_p ^ A_i ^ A_j of the nonzero A_p[i, j] and x_p ^ B_u ^ B_v of the
+    nonzero B_p[u, v] evenly.  A Q_S position (alpha, u, a) has mask
     parity(alpha) ^ B_u ^ A_a and a Q_T position (alpha, u) parity(alpha) ^
     B_u; the positions of one class modulo the rows are a part of their
     Gram matrix.  The flips map an optimal Gram pair to optimal ones, so
@@ -221,20 +221,12 @@ def _flip_split(a: LinearPencil, b: LinearPencil, info: SosInfo):
     other equations.
     """
     n, k, l = info.n, info.k, info.l
-    masks = []
-    for pen, first in ((a, n), (b, n + k)):
-        for p, c in enumerate(pen.coeffs):
-            x_bit = 1 << (p - 1) if p else 0
-            for i, j in zip(*np.nonzero(np.triu(c.mat))):
-                masks.append(x_bit ^ 1 << (first + int(i)) ^ 1 << (first + int(j)))
-    flips = _ParityClasses(masks)
-    # a mask's class is linear in its bits: the XOR of the classes of its bits
-    rep = np.array([flips.reduce(1 << q) for q in range(n + k + l)], dtype=object)
+    units = np.vstack((np.zeros(n, dtype=np.intp), np.eye(n, dtype=np.intp)))
+    rep = _flip_classes(n, [(units, a.coeff_array()), (units, b.coeff_array())])
     x_rep, a_rep, b_rep = rep[:n], rep[n:n + k], rep[n + k:]
 
     def monomial_classes(degree):
-        odd = _exponent_array(monomials_upto(n, degree), n) % 2 == 1
-        return np.bitwise_xor.reduce(np.where(odd, x_rep, 0), axis=1)
+        return _monomial_classes(_exponent_array(monomials_upto(n, degree), n), x_rep)
 
     alpha = monomial_classes(info.order)
     parts = []

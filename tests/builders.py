@@ -3,11 +3,11 @@
 ``LmiBuilder`` and ``PrimalBuilder`` assemble a problem one entry at a time;
 the tests build small fixtures with them and use them as references for the
 array assembly of the package.  ``moment_relaxation_by_terms`` and
-``gram_program_by_terms`` are the relaxations assembled by Python loops over
-basis pairs and matrix entries through these builders: the package's
-relaxations must be equal to them, entry for entry; ``principal_split`` cuts
-a Gram program by its sign flips, the reference for the split that
-``sos_relaxation`` assembles directly.  ``cp_sdfp_by_nullspace`` decides the
+``gram_program_by_terms`` are the unreduced relaxations assembled by Python
+loops over basis pairs and matrix entries through these builders;
+``principal_split`` cuts them by their sign flips (``moment_flip_split``,
+``sosrelax._flip_split``), and the package's relaxations must be equal to
+the cut programs, entry for entry.  ``cp_sdfp_by_nullspace`` decides the
 block certificate through the nullspace form of its margin program, a
 reference for the equation form that ``cp_sdfp`` solves.
 """
@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from spectracon import posmap
 from spectracon.errors import InvalidInput
-from spectracon.momrelax import Poly, _ParityClasses, _parity, monomials_upto
+from spectracon.momrelax import Poly, _flip_classes, _stacked_terms, monomials_upto
 from spectracon.pencil import extend
 from spectracon.posmap import _equation_matrices
 from spectracon.sdpcore import (SdpProblem, SdpSolution, SolveStatus,
@@ -223,17 +223,13 @@ def _eadd(a, b):
 
 
 def moment_relaxation_by_terms(objective, constraints, t, sense="min", metadata=None):
-    """``build_pmi_relaxation``'s program, one LmiBuilder term per entry:
-    the moment matrix's blocks, then each constraint's localizing blocks,
-    every basis split by sign class.  Returns (problem, builder)."""
+    """The order-t moment relaxation over every moment, one LmiBuilder term
+    per entry: the moment matrix, then one full block per constraint.
+    Returns (problem, builder)."""
     nvars = objective.nvars
-    half_degs = [(g.degree() + 1) // 2 for g in constraints]
-    classes = _ParityClasses(_parity(e) for g in (objective, *constraints)
-                             for e in g.terms)
-    moments = [e for e in monomials_upto(nvars, 2 * t) if classes.of(e) == 0]
-    index = {e: i for i, e in enumerate(moments)}
-    nmom = len(moments) - 1  # y_0 is pinned to 1
-    builder = LmiBuilder(nvars=max(nmom, 1), sense=sense)
+    full = monomials_upto(nvars, 2 * t)
+    index = {e: i for i, e in enumerate(full)}
+    builder = LmiBuilder(nvars=max(len(full) - 1, 1), sense=sense)
 
     def term(blk, e, i, j, c):
         if sum(e) == 0:
@@ -241,41 +237,20 @@ def moment_relaxation_by_terms(objective, constraints, t, sense="min", metadata=
         else:
             builder.add_term(blk, index[e] - 1, i, j, c)
 
-    for part in classes.split(monomials_upto(nvars, t)):
-        blk = builder.add_block(len(part))
-        for i in range(len(part)):
-            for j in range(i, len(part)):
-                term(blk, _eadd(part[i], part[j]), i, j, 1.0)
-
-    for g, d in zip(constraints, half_degs):
-        parts = classes.split(monomials_upto(nvars, t - d))
-        if isinstance(g, Poly):
-            for loc in parts:
-                nloc = len(loc)
-                blk = builder.add_block(nloc)
-                for i in range(nloc):
-                    for j in range(i, nloc):
-                        ebase = _eadd(loc[i], loc[j])
-                        for eg, c in g.terms.items():
-                            term(blk, _eadd(ebase, eg), i, j, c)
-            continue
-        for group in g.diagonal_components():
-            sub = g.restricted(group) if len(group) < g.k else g
-            kk = sub.k
-            for loc in parts:
-                nloc = len(loc)
-                blk = builder.add_block(nloc * kk)
-                for i in range(nloc):
-                    for j in range(i, nloc):
-                        ebase = _eadd(loc[i], loc[j])
-                        for eg, mat in sub.terms.items():
-                            e = _eadd(ebase, eg)
-                            for a in range(kk):
-                                brange = range(a, kk) if i == j else range(kk)
-                                for b in brange:
-                                    c = mat[a, b]
-                                    if c != 0.0:
-                                        term(blk, e, i * kk + a, j * kk + b, c)
+    # the moment matrix is the localizing matrix of the constant 1
+    for g in (Poly(nvars, {full[0]: 1.0}), *constraints):
+        loc = monomials_upto(nvars, t - (g.degree() + 1) // 2)
+        kk = 1 if isinstance(g, Poly) else g.k
+        blk = builder.add_block(len(loc) * kk)
+        for i in range(len(loc)):
+            for j in range(i, len(loc)):
+                for eg, mat in g.terms.items():
+                    e = _eadd(_eadd(loc[i], loc[j]), eg)
+                    mat = np.reshape(mat, (kk, kk))
+                    for a in range(kk):
+                        for b in (range(a, kk) if i == j else range(kk)):
+                            if mat[a, b] != 0.0:
+                                term(blk, e, i * kk + a, j * kk + b, mat[a, b])
 
     for e, c in objective.terms.items():
         if sum(e) == 0:
@@ -283,6 +258,42 @@ def moment_relaxation_by_terms(objective, constraints, t, sense="min", metadata=
         else:
             builder.add_objective(index[e] - 1, c)
     return builder.build(metadata=metadata), builder
+
+
+def moment_flip_split(objective, constraints, t):
+    """(parts, rows): ``moment_relaxation_by_terms``'s blocks cut by the sign
+    flips, the reference for the split that ``build_pmi_relaxation``
+    assembles.
+
+    The kept rows are the moments of class 0.  Position (u, a) of a block
+    (index i * k + a there for basis monomial i) has class u ^ a; the parts
+    of a block are its classes, in order of first appearance over the
+    positions taken index by index.
+    """
+    nvars = objective.nvars
+    polys = [Poly(nvars, {(0,) * nvars: 1.0}), *constraints]
+    classes = _flip_classes(nvars, [_stacked_terms(g, nvars) for g in (*polys, objective)])
+
+    def cls(e):
+        out = 0
+        for v, power in enumerate(e):
+            if power % 2:
+                out ^= classes[v]
+        return out
+
+    full = monomials_upto(nvars, 2 * t)
+    rows = np.array([i - 1 for i, e in enumerate(full) if i and cls(e) == 0])
+    parts, first = [], nvars
+    for g in polys:
+        loc = monomials_upto(nvars, t - (g.degree() + 1) // 2)
+        kk = 1 if isinstance(g, Poly) else g.k
+        groups = {}
+        for a in range(kk):
+            for i, u in enumerate(loc):
+                groups.setdefault(cls(u) ^ classes[first + a], []).append(i * kk + a)
+        parts.append([np.array(sorted(p)) for p in groups.values()])
+        first += kk
+    return parts, rows
 
 
 def gram_program_by_terms(a, b, t):

@@ -44,9 +44,10 @@ def test_check_json_output(disk_files, capsys):
     assert code == 0
     assert payload["status"] == "Certified"
     assert payload["value"] == pytest.approx(0.010051, abs=1e-4)
-    # the size of the solved relaxation, reduced by the z -> -z symmetry
-    assert payload["details"]["moments"] == 37
-    assert payload["details"]["block_sizes"] == [9, 6, 9, 6, 3, 2, 3, 2]
+    # the size of the solved relaxation, reduced by its sign flips
+    assert payload["details"]["moments"] == 21
+    assert payload["details"]["block_sizes"] == [6, 3, 3, 3, 5, 3, 3, 4, 2, 1, 1, 1,
+                                                 2, 1, 1, 1]
 
 
 def test_check_json_emits_details(tmp_path, capsys):
@@ -142,7 +143,7 @@ def test_render_command(tmp_path, disk_files):
 
 
 @pytest.mark.parametrize("machine, order, blocks",
-                         [("moment", 2, (9, 6, 9, 6, 3, 2, 3, 2)),
+                         [("moment", 2, (6, 3, 3, 3, 5, 3, 3, 4, 2, 1, 1, 1, 2, 1, 1, 1)),
                           ("sos", 0, (3, 3, 1, 1))],
                          ids=["moment", "sos"])
 def test_export_round_trips_through_sdpa(tmp_path, disk_files, machine, order,

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import LmiBuilder, assert_same_problem, moment_relaxation_by_terms
+from builders import (assert_same_problem, moment_flip_split, moment_relaxation_by_terms,
+                      principal_split)
 from spectracon import momrelax, radii
 from spectracon.errors import InvalidInput, OrderTooSmall
-from spectracon.families import choi_pair, disk_pair, random_pair
+from spectracon.families import ball_elliptope_pair, choi_pair, disk_pair, random_pair
 from spectracon.momrelax import (MatPoly, Poly,
                                  annulus_constraints, basis_size,
                                  build_pmi_relaxation, containment_relaxation,
@@ -14,7 +15,7 @@ from spectracon.momrelax import (MatPoly, Poly,
                                  pencil_as_matpoly, quadratic_objective,
                                  shrink_pencil, shrink_to_certify,
                                  solve_mu_mom)
-from spectracon.pencil import (elliptope_pencil, ellipsoid_pencil,
+from spectracon.pencil import (elliptope_pencil, ellipsoid_pencil, pencil,
                                polytope_pencil, random_pencil)
 from spectracon.sdpcore import solve
 
@@ -46,18 +47,6 @@ def test_poly_eval_degree_and_pruning():
 def test_matpoly_symmetrizes_coefficients():
     m = MatPoly(1, 2, {(0,): [[0.0, 2.0], [0.0, 0.0]]})
     np.testing.assert_allclose(m.terms[(0,)], [[0.0, 1.0], [1.0, 0.0]])
-
-
-def test_diagonal_components_and_restriction():
-    terms = {
-        (0, 0): np.diag([1.0, 2.0, 3.0]),
-        (1, 0): np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
-    }
-    m = MatPoly(2, 3, terms)
-    assert m.diagonal_components() == [[0, 1], [2]]
-    sub = m.restricted([0, 1])
-    x = [0.3, -0.8]
-    np.testing.assert_allclose(sub(x), m(x)[:2, :2])
 
 
 def test_pencil_as_matpoly_matches_pencil():
@@ -101,9 +90,20 @@ def test_relaxation_dimensions_disk():
     a, b = disk_pair(0.7)
     _, _, info = containment_relaxation(a, b, 2)
     assert info.nvars == a.n + b.k == 4
-    # the moments even in z, and every block split into its even and odd part
-    assert info.n_moments == 37
-    assert info.block_sizes == (9, 6, 9, 6, 3, 2, 3, 2)
+    # the moments fixed by z -> -z and by x2 -> -x2 with z1 -> -z1 (and an
+    # index of A), every block split into the classes of both flips
+    assert info.n_moments == 21
+    assert info.block_sizes == (6, 3, 3, 3, 5, 3, 3, 4, 2, 1, 1, 1, 2, 1, 1, 1)
+
+
+@pytest.mark.parametrize("make,t,moments,largest", [
+    (choi_pair, 3, 447, 32),
+    (lambda: ball_elliptope_pair(4), 2, 90, 11),
+], ids=["choi-3", "ball-elliptope-4"])
+def test_index_flips_shrink_the_relaxation(make, t, moments, largest):
+    _, _, info = containment_relaxation(*make(), t)
+    assert info.n_moments == moments
+    assert max(info.block_sizes) == largest
 
 
 @pytest.mark.parametrize("nu,ref", [
@@ -173,62 +173,10 @@ def test_shrink_to_certify_finds_disk_boundary():
 # The sign-symmetry split and the scaling of x against the plain assembly
 
 
-def _unreduced_relaxation(objective, constraints, t, sense="min", metadata=None):
-    """The order-t relaxation over every moment, one block per constraint
-    component, in the given variables."""
-    nvars = objective.nvars
-    full = monomials_upto(nvars, 2 * t)
-    index = {e: i for i, e in enumerate(full)}
-    builder = LmiBuilder(nvars=max(len(full) - 1, 1), sense=sense)
-
-    def term(blk, e, i, j, c):
-        if sum(e) == 0:
-            builder.add_const(blk, i, j, c)
-        else:
-            builder.add_term(blk, index[e] - 1, i, j, c)
-
-    def add(x, y):
-        return tuple(u + v for u, v in zip(x, y))
-
-    top = monomials_upto(nvars, t)
-    blk = builder.add_block(len(top))
-    for i in range(len(top)):
-        for j in range(i, len(top)):
-            term(blk, add(top[i], top[j]), i, j, 1.0)
-    for g in constraints:
-        loc = monomials_upto(nvars, t - (g.degree() + 1) // 2)
-        nloc = len(loc)
-        if isinstance(g, Poly):
-            blk = builder.add_block(nloc)
-            for i in range(nloc):
-                for j in range(i, nloc):
-                    for eg, c in g.terms.items():
-                        term(blk, add(add(loc[i], loc[j]), eg), i, j, c)
-            continue
-        for group in g.diagonal_components():
-            sub = g.restricted(group) if len(group) < g.k else g
-            kk = sub.k
-            blk = builder.add_block(nloc * kk)
-            for i in range(nloc):
-                for j in range(i, nloc):
-                    for eg, mat in sub.terms.items():
-                        e = add(add(loc[i], loc[j]), eg)
-                        for a in range(kk):
-                            for b in (range(a, kk) if i == j else range(kk)):
-                                if mat[a, b] != 0.0:
-                                    term(blk, e, i * kk + a, j * kk + b, mat[a, b])
-    for e, c in objective.terms.items():
-        if sum(e) == 0:
-            builder.offset += c
-        else:
-            builder.add_objective(index[e] - 1, c)
-    return builder.build(metadata=metadata), builder
-
-
 def _unreduced_bound(a, b, t=2, r=1.0, R=2.0):
     nvars = a.n + b.k
     lo, hi = annulus_constraints(nvars, a.n, b.k, r, R)
-    problem, builder = _unreduced_relaxation(
+    problem, builder = moment_relaxation_by_terms(
         quadratic_objective(b, nvars, z_offset=a.n),
         [pencil_as_matpoly(a, nvars), lo, hi], t)
     sol = solve(problem)
@@ -250,12 +198,18 @@ def _criterion6_ball(i):
     return ellipsoid_pencil([nu] * n), polytope_pencil(amat, np.ones(k))
 
 
-def _ball_problem(i):
-    a, b = _criterion6_ball(i)
+def _containment_problem(a, b):
     nvars = a.n + b.k
     lo, hi = annulus_constraints(nvars, a.n, b.k, 1.0, 2.0)
     return (quadratic_objective(b, nvars, z_offset=a.n),
             [pencil_as_matpoly(a, nvars), lo, hi])
+
+
+def _two_component_problem():
+    # indices 0 and 1 are joined by the x1 term, index 2 stands alone
+    g = MatPoly(2, 3, {(0, 0): np.diag([1.0, 2.0, 3.0]),
+                       (1, 0): [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]})
+    return Poly(2, {(2, 0): 1.0, (0, 2): 1.0}), [g]
 
 
 @pytest.mark.parametrize("make", [
@@ -267,31 +221,65 @@ def _ball_problem(i):
              [Poly(3, {(0, 0, 0): 1.0, (2, 0, 0): -1.0, (0, 2, 0): -1.0,
                        (0, 0, 2): -1.0})]),
     # a diagonal B: every z_i flips on its own
-    lambda: _ball_problem(0),
-], ids=["independent", "joint", "ball"])
+    lambda: _containment_problem(*_criterion6_ball(0)),
+    # x2 flips with z1 and an index of A
+    lambda: _containment_problem(*disk_pair(0.7)),
+    # the localizing matrix splits by index component
+    _two_component_problem,
+], ids=["independent", "joint", "ball", "disk", "two-component"])
 def test_kept_moments_are_those_every_sign_symmetry_fixes(make):
+    # brute force over every flip of the variables and the constraint
+    # indices: the kept moments are those every fixing flip fixes, and each
+    # localizing matrix splits into the position classes of the flips
     objective, constraints = make()
     nvars = objective.nvars
-    _, _, info = build_pmi_relaxation(objective, constraints, 2)
-    terms = [e for g in (objective, *constraints) for e in g.terms]
+    t = 2
+    _, _, info = build_pmi_relaxation(objective, constraints, t)
+    ks = [1 if isinstance(g, Poly) else g.k for g in constraints]
+    nbits = nvars + sum(ks)
+    signs = 1 - 2 * (np.arange(2 ** nbits)[:, None] >> np.arange(nbits) & 1)
 
-    def fixes(mask, e):
-        return sum(v for i, v in enumerate(e) if mask >> i & 1) % 2 == 0
+    def sign_of(e, flips):
+        return np.prod(flips[:, :nvars] ** np.array(e), axis=1)
 
-    flips = [mask for mask in range(2 ** nvars)
-             if all(fixes(mask, e) for e in terms)]
+    fixing = np.ones(len(signs), dtype=bool)
+    for e in objective.terms:
+        fixing &= sign_of(e, signs) == 1
+    first = nvars
+    for g, k in zip(constraints, ks):
+        for e, c in g.terms.items():
+            i, j = np.nonzero(np.reshape(c, (k, k)))
+            idx = signs[:, first:first + k]
+            fixing &= np.all(sign_of(e, signs)[:, None] * idx[:, i] * idx[:, j] == 1, axis=1)
+        first += k
+    flips = signs[fixing]
     assert len(flips) > 1
-    assert list(info.moments) == [e for e in monomials_upto(nvars, 4)
-                                  if all(fixes(mask, e) for mask in flips)]
+    assert list(info.moments) == [e for e in monomials_upto(nvars, 2 * t)
+                                  if np.all(sign_of(e, flips) == 1)]
     assert info.n_moments == len(info.moments) - 1
+
+    # the moment matrix has one index that no flip negates
+    sizes, first = [], nvars
+    for g, k in zip([Poly(nvars, {}), *constraints], [0, *ks]):
+        basis = monomials_upto(nvars, t - (g.degree() + 1) // 2)
+        idx = flips[:, first:first + k] if k else np.ones((len(flips), 1), dtype=int)
+        first += k
+        blocks = {}
+        for a in range(idx.shape[1]):
+            for u in basis:
+                key = (sign_of(u, flips) * idx[:, a]).tobytes()
+                blocks[key] = blocks.get(key, 0) + 1
+        sizes += blocks.values()
+    assert info.block_sizes == tuple(sizes)
 
 
 @pytest.mark.parametrize("make", [
     lambda: disk_pair(0.7), lambda: disk_pair(1.0), lambda: disk_pair(1.2),
     lambda: _criterion6_ball(0), lambda: _criterion6_ball(5),
     lambda: random_pair(1), lambda: random_pair(12), lambda: random_pair(18),
+    lambda: ball_elliptope_pair(3),
 ], ids=["disk-0.7", "disk-1.0", "disk-1.2", "ball-0", "ball-5",
-        "random-1", "random-12", "random-18"])
+        "random-1", "random-12", "random-18", "ball-elliptope-3"])
 def test_reduced_scaled_bound_equals_unreduced(make):
     a, b = make()
     want = _unreduced_bound(a, b)
@@ -334,9 +322,12 @@ def test_first_moments_and_moment_matrix_undo_the_scaling():
 
 
 @pytest.mark.parametrize("make", [lambda: random_pair(1)[0],
-                                  lambda: elliptope_pencil(3)],
-                         ids=["random-1", "elliptope-3"])
-def test_circumradius_program_is_unchanged_without_symmetry(make, monkeypatch):
+                                  lambda: elliptope_pencil(3),
+                                  lambda: shrink_pencil(elliptope_pencil(3), 4.0)],
+                         ids=["random-1", "elliptope-3", "elliptope-3-x4"])
+def test_circumradius_program_equals_loop_assembly(make, monkeypatch):
+    # solved in x' with x = D x': objective sum D_qq^2 x'_q^2 over the
+    # pencil x' -> A(D x'), cut by its sign flips
     p = make()
     built = []
 
@@ -346,21 +337,15 @@ def test_circumradius_program_is_unchanged_without_symmetry(make, monkeypatch):
 
     monkeypatch.setattr(radii, "solve", capture)
     radii.circumradius_sq(p)
-    obj = Poly(p.n, {tuple(2 * np.eye(p.n, dtype=int)[q]): 1.0
+    d = momrelax._x_scale(p)
+    obj = Poly(p.n, {tuple(2 * np.eye(p.n, dtype=int)[q]): d[q] ** 2
                      for q in range(p.n)})
-    want, _ = _unreduced_relaxation(obj, [pencil_as_matpoly(p, p.n)], 2,
-                                    sense="max",
-                                    metadata={"origin": "circumradius"})
+    scaled = pencil([p.coeffs[0].mat] + [dq * c.mat for dq, c in zip(d, p.coeffs[1:])])
+    constraints = [pencil_as_matpoly(scaled, p.n)]
+    want, _ = moment_relaxation_by_terms(obj, constraints, 2, sense="max",
+                                         metadata={"origin": "circumradius"})
     got, = built
-    assert got.block_sizes == want.block_sizes
-    assert np.array_equal(got.b, want.b)
-    for cg, cw, ag, aw in zip(got.c_blocks, want.c_blocks, got.a_blocks,
-                              want.a_blocks):
-        assert np.array_equal(cg, cw)
-        assert ag.shape == aw.shape
-        assert np.array_equal(ag.indptr, aw.indptr)
-        assert np.array_equal(ag.indices, aw.indices)
-        assert np.array_equal(ag.data, aw.data)
+    assert_same_problem(got, principal_split(want, *moment_flip_split(obj, constraints, 2)))
 
 
 _PAIRS = {"disk-0.7": lambda: disk_pair(0.7), "disk-1.2": lambda: disk_pair(1.2),
@@ -382,4 +367,6 @@ def test_moment_program_equals_loop_assembly(name, t, monkeypatch):
     monkeypatch.setattr(momrelax, "build_pmi_relaxation", record)
     got = containment_relaxation(*_PAIRS[name](), t)[0]
     (args, kwargs), = calls
-    assert_same_problem(got, moment_relaxation_by_terms(*args, **kwargs)[0])
+    # the assembled program is the loop assembly cut by the sign flips
+    want, _ = moment_relaxation_by_terms(*args, **kwargs)
+    assert_same_problem(got, principal_split(want, *moment_flip_split(*args)))

@@ -5,7 +5,7 @@ from builders import assert_same_problem, gram_program_by_terms, principal_split
 from spectracon import sosrelax
 from spectracon.errors import InvalidInput
 from spectracon.families import ball_elliptope_pair, choi_pair, disk_pair, random_pair
-from spectracon.momrelax import containment_relaxation
+from spectracon.momrelax import _flip_classes, containment_relaxation, monomials_upto
 from spectracon.sdpcore import solve
 from spectracon.sosrelax import (_flip_split, certificate_gap, count_unknowns,
                                  lambda_sos, sos_relaxation)
@@ -109,6 +109,37 @@ def test_gram_program_equals_loop_assembly(make, t):
     assert_same_problem(got, principal_split(want, *_flip_split(a, b, info)))
     assert info.n_equations == n_equations
     assert np.array_equal(info.point_rows, point_rows)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: disk_pair(0.7), lambda: ball_elliptope_pair(3), choi_pair,
+    lambda: random_pair(2), lambda: random_pair(30), lambda: random_pair(47),
+], ids=["disk-0.7", "ball-elliptope-3", "choi", "random-2", "random-30", "random-47"])
+def test_both_hierarchies_share_one_flip_group(make, monkeypatch):
+    # the moment relaxation keeps exactly the (x, z) monomials of class 0
+    # under the Gram program's flips, with B's index u for z_u
+    a, b = make()
+    n, k = a.n, a.k
+    seen = []
+
+    def record(*args):
+        seen.append(_flip_classes(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(sosrelax, "_flip_classes", record)
+    sos_relaxation(a, b, 0)
+    gram, = seen
+    var_classes = list(gram[:n]) + list(gram[n + k:])
+
+    def cls(e):
+        out = 0
+        for c, power in zip(var_classes, e):
+            if power % 2:
+                out ^= c
+        return out
+
+    _, _, info = containment_relaxation(a, b, 2)
+    assert list(info.moments) == [e for e in monomials_upto(n + b.k, 4) if cls(e) == 0]
 
 
 _SPLIT_PAIRS = {
