@@ -260,6 +260,15 @@ def moment_relaxation_by_terms(objective, constraints, t, sense="min", metadata=
     return builder.build(metadata=metadata), builder
 
 
+def monomial_class(e, var_classes):
+    """The XOR of the classes of the odd variables of exponent e."""
+    out = 0
+    for c, power in zip(var_classes, e):
+        if power % 2:
+            out ^= c
+    return out
+
+
 def moment_flip_split(objective, constraints, t):
     """(parts, rows): ``moment_relaxation_by_terms``'s blocks cut by the sign
     flips, the reference for the split that ``build_pmi_relaxation``
@@ -275,11 +284,7 @@ def moment_flip_split(objective, constraints, t):
     classes = _flip_classes(nvars, [_stacked_terms(g, nvars) for g in (*polys, objective)])
 
     def cls(e):
-        out = 0
-        for v, power in enumerate(e):
-            if power % 2:
-                out ^= classes[v]
-        return out
+        return monomial_class(e, classes)
 
     full = monomials_upto(nvars, 2 * t)
     rows = np.array([i - 1 for i, e in enumerate(full) if i and cls(e) == 0])

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from builders import assert_same_problem, gram_program_by_terms, principal_split
+from builders import (assert_same_problem, gram_program_by_terms, monomial_class,
+                      principal_split)
 from spectracon import sosrelax
 from spectracon.errors import InvalidInput
 from spectracon.families import ball_elliptope_pair, choi_pair, disk_pair, random_pair
@@ -130,16 +131,9 @@ def test_both_hierarchies_share_one_flip_group(make, monkeypatch):
     sos_relaxation(a, b, 0)
     gram, = seen
     var_classes = list(gram[:n]) + list(gram[n + k:])
-
-    def cls(e):
-        out = 0
-        for c, power in zip(var_classes, e):
-            if power % 2:
-                out ^= c
-        return out
-
     _, _, info = containment_relaxation(a, b, 2)
-    assert list(info.moments) == [e for e in monomials_upto(n + b.k, 4) if cls(e) == 0]
+    assert list(info.moments) == [e for e in monomials_upto(n + b.k, 4)
+                                  if monomial_class(e, var_classes) == 0]
 
 
 _SPLIT_PAIRS = {
