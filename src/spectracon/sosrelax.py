@@ -143,7 +143,7 @@ def sos_relaxation(a: LinearPencil, b: LinearPencil, t: int):
     info = SosInfo(order=t, n=n, k=k, l=l, basis_n=N, gram_s_dim=kl * N,
                    gram_t_dim=l * N, n_equations=n_eq,
                    point_rows=unit_rows[1:, None] * npair + diag - 1)
-    info.parts, info.rows = _flip_split(a, b, info)
+    info.parts, info.rows = _flip_split(a, b, basis, gammas)
     m = info.rows.size
     program_row = np.full(n_eq + 1, -1)  # -1 on the equations left out
     program_row[np.r_[0, info.rows + 1]] = np.arange(m + 1)
@@ -205,8 +205,11 @@ _STATUS = {
 }
 
 
-def _flip_split(a: LinearPencil, b: LinearPencil, info: SosInfo):
-    """(parts, rows): the positions of Q_S and Q_T split by the sign flips.
+def _flip_split(a: LinearPencil, b: LinearPencil, basis: np.ndarray,
+                gammas: np.ndarray):
+    """(parts, rows): the positions of Q_S and Q_T split by the sign flips,
+    for the Gram basis ``basis`` and the equation monomials ``gammas``
+    (exponent rows, as ``sos_relaxation`` numbers them).
 
     The flips are those of ``momrelax._flip_classes`` on the bits x_p, then
     A's indices, then B's: they fix the pair when they meet the row masks
@@ -220,21 +223,17 @@ def _flip_split(a: LinearPencil, b: LinearPencil, info: SosInfo):
     space holds trivially (its right-hand side is 0), and ``rows`` are the
     other equations.
     """
-    n, k, l = info.n, info.k, info.l
+    n, k = a.n, a.k
     units = np.vstack((np.zeros(n, dtype=np.intp), np.eye(n, dtype=np.intp)))
     rep = _flip_classes(n, [(units, a.coeff_array()), (units, b.coeff_array())])
     x_rep, a_rep, b_rep = rep[:n], rep[n:n + k], rep[n + k:]
-
-    def monomial_classes(degree):
-        return _monomial_classes(_exponent_array(monomials_upto(n, degree), n), x_rep)
-
-    alpha = monomial_classes(info.order)
+    alpha = _monomial_classes(basis, x_rep)
     parts = []
     for cls in (alpha[:, None, None] ^ b_rep[:, None] ^ a_rep, alpha[:, None] ^ b_rep):
         _, label = np.unique(cls.ravel(), return_inverse=True)
         parts.append([np.flatnonzero(label == c) for c in range(label.max() + 1)])
-    pi, pj = np.triu_indices(l)
-    eq_cls = monomial_classes(2 * info.order + 1)[:, None] ^ b_rep[pi] ^ b_rep[pj]
+    pi, pj = np.triu_indices(b.k)
+    eq_cls = _monomial_classes(gammas, x_rep)[:, None] ^ b_rep[pi] ^ b_rep[pj]
     rows = np.flatnonzero(eq_cls.ravel()[1:] == 0)
     return parts, rows
 

@@ -4,9 +4,9 @@ check_containment runs the full pipeline: exact lineality preprocessing,
 then one of the three semidefinite machines on the reduced pair, then a
 refutation pass when the bound comes back negative or unreliable.  The
 pass tries witness sources in order: first the x part of the machine's
-own solution (the first moments of the moment relaxation, of the Gram
-program's dual, or of the block certificate's margin program), which is
-the minimizer whenever the relaxation is exact at a point mass; then,
+own solution (the first moments of the moment relaxation or of the Gram
+program's dual, the order-0 one for the block certificate), which is the
+minimizer whenever the relaxation is exact at a point mass; then,
 only if that point is not confirmed, a hit-and-run search of the inner
 set, which starts at the solution point when that is strictly inside it
 and solves a feasibility probe for a start point otherwise.

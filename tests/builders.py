@@ -8,8 +8,10 @@ loops over basis pairs and matrix entries through these builders;
 ``principal_split`` cuts them by their sign flips (``moment_flip_split``,
 ``sosrelax._flip_split``), and the package's relaxations must be equal to
 the cut programs, entry for entry.  ``cp_sdfp_by_nullspace`` decides the
-block certificate through the nullspace form of its margin program, a
-reference for the equation form that ``cp_sdfp`` solves.
+block certificate through its margin program, posed as an LMI over the
+nullspace of the block equations that ``equation_system`` writes out; it
+is the reference for ``cp_sdfp``, which reads the decision, the margin and
+the witness off the order-0 Gram solve.
 """
 
 import numpy as np
@@ -19,7 +21,6 @@ from spectracon import posmap
 from spectracon.errors import InvalidInput
 from spectracon.momrelax import Poly, _flip_classes, _stacked_terms, monomials_upto
 from spectracon.pencil import extend
-from spectracon.posmap import _equation_matrices
 from spectracon.sdpcore import (SdpProblem, SdpSolution, SolveStatus,
                                 _block_veclen, _margin_lmi, solve)
 from spectracon.symcore import min_eigenvalue, nullspace, smat, svec
@@ -417,17 +418,26 @@ def principal_split(problem, parts, rows):
 
 def equation_system(a, b):
     """Rows svec(sym(A_p (x) E_uv)) and right-hand sides B_p[u, v], for
-    p = 0..n and u <= v: the equations on svec(C)."""
-    mats, rhs = _equation_matrices(a, b)
-    return svec(mats), rhs, a.k * b.k
+    p = 0..n and u <= v: the equations <E_r, C> = rhs_r on svec(C)."""
+    l = b.k
+    u, v = np.triu_indices(l)
+    units = np.zeros((u.size, l, l))
+    units[np.arange(u.size), u, v] = 1.0
+    mats, rhs = [], []
+    for ap, bp in zip(a.coeffs, b.coeffs):
+        g = np.kron(ap.mat, units)
+        mats.append((g + g.swapaxes(1, 2)) / 2.0)
+        rhs.append(bp.mat[u, v])
+    return svec(np.concatenate(mats)), np.concatenate(rhs), a.k * l
 
 
 def cp_sdfp_by_nullspace(a, b):
-    """``cp_sdfp``'s decision with the margin program posed as an LMI over
+    """``cp_sdfp``'s decision from the margin program posed as an LMI over
     the nullspace of the block equations: max s  s.t.  C_part + sum_q
     theta_q N_q - s I psd,  s <= cap, for a particular solution C_part and
-    an orthonormal nullspace basis N_q.  Same cap, tolerances and witness
-    validation; returns (kind, margin)."""
+    an orthonormal nullspace basis N_q; inconsistent equations are
+    Infeasible.  Same tolerances and witness validation as ``cp_sdfp``;
+    returns (kind, margin)."""
     eq, rhs, d = equation_system(extend(a), b)
     scale = 1.0 + float(np.linalg.norm(rhs))
     part = np.linalg.lstsq(eq, rhs, rcond=None)[0]

@@ -137,7 +137,7 @@ def test_criterion_5_random_instance_invariants():
                 bad.append(f"{tag}: mu{m.order} = {m.value:.6e} above "
                            f"sampled {g:.6e}")
         try:
-            implication_report(cp=cp, lam0=lam, moments=[m2, m3], grid_value=g)
+            implication_report(moments=[m2, m3], grid_value=g)
         except Exception as exc:
             bad.append(f"{tag}: implication report raised {exc!r}")
         # the order-0 Gram bound and order-2 moment bound coincide on

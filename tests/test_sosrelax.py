@@ -8,8 +8,7 @@ from spectracon.errors import InvalidInput
 from spectracon.families import ball_elliptope_pair, choi_pair, disk_pair, random_pair
 from spectracon.momrelax import _flip_classes, containment_relaxation, monomials_upto
 from spectracon.sdpcore import solve
-from spectracon.sosrelax import (_flip_split, certificate_gap, count_unknowns,
-                                 lambda_sos, sos_relaxation)
+from spectracon.sosrelax import certificate_gap, count_unknowns, lambda_sos, sos_relaxation
 from test_momrelax import _criterion6_ball
 
 
@@ -107,7 +106,7 @@ def test_gram_program_equals_loop_assembly(make, t):
     a, b = make()
     got, info = sos_relaxation(a, b, t)
     want, n_equations, point_rows = gram_program_by_terms(a, b, t)
-    assert_same_problem(got, principal_split(want, *_flip_split(a, b, info)))
+    assert_same_problem(got, principal_split(want, info.parts, info.rows))
     assert info.n_equations == n_equations
     assert np.array_equal(info.point_rows, point_rows)
 
@@ -174,9 +173,8 @@ def test_polytope_gram_pair_splits_by_the_outer_index():
 def test_trivial_flips_solve_the_assembled_program():
     a, b = random_pair(1)
     problem, info = sos_relaxation(a, b, 1)
-    parts, rows = _flip_split(a, b, info)
-    assert [len(p) for p in parts] == [1, 1]
-    assert rows.size == problem.m
+    assert [len(p) for p in info.parts] == [1, 1]
+    assert info.rows.size == problem.m
     whole = solve(problem)
     res = lambda_sos(a, b, 1)
     assert res.solution.iterations == whole.iterations

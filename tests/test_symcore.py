@@ -105,7 +105,7 @@ def test_smat_of_a_stack(count):
     for v, mat in zip(vecs, stacked):
         np.testing.assert_array_equal(mat, smat(v, d))
     # a combination of vectors is the combination of their matrices, as
-    # cp_sdfp and boundedness_certificate form their witnesses
+    # boundedness_certificate forms its witness
     part, theta = rng.normal(size=vecs.shape[1]), rng.normal(size=count)
     witness = smat(part + vecs.T @ theta, d)
     summed = smat(part, d) + sum(t * smat(v, d) for t, v in zip(theta, vecs))

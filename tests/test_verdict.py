@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spectracon import momrelax, posmap, sampling, sdpcore, sosrelax, verdict
+from spectracon import momrelax, sampling, sdpcore, sosrelax, verdict
 from spectracon.errors import InvalidInput
 from spectracon.families import disk_pair, random_pair
 from spectracon.momrelax import solve_mu_mom
@@ -66,6 +66,16 @@ def test_sdfp_method_both_sides():
     assert v.status == "Refuted"
 
 
+def test_sdfp_refutes_an_unbounded_inner_set_by_sampling():
+    # the quadrant x >= -1 leaves the unit disk along (1, 1), so no order-0
+    # Gram pair exists for any lambda and the block test ends on a ray
+    quadrant = pencil([np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    v = check_containment(quadrant, disk_pair(1.0)[1], method="sdfp")
+    assert v.status == "Refuted"
+    assert v.details["sdfp_kind"] == "Inconclusive"
+    assert v.details["witness_source"] == "sampling"
+
+
 def test_lineality_mismatch_refutes():
     # inner is the whole line, outer a bounded interval
     inner = pencil([np.eye(2), np.zeros((2, 2))])
@@ -122,7 +132,7 @@ def test_empty_inner_set_solves_the_probe_once(monkeypatch):
         origins.append(problem.metadata.get("origin"))
         return real(problem)
 
-    for mod in (sdpcore, momrelax, sosrelax, posmap):
+    for mod in (sdpcore, momrelax, sosrelax):
         monkeypatch.setattr(mod, "solve", counted)
     empty = pencil([np.diag([-1.0, -1.0]), np.diag([1.0, -1.0])])
     outer = pencil([-np.eye(2), np.zeros((2, 2))])
