@@ -10,6 +10,12 @@ moment matrix M_t(y) and the localizing matrices M_{t-d_j}(G_j y) to be psd,
 and fixes y_0 = 1.  Values are monotone nondecreasing in t and bound the
 true infimum from below (above for sup problems).
 
+A polynomial is held as its terms, two arrays (exps, coeffs): one exponent
+row per term, (T, nvars), and the coefficients, (T,) for the objective and
+(T, k, k) for a constraint (k = 1 for a scalar one).  The sign flips, the
+localizing matrices and the Gram programs of sosrelax all read this form;
+_pencil_terms writes a pencil in it.
+
 Containment of one spectrahedron in another is the special case
 
     inf  z' B(x) z   s.t.  A(x) psd,  r^2 <= |z|^2 <= R^2,
@@ -87,112 +93,31 @@ def _positions(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Sparse polynomials
+# Polynomials as term arrays
 
 
-class Poly:
-    """Scalar polynomial as {exponent tuple: coefficient}."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        self.terms = {}
-        for e, c in (terms or {}).items():
-            if len(e) != nvars:
-                raise InvalidInput("exponent length disagrees with nvars")
-            if c != 0.0:
-                self.terms[tuple(int(v) for v in e)] = float(c)
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def __call__(self, point) -> float:
-        point = np.asarray(point, dtype=float)
-        total = 0.0
-        for e, c in self.terms.items():
-            total += c * float(np.prod(point ** np.array(e)))
-        return total
+def _pencil_terms(p: LinearPencil, nvars: int):
+    """(exponents, coefficients) of the pencil's terms in nvars >= p.n joint
+    variables, x_q being variable q - 1: the constant, then x_1..x_n, as
+    (n + 1, nvars) and (n + 1, k, k) arrays."""
+    return np.eye(p.n + 1, nvars, -1, dtype=np.intp), p.coeff_array()
 
 
-class MatPoly:
-    """Symmetric-matrix-valued polynomial as {exponent tuple: (k, k) array}."""
-
-    __slots__ = ("nvars", "k", "terms")
-
-    def __init__(self, nvars: int, k: int, terms=None):
-        self.nvars = nvars
-        self.k = k
-        self.terms = {}
-        for e, m in (terms or {}).items():
-            m = np.asarray(m, dtype=float)
-            if m.shape != (k, k):
-                raise InvalidInput("coefficient shape disagrees with k")
-            if np.any(m != 0.0):
-                self.terms[tuple(int(v) for v in e)] = (m + m.T) / 2.0
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def __call__(self, point) -> np.ndarray:
-        point = np.asarray(point, dtype=float)
-        total = np.zeros((self.k, self.k))
-        for e, m in self.terms.items():
-            total += m * float(np.prod(point ** np.array(e)))
-        return total
+def _terms(exps, coeffs, nvars: int):
+    """A polynomial's terms, checked, with symmetrized coefficients and
+    without the zero terms: (T, nvars) and (T, k, k) arrays."""
+    exps, coeffs = np.asarray(exps, dtype=np.intp), np.asarray(coeffs, dtype=float)
+    if exps.ndim != 2 or exps.shape[1] != nvars:
+        raise InvalidInput(f"exponents must be rows of {nvars} entries")
+    if coeffs.ndim != 3 or coeffs.shape[0] != len(exps) or coeffs.shape[1] != coeffs.shape[2]:
+        raise InvalidInput("coefficients must be (T, k, k) for T exponent rows")
+    coeffs = (coeffs + coeffs.swapaxes(1, 2)) / 2.0
+    nonzero = np.any(coeffs != 0.0, axis=(1, 2))
+    return exps[nonzero], coeffs[nonzero]
 
 
-def pencil_as_matpoly(p: LinearPencil, nvars: int, offset: int = 0) -> MatPoly:
-    """Embed a linear pencil into a polynomial in nvars joint variables.
-
-    Pencil variable q maps to joint variable offset + q.
-    """
-    if offset + p.n > nvars:
-        raise InvalidInput("pencil does not fit into the joint variable range")
-    terms = {tuple(0 for _ in range(nvars)): p.coeffs[0].mat}
-    for q in range(1, p.n + 1):
-        e = [0] * nvars
-        e[offset + q - 1] = 1
-        terms[tuple(e)] = p.coeffs[q].mat
-    return MatPoly(nvars, p.k, terms)
-
-
-def quadratic_objective(b: LinearPencil, nvars: int, z_offset: int) -> Poly:
-    """The polynomial z' B(x) z in the joint variables (x, z)."""
-    l = b.k
-    terms = {}
-
-    def bump(e_list, c):
-        e = tuple(e_list)
-        terms[e] = terms.get(e, 0.0) + c
-
-    for q in range(b.n + 1):
-        coeff = b.coeffs[q].mat
-        for ia in range(l):
-            for ib in range(ia, l):
-                c = coeff[ia, ib]
-                if c == 0.0:
-                    continue
-                e = [0] * nvars
-                if q > 0:
-                    e[q - 1] += 1
-                e[z_offset + ia] += 1
-                e[z_offset + ib] += 1
-                bump(e, c if ia == ib else 2.0 * c)
-    return Poly(nvars, terms)
-
-
-def annulus_constraints(nvars: int, z_offset: int, l: int, r: float, R: float):
-    """The polynomials |z|^2 - r^2 and R^2 - |z|^2."""
-    zero = tuple(0 for _ in range(nvars))
-    lo = {zero: -r * r}
-    hi = {zero: R * R}
-    for a in range(l):
-        e = [0] * nvars
-        e[z_offset + a] = 2
-        lo[tuple(e)] = 1.0
-        hi[tuple(e)] = -1.0
-    return Poly(nvars, lo), Poly(nvars, hi)
+def _degree(exps: np.ndarray) -> int:
+    return int(exps.sum(axis=1).max(initial=0))
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +223,6 @@ class RelaxationInfo:
         return value * float(np.prod(self.scale ** np.array(e)))
 
 
-def _stacked_terms(g, nvars: int):
-    """(exponents, coefficients) of g's terms as (T, nvars) and (T, k, k)
-    arrays; a Poly counts as 1 x 1."""
-    k = 1 if isinstance(g, Poly) else g.k
-    return (_exponent_array(list(g.terms), nvars),
-            np.array(list(g.terms.values()), dtype=float).reshape(len(g.terms), k, k))
-
-
 def _localizing_entries(exps, mats, basis, block, moments: np.ndarray):
     """The localizing matrix of the terms (exps, mats) on ``basis``, as
     entries (block, moment, i, j, value) on position pairs P <= P' of one
@@ -333,42 +250,43 @@ def _localizing_entries(exps, mats, basis, block, moments: np.ndarray):
     return block[P], moment, local[P], local[Q], mats[term, a, b]
 
 
-def build_pmi_relaxation(objective: Poly, constraints, t: int,
+def build_pmi_relaxation(objective, constraints, t: int,
                          sense: str = "min", metadata=None):
     """Order-t moment relaxation of optimizing objective over psd constraints.
 
-    ``constraints`` is a list of Poly (scalar inequalities g >= 0) and
-    MatPoly (matrix inequalities G psd).  Moments that are odd under a sign
-    flip of the problem are dropped and the moment matrix and each
-    localizing matrix are split into one block per position class (see
-    above and :func:`_position_blocks`), each block on its positions (u, a)
-    ordered by u, then a; the bound is the unreduced relaxation's.  Returns
-    (problem, value, info); the bound is value(solve(problem)).
+    Every polynomial is given by its terms as ``(exps, coeffs)``: ``exps``
+    is an integer (T, nvars) array, one exponent row per term.  The
+    objective's ``coeffs`` has shape (T,), and nvars is its column count.
+    A constraint's ``coeffs`` has shape (T, k, k) and asks G(v) psd; a
+    scalar inequality g >= 0 has k = 1.  Coefficients are symmetrized, and a
+    polynomial's degree is taken over its nonzero terms.  Moments that are
+    odd under a sign flip of the problem are dropped and the moment matrix
+    and each localizing matrix are split into one block per position class
+    (see above and :func:`_position_blocks`), each block on its positions
+    (u, a) ordered by u, then a; the bound is the unreduced relaxation's.
+    Returns (problem, value, info); the bound is value(solve(problem)).
     """
-    nvars = objective.nvars
+    if np.ndim(objective[0]) != 2 or np.ndim(objective[1]) != 1:
+        raise InvalidInput("the objective needs (T, nvars) exponents and (T,) coefficients")
+    nvars = np.shape(objective[0])[1]
+    obj_exps, obj_coeffs = _terms(objective[0], np.reshape(objective[1], (-1, 1, 1)), nvars)
     if t < 1:
         raise OrderTooSmall("relaxation order must be at least 1")
     if sense not in ("min", "max"):
         raise InvalidInput("sense must be 'min' or 'max'")
-    if objective.degree() > 2 * t:
+    if _degree(obj_exps) > 2 * t:
         raise OrderTooSmall(
-            f"order {t} cannot linearize a degree-{objective.degree()} objective")
-    half_degs = []
-    for g in constraints:
-        if g.nvars != nvars:
-            raise InvalidInput("constraint variable count disagrees with objective")
-        d = (g.degree() + 1) // 2
-        if t < d:
-            raise OrderTooSmall(
-                f"order {t} below half-degree {d} of a constraint")
-        half_degs.append(d)
-
+            f"order {t} cannot linearize a degree-{_degree(obj_exps)} objective")
     # the moment matrix is the localizing matrix of the constant 1, and a
     # scalar constraint is a 1 x 1 matrix one
+    terms = [(np.zeros((1, nvars), dtype=np.intp), np.ones((1, 1, 1))),
+             *(_terms(exps, coeffs, nvars) for exps, coeffs in constraints)]
+    half_degs = [(_degree(exps) + 1) // 2 for exps, _ in terms]
+    if max(half_degs) > t:
+        raise OrderTooSmall(
+            f"order {t} below half-degree {max(half_degs)} of a constraint")
+
     full = monomials_upto(nvars, 2 * t)
-    terms = [_stacked_terms(g, nvars)
-             for g in (Poly(nvars, {full[0]: 1.0}), *constraints)]
-    obj_exps, obj_coeffs = _stacked_terms(objective, nvars)
     classes = _flip_classes(nvars, [*terms, (obj_exps, obj_coeffs)])
     kept = _monomial_classes(_exponent_array(full, nvars), classes[:nvars]) == 0
     moments = [e for e, keep in zip(full, kept) if keep]
@@ -380,7 +298,7 @@ def build_pmi_relaxation(objective: Poly, constraints, t: int,
     sign = 1.0 if sense == "max" else -1.0
     sizes, c_blocks, a_blocks = [], [], []
     first = nvars  # the bit of the next index
-    for (exps, mats), d in zip(terms, (0, *half_degs)):
+    for (exps, mats), d in zip(terms, half_degs):
         k = mats.shape[1]
         basis = _exponent_array(monomials_upto(nvars, t - d), nvars)
         block = _position_blocks(_monomial_classes(basis, classes[:nvars]),
@@ -472,11 +390,18 @@ def containment_relaxation(a: LinearPencil, b: LinearPencil, t: int,
     nvars = n + l
     d = _x_scale(a)
     a, b = _scaled_pencil(a, d), _scaled_pencil(b, d)
-    obj = quadratic_objective(b, nvars, z_offset=n)
-    ga = pencil_as_matpoly(a, nvars)
-    lo, hi = annulus_constraints(nvars, n, l, r, R)
-    # for r == R the two one-sided blocks together pin |z|^2 to the sphere
-    constraints = [ga, lo, hi]
+    # z'B(x)z: the term x^e z_i z_j of each nonzero B_e[i, j], i <= j
+    exps, coeffs = _pencil_terms(b, nvars)
+    q, i, j = np.nonzero(np.triu(coeffs))
+    z = np.eye(nvars, dtype=np.intp)[n:]
+    obj = (exps[q] + z[i] + z[j], np.where(i == j, 1.0, 2.0) * coeffs[q, i, j])
+    # |z|^2 - r^2 >= 0 and R^2 - |z|^2 >= 0; for r == R the two one-sided
+    # blocks together pin |z|^2 to the sphere
+    squares = np.vstack((np.zeros(nvars, dtype=np.intp), 2 * z))
+    ones = np.ones(l)
+    constraints = [_pencil_terms(a, nvars),
+                   (squares, np.r_[-r * r, ones].reshape(-1, 1, 1)),
+                   (squares, np.r_[R * R, -ones].reshape(-1, 1, 1))]
     meta = {"origin": "containment_moment", "order": t, "r": r, "R": R}
     problem, value, info = build_pmi_relaxation(obj, constraints, t,
                                                 sense="min", metadata=meta)
@@ -509,6 +434,8 @@ def solve_mu_mom(a: LinearPencil, b: LinearPencil, t: int, r: float = 1.0,
 def moment_matrix(result: MomentResult) -> np.ndarray:
     """The optimal truncated moment matrix M_t(y), including y_0 = 1, in
     the original variables; dropped moments are 0."""
+    if not result.solution.has_point:
+        raise InvalidInput("result carries no moments")
     info = result.info
     top = _exponent_array(monomials_upto(info.nvars, info.order), info.nvars)
     return np.array([[info.moment(result.solution.y, tuple(ea + eb))

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .momrelax import (Poly, _scaled_pencil, _x_scale, build_pmi_relaxation,
-                       pencil_as_matpoly)
+from .momrelax import _pencil_terms, _scaled_pencil, _x_scale, build_pmi_relaxation
 from .pencil import LinearPencil
 from .reduce import lineality_space
 from .sdpcore import _LMI_STATUS, SdpSolution, _margin_lmi, solve
@@ -51,10 +50,10 @@ def circumradius_sq(p: LinearPencil, t: int = 2) -> RadiusResult:
     if n == 0:
         raise InvalidInput("pencil has no variables")
     d = _x_scale(p)
-    obj = Poly(n, {tuple(2 * np.eye(n, dtype=int)[q]): d[q] ** 2 for q in range(n)})
-    ga = pencil_as_matpoly(_scaled_pencil(p, d), n)
+    obj = (2 * np.eye(n, dtype=np.intp), d ** 2)
     problem, value_of, _ = build_pmi_relaxation(
-        obj, [ga], t, sense="max", metadata={"origin": "circumradius"})
+        obj, [_pencil_terms(_scaled_pencil(p, d), n)], t, sense="max",
+        metadata={"origin": "circumradius"})
     sol = solve(problem)
     status = _LMI_STATUS[sol.status]
     value = value_of(sol) if sol.has_point else float("inf")

@@ -19,7 +19,7 @@ _FILL = "#346d9e"
 _EDGE = "#1d3d59"
 
 
-def _axis_box(p: LinearPencil, box) -> tuple[float, float]:
+def _axis_box(box) -> tuple[float, float]:
     if box is None:
         return (-2.0, 2.0)
     lo, hi = float(box[0]), float(box[1])
@@ -29,6 +29,8 @@ def _axis_box(p: LinearPencil, box) -> tuple[float, float]:
 
 
 def _grid(box, res):
+    if res < 1:
+        raise InvalidInput("grid resolution must be positive")
     lo, hi = box
     # cell centers
     return lo + (hi - lo) * (np.arange(res) + 0.5) / res
@@ -47,7 +49,7 @@ def slice_mask(p: LinearPencil, axes=(0, 1), base=None, box=None,
     x = np.zeros(p.n) if base is None else np.asarray(base, dtype=float).copy()
     if x.shape != (p.n,):
         raise InvalidInput(f"base point needs {p.n} coordinates")
-    ticks = _grid(_axis_box(p, box), res)
+    ticks = _grid(_axis_box(box), res)
     const = p.evaluate(x).mat - x[i] * p.coeffs[i + 1].mat \
         - x[j] * p.coeffs[j + 1].mat
     ai, aj = p.coeffs[i + 1].mat, p.coeffs[j + 1].mat
@@ -71,7 +73,7 @@ def projection_mask(p: LinearPencil, axes=(0, 1), box=None,
     if not (0 <= i < p.n and 0 <= j < p.n and i != j):
         raise InvalidInput("axes must be two distinct coordinate indices")
     rest = [q for q in range(p.n) if q not in (i, j)]
-    ticks = _grid(_axis_box(p, box), res)
+    ticks = _grid(_axis_box(box), res)
     mask = np.zeros((res, res), dtype=bool)
     for r, v in enumerate(ticks):
         for c, u in enumerate(ticks):
@@ -89,6 +91,8 @@ def projection_mask(p: LinearPencil, axes=(0, 1), box=None,
 def mask_to_svg(mask: np.ndarray, box=None, size: int = 480,
                 title: str = "") -> str:
     """Run-length encoded SVG of a boolean grid, origin bottom-left."""
+    if np.ndim(mask) != 2 or np.size(mask) == 0:
+        raise InvalidInput("mask must be a nonempty 2d grid")
     res_r, res_c = mask.shape
     lo, hi = box if box is not None else (-2.0, 2.0)
     cw = size / res_c
@@ -125,7 +129,7 @@ def mask_to_svg(mask: np.ndarray, box=None, size: int = 480,
 
 def render_slice(p: LinearPencil, path=None, axes=(0, 1), base=None,
                  box=None, res: int = 160) -> str:
-    box = _axis_box(p, box)
+    box = _axis_box(box)
     svg = mask_to_svg(slice_mask(p, axes, base, box, res), box,
                       title=f"slice axes {axes}")
     if path is not None:
@@ -136,7 +140,7 @@ def render_slice(p: LinearPencil, path=None, axes=(0, 1), base=None,
 
 def render_projection(p: LinearPencil, path=None, axes=(0, 1), box=None,
                       res: int = 60) -> str:
-    box = _axis_box(p, box)
+    box = _axis_box(box)
     svg = mask_to_svg(projection_mask(p, axes, box, res), box,
                       title=f"projection axes {axes}")
     if path is not None:

@@ -66,9 +66,8 @@ potrs, called directly, reads without a copy.
 Every program is assembled one block at a time from entry arrays by
 ``_block_data``; outside the solver and the SDPA writer, it is the only
 code that knows the vectorized layout.  The moment relaxations, the Gram
-programs, the block certificate's program, SDPA files and the margin LMI
-shared by the interior probe and the boundedness searches
-(``_margin_lmi``) are built through it.  ``solve`` returns every outcome,
+programs, SDPA files and the margin LMI shared by the interior probe and
+the boundedness searches (``_margin_lmi``) are built through it.  ``solve`` returns every outcome,
 breakdowns included, as a status with the reason in ``message``; whether a
 returned iterate may be used is decided in one place,
 :attr:`SdpSolution.reliable`.

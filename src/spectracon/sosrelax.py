@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, OrderTooSmall
-from .momrelax import (_exponent_array, _flip_classes, _monomial_classes, _positions,
-                       basis_size, monomials_upto)
+from .momrelax import (_exponent_array, _flip_classes, _monomial_classes, _pencil_terms,
+                       _positions, basis_size, monomials_upto)
 from .pencil import LinearPencil
 from .sdpcore import SdpProblem, SdpSolution, SolveStatus, _block_data, solve
 
@@ -134,7 +134,7 @@ def sos_relaxation(a: LinearPencil, b: LinearPencil, t: int):
     basis = _exponent_array(monomials_upto(n, t), n)
     N = len(basis)
     gammas = _exponent_array(monomials_upto(n, 2 * t + 1), n)
-    units = np.vstack((np.zeros(n, dtype=np.intp), np.eye(n, dtype=np.intp)))
+    units, coeffs = _pencil_terms(a, n)
     unit_rows = _positions(gammas, units)  # the monomials 1, x_1, ..., x_n
     pi, pj = np.triu_indices(l)
     npair = len(pi)
@@ -173,7 +173,6 @@ def sos_relaxation(a: LinearPencil, b: LinearPencil, t: int):
 
     # Q_S: coefficient entry (aa, bb) of A's x^u term at basis pair
     # (alpha, beta) matches x^(alpha + beta + u)
-    coeffs = a.coeff_array()
     match = _positions(gammas, (basis[alpha][:, None] + basis[beta][:, None] + units)
                        .reshape(N * N * (n + 1), n)).reshape(N * N, n + 1)
     r, aa, bb = np.nonzero(coeffs)
@@ -224,8 +223,7 @@ def _flip_split(a: LinearPencil, b: LinearPencil, basis: np.ndarray,
     other equations.
     """
     n, k = a.n, a.k
-    units = np.vstack((np.zeros(n, dtype=np.intp), np.eye(n, dtype=np.intp)))
-    rep = _flip_classes(n, [(units, a.coeff_array()), (units, b.coeff_array())])
+    rep = _flip_classes(n, [_pencil_terms(a, n), _pencil_terms(b, n)])
     x_rep, a_rep, b_rep = rep[:n], rep[n:n + k], rep[n + k:]
     alpha = _monomial_classes(basis, x_rep)
     parts = []

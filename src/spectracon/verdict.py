@@ -36,6 +36,7 @@ from .symcore import min_eigenvalue, spectral_norm
 
 _METHODS = ("moment", "sos", "sdfp")
 _EXIT = {"Certified": 0, "Refuted": 1, "Inconclusive": 2}
+_TOL_FACTOR = 1e-7
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,11 @@ class Verdict:
         return head
 
 
-def certification_tolerance(b: LinearPencil, factor: float = 1e-7) -> float:
-    """Scale-aware zero threshold: factor * (1 + largest coefficient norm)."""
+def certification_tolerance(b: LinearPencil) -> float:
+    """Scale-aware zero threshold: ``_TOL_FACTOR`` (1e-7) times 1 plus the
+    largest coefficient norm of the outer pencil."""
     scale = max(spectral_norm(c) for c in b.coeffs)
-    return factor * (1.0 + scale)
+    return _TOL_FACTOR * (1.0 + scale)
 
 
 def _lineality_witness(a: LinearPencil, b: LinearPencil, direction, tol):
@@ -127,6 +129,8 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
         raise InvalidInput(f"unknown method {method!r}, expected {_METHODS}")
     if a.n != b.n:
         raise InvalidInput("pencils must share the variable count")
+    if samples < 1:
+        raise InvalidInput("samples must be positive")
     tol = certification_tolerance(b)
     details: dict = {"tolerance": tol}
 

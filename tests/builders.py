@@ -2,7 +2,9 @@
 
 ``LmiBuilder`` and ``PrimalBuilder`` assemble a problem one entry at a time;
 the tests build small fixtures with them and use them as references for the
-array assembly of the package.  ``moment_relaxation_by_terms`` and
+array assembly of the package.  ``as_terms`` writes a polynomial given as
+{exponent: coefficient} in the term arrays that ``build_pmi_relaxation``
+reads.  ``moment_relaxation_by_terms`` and
 ``gram_program_by_terms`` are the unreduced relaxations assembled by Python
 loops over basis pairs and matrix entries through these builders;
 ``principal_split`` cuts them by their sign flips (``moment_flip_split``,
@@ -19,7 +21,7 @@ import scipy.sparse as sp
 
 from spectracon import posmap
 from spectracon.errors import InvalidInput
-from spectracon.momrelax import Poly, _flip_classes, _stacked_terms, monomials_upto
+from spectracon.momrelax import _flip_classes, monomials_upto
 from spectracon.pencil import extend
 from spectracon.sdpcore import (SdpProblem, SdpSolution, SolveStatus,
                                 _block_veclen, _margin_lmi, solve)
@@ -223,11 +225,33 @@ def _eadd(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def as_terms(poly, k=None):
+    """A polynomial given as {exponent tuple: coefficient} as the term arrays
+    (exps, coeffs) that ``build_pmi_relaxation`` reads: coeffs of shape (T,)
+    when k is None (an objective), else (T, k, k) (a constraint; k = 1 for a
+    scalar one)."""
+    exps = np.array(list(poly), dtype=np.intp)
+    coeffs = np.array(list(poly.values()), dtype=float)
+    return exps, (coeffs if k is None else coeffs.reshape(len(exps), k, k))
+
+
+def _constant_one(nvars):
+    """The constant polynomial 1, whose localizing matrix is the moment matrix."""
+    return np.zeros((1, nvars), dtype=np.intp), np.ones((1, 1, 1))
+
+
+def _degree(exps, coeffs):
+    """Total degree over the terms with a nonzero coefficient."""
+    return max((sum(e) for e, c in zip(exps.tolist(), coeffs) if np.any(c != 0.0)),
+               default=0)
+
+
 def moment_relaxation_by_terms(objective, constraints, t, sense="min", metadata=None):
     """The order-t moment relaxation over every moment, one LmiBuilder term
     per entry: the moment matrix, then one full block per constraint.
-    Returns (problem, builder)."""
-    nvars = objective.nvars
+    Objective and constraints are term arrays, as ``build_pmi_relaxation``
+    takes them.  Returns (problem, builder)."""
+    nvars = objective[0].shape[1]
     full = monomials_upto(nvars, 2 * t)
     index = {e: i for i, e in enumerate(full)}
     builder = LmiBuilder(nvars=max(len(full) - 1, 1), sense=sense)
@@ -239,25 +263,24 @@ def moment_relaxation_by_terms(objective, constraints, t, sense="min", metadata=
             builder.add_term(blk, index[e] - 1, i, j, c)
 
     # the moment matrix is the localizing matrix of the constant 1
-    for g in (Poly(nvars, {full[0]: 1.0}), *constraints):
-        loc = monomials_upto(nvars, t - (g.degree() + 1) // 2)
-        kk = 1 if isinstance(g, Poly) else g.k
+    for exps, coeffs in (_constant_one(nvars), *constraints):
+        loc = monomials_upto(nvars, t - (_degree(exps, coeffs) + 1) // 2)
+        kk = coeffs.shape[1]
         blk = builder.add_block(len(loc) * kk)
         for i in range(len(loc)):
             for j in range(i, len(loc)):
-                for eg, mat in g.terms.items():
+                for eg, mat in zip(exps.tolist(), coeffs):
                     e = _eadd(_eadd(loc[i], loc[j]), eg)
-                    mat = np.reshape(mat, (kk, kk))
                     for a in range(kk):
                         for b in (range(a, kk) if i == j else range(kk)):
                             if mat[a, b] != 0.0:
                                 term(blk, e, i * kk + a, j * kk + b, mat[a, b])
 
-    for e, c in objective.terms.items():
+    for e, c in zip(objective[0].tolist(), objective[1]):
         if sum(e) == 0:
             builder.offset += c
         else:
-            builder.add_objective(index[e] - 1, c)
+            builder.add_objective(index[tuple(e)] - 1, c)
     return builder.build(metadata=metadata), builder
 
 
@@ -280,9 +303,10 @@ def moment_flip_split(objective, constraints, t):
     of a block are its classes, in order of first appearance over the
     positions taken index by index.
     """
-    nvars = objective.nvars
-    polys = [Poly(nvars, {(0,) * nvars: 1.0}), *constraints]
-    classes = _flip_classes(nvars, [_stacked_terms(g, nvars) for g in (*polys, objective)])
+    obj_exps, obj_coeffs = objective
+    nvars = obj_exps.shape[1]
+    polys = [_constant_one(nvars), *constraints]
+    classes = _flip_classes(nvars, [*polys, (obj_exps, obj_coeffs.reshape(-1, 1, 1))])
 
     def cls(e):
         return monomial_class(e, classes)
@@ -290,9 +314,9 @@ def moment_flip_split(objective, constraints, t):
     full = monomials_upto(nvars, 2 * t)
     rows = np.array([i - 1 for i, e in enumerate(full) if i and cls(e) == 0])
     parts, first = [], nvars
-    for g in polys:
-        loc = monomials_upto(nvars, t - (g.degree() + 1) // 2)
-        kk = 1 if isinstance(g, Poly) else g.k
+    for exps, coeffs in polys:
+        loc = monomials_upto(nvars, t - (_degree(exps, coeffs) + 1) // 2)
+        kk = coeffs.shape[1]
         groups = {}
         for a in range(kk):
             for i, u in enumerate(loc):

@@ -105,6 +105,14 @@ def test_missing_file_is_usage_error(capsys):
     assert main(["check", "/nonexistent_a.json", "/nonexistent_b.json"]) == 64
 
 
+def test_check_without_samples_is_usage_error(tmp_path, capsys):
+    prefix = str(tmp_path / "wide")
+    main(["gen", "disk", "--nu", "1.1", "--out", prefix])
+    code = main(["check", prefix + "_a.json", prefix + "_b.json", "--samples", "0"])
+    assert code == 64
+    assert "samples" in capsys.readouterr().err
+
+
 def test_shrink_reports_factor(tmp_path, capsys):
     prefix = str(tmp_path / "mid")
     main(["gen", "disk", "--nu", "0.9", "--out", prefix])
@@ -140,6 +148,16 @@ def test_render_command(tmp_path, disk_files):
     code = main(["render", a, "--out", out, "--res", "24", "--box", "1.2"])
     assert code == 0
     assert open(out).read().startswith("<svg")
+
+
+@pytest.mark.parametrize("mode", ["slice", "projection"])
+def test_render_without_a_grid_is_usage_error(tmp_path, disk_files, capsys, mode):
+    a, _ = disk_files
+    out = tmp_path / "a.svg"
+    code = main(["render", a, "--out", str(out), "--mode", mode, "--res", "0"])
+    assert code == 64
+    assert "resolution" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("machine, order, blocks",

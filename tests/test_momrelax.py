@@ -3,21 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from builders import (assert_same_problem, moment_flip_split, moment_relaxation_by_terms,
-                      principal_split)
+from builders import (as_terms, assert_same_problem, moment_flip_split,
+                      moment_relaxation_by_terms, principal_split)
 from spectracon import momrelax, radii
 from spectracon.errors import InvalidInput, OrderTooSmall
 from spectracon.families import ball_elliptope_pair, choi_pair, disk_pair, random_pair
-from spectracon.momrelax import (MatPoly, Poly,
-                                 annulus_constraints, basis_size,
-                                 build_pmi_relaxation, containment_relaxation,
-                                 moment_matrix, monomials_upto,
-                                 pencil_as_matpoly, quadratic_objective,
-                                 shrink_pencil, shrink_to_certify,
-                                 solve_mu_mom)
+from spectracon.momrelax import (basis_size, build_pmi_relaxation, containment_relaxation,
+                                 moment_matrix, monomials_upto, shrink_pencil,
+                                 shrink_to_certify, solve_mu_mom)
 from spectracon.pencil import (elliptope_pencil, ellipsoid_pencil, pencil,
                                polytope_pencil, random_pencil)
 from spectracon.sdpcore import solve
+
+
+def _evaluate(terms, v):
+    """sum_t c_t v^(e_t) of the term arrays (exps, coeffs)."""
+    exps, coeffs = terms
+    return np.tensordot(np.prod(np.asarray(v) ** exps, axis=1), coeffs, axes=1)
 
 
 def test_monomials_graded_then_lex():
@@ -35,53 +37,85 @@ def test_basis_size_counts_enumeration(nvars, degree):
     assert len(monomials_upto(nvars, degree)) == basis_size(nvars, degree)
 
 
-def test_poly_eval_degree_and_pruning():
-    p = Poly(2, {(0, 0): 1.0, (2, 1): 3.0})
-    assert p([2.0, -1.0]) == pytest.approx(1.0 - 12.0)
-    assert p.degree() == 3
-    assert Poly(2, {(1, 0): 0.0}).terms == {}
+def test_zero_terms_do_not_count_toward_the_degree():
+    # a zero quartic term neither trips the order gate nor shrinks the
+    # localizing basis of the quadratic constraint
+    objective = as_terms({(2, 0): 1.0, (0, 2): 1.0})
+    g = {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0}
+    want = build_pmi_relaxation(objective, [as_terms(g, 1)], 1)
+    got = build_pmi_relaxation(
+        as_terms({(2, 0): 1.0, (0, 2): 1.0, (4, 0): 0.0}),
+        [as_terms({**g, (0, 4): 0.0}, 1)], 1)
+    assert_same_problem(got[0], want[0])
+    assert got[2].block_sizes == want[2].block_sizes
     with pytest.raises(InvalidInput):
-        Poly(2, {(1,): 1.0})
+        build_pmi_relaxation(objective, [(np.zeros((1, 3), dtype=int), np.ones((1, 1, 1)))], 1)
+    with pytest.raises(InvalidInput):
+        build_pmi_relaxation(objective, [(np.zeros((2, 2), dtype=int), np.ones((1, 1, 1)))], 1)
+    with pytest.raises(InvalidInput):
+        build_pmi_relaxation(objective, [(np.zeros((1, 2), dtype=int), np.ones((1, 2, 1)))], 1)
 
 
-def test_matpoly_symmetrizes_coefficients():
-    m = MatPoly(1, 2, {(0,): [[0.0, 2.0], [0.0, 0.0]]})
-    np.testing.assert_allclose(m.terms[(0,)], [[0.0, 1.0], [1.0, 0.0]])
+def test_builder_symmetrizes_coefficients():
+    objective = as_terms({(2,): 1.0})
+    asymmetric = as_terms({(0,): np.eye(2), (1,): [[0.0, 2.0], [0.0, 0.0]]}, 2)
+    symmetric = as_terms({(0,): np.eye(2), (1,): [[0.0, 1.0], [1.0, 0.0]]}, 2)
+    assert_same_problem(build_pmi_relaxation(objective, [asymmetric], 1)[0],
+                        build_pmi_relaxation(objective, [symmetric], 1)[0])
 
 
-def test_pencil_as_matpoly_matches_pencil():
+def _built_terms(monkeypatch, a, b, r=1.0, R=2.0):
+    """The (objective, constraints, info) that containment_relaxation builds."""
+    calls = []
+    build = momrelax.build_pmi_relaxation
+
+    def record(objective, constraints, *args, **kwargs):
+        calls.append((objective, constraints))
+        return build(objective, constraints, *args, **kwargs)
+
+    monkeypatch.setattr(momrelax, "build_pmi_relaxation", record)
+    info = containment_relaxation(a, b, 2, r=r, R=R)[2]
+    (objective, constraints), = calls
+    return objective, constraints, info
+
+
+def test_pencil_terms_match_pencil():
     p = random_pencil(2, 3, seed=5)
-    mp = pencil_as_matpoly(p, 4, offset=1)
-    pt = np.array([0.3, 0.1, -0.4, 0.7])
-    np.testing.assert_allclose(mp(pt), p.evaluate(pt[1:3]).mat, atol=1e-12)
-    with pytest.raises(InvalidInput):
-        pencil_as_matpoly(p, 2, offset=1)
+    terms = momrelax._pencil_terms(p, 4)
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        pt = rng.normal(size=4)
+        np.testing.assert_allclose(_evaluate(terms, pt), p.evaluate(pt[:2]).mat, atol=1e-12)
 
 
-def test_quadratic_objective_matches_bilinear_form():
-    b = random_pencil(2, 3, seed=9)
-    obj = quadratic_objective(b, 5, z_offset=2)
+def test_quadratic_objective_matches_bilinear_form(monkeypatch):
+    # the objective is built in x' with x = D x'
+    a, b = shrink_pencil(ellipsoid_pencil([1.0, 1.0]), 5.0), random_pencil(2, 3, seed=9)
+    objective, constraints, info = _built_terms(monkeypatch, a, b)
+    assert not np.all(info.scale == 1.0)
     rng = np.random.default_rng(1)
     for _ in range(4):
         pt = rng.normal(size=5)
-        x, z = pt[:2], pt[2:]
-        assert obj(pt) == pytest.approx(float(z @ b.evaluate(x).mat @ z),
-                                        rel=1e-10, abs=1e-10)
+        x, z = info.scale[:2] * pt[:2], pt[2:]
+        assert _evaluate(objective, pt) == pytest.approx(float(z @ b.evaluate(x).mat @ z),
+                                                         rel=1e-10, abs=1e-10)
+        np.testing.assert_allclose(_evaluate(constraints[0], pt), a.evaluate(x).mat,
+                                   atol=1e-12)
 
 
-def test_annulus_polynomials():
-    lo, hi = annulus_constraints(3, 1, 2, 1.0, 2.0)
-    pt = [0.5, 1.2, 0.3]
+def test_annulus_polynomials(monkeypatch):
+    _, (_, lo, hi), _ = _built_terms(monkeypatch, *disk_pair(0.7), r=1.0, R=2.0)
+    pt = [0.5, -0.3, 1.2, 0.3]
     z2 = 1.2 ** 2 + 0.3 ** 2
-    assert lo(pt) == pytest.approx(z2 - 1.0)
-    assert hi(pt) == pytest.approx(4.0 - z2)
+    assert _evaluate(lo, pt)[0, 0] == pytest.approx(z2 - 1.0)
+    assert _evaluate(hi, pt)[0, 0] == pytest.approx(4.0 - z2)
 
 
 def test_order_gates():
     a, b = disk_pair(0.8)
     with pytest.raises(OrderTooSmall):
         solve_mu_mom(a, b, 1)  # objective is cubic in the joint variables
-    obj = Poly(1, {(4,): 1.0})
+    obj = as_terms({(4,): 1.0})
     with pytest.raises(OrderTooSmall):
         build_pmi_relaxation(obj, [], 1)
 
@@ -152,6 +186,15 @@ def test_moment_matrix_psd_and_normalized():
     assert float(np.linalg.eigvalsh(m).min()) >= -1e-6
 
 
+def test_moment_matrix_needs_a_solution_point():
+    # an empty interval: the relaxation is infeasible and returns no point
+    res = solve_mu_mom(pencil([np.diag([1.0, -2.0]), np.diag([1.0, -1.0])]),
+                       pencil([np.eye(2), np.diag([1.0, -1.0])]), 2)
+    assert res.status == "infeasible" and res.first_moments is None
+    with pytest.raises(InvalidInput):
+        moment_matrix(res)
+
+
 def test_shrink_pencil_rescales_argument():
     p = random_pencil(2, 3, seed=3)
     q = shrink_pencil(p, 0.5)
@@ -174,11 +217,7 @@ def test_shrink_to_certify_finds_disk_boundary():
 
 
 def _unreduced_bound(a, b, t=2, r=1.0, R=2.0):
-    nvars = a.n + b.k
-    lo, hi = annulus_constraints(nvars, a.n, b.k, r, R)
-    problem, builder = moment_relaxation_by_terms(
-        quadratic_objective(b, nvars, z_offset=a.n),
-        [pencil_as_matpoly(a, nvars), lo, hi], t)
+    problem, builder = moment_relaxation_by_terms(*_containment_problem(a, b, r, R), t)
     sol = solve(problem)
     assert sol.reliable
     return builder.value_from(sol)
@@ -198,28 +237,40 @@ def _criterion6_ball(i):
     return ellipsoid_pencil([nu] * n), polytope_pencil(amat, np.ones(k))
 
 
-def _containment_problem(a, b):
-    nvars = a.n + b.k
-    lo, hi = annulus_constraints(nvars, a.n, b.k, 1.0, 2.0)
-    return (quadratic_objective(b, nvars, z_offset=a.n),
-            [pencil_as_matpoly(a, nvars), lo, hi])
+def _containment_problem(a, b, r=1.0, R=2.0):
+    """inf z'B(x)z over A(x) psd and r^2 <= |z|^2 <= R^2 in the joint
+    variables (x, z), written out term by term."""
+    n, l = a.n, b.k
+    unit = np.eye(n + l, dtype=int)
+    xs = [0 * unit[0], *unit[:n]]  # the monomials 1, x_1, ..., x_n
+    objective = {}
+    for x, bq in zip(xs, b.coeffs):
+        for i in range(l):
+            for j in range(i, l):
+                if bq.mat[i, j] != 0.0:
+                    objective[tuple(x + unit[n + i] + unit[n + j])] = \
+                        bq.mat[i, j] if i == j else 2.0 * bq.mat[i, j]
+    lo = {tuple(xs[0]): -r * r, **{tuple(2 * unit[n + i]): 1.0 for i in range(l)}}
+    hi = {tuple(xs[0]): R * R, **{tuple(2 * unit[n + i]): -1.0 for i in range(l)}}
+    inner = {tuple(x): aq.mat for x, aq in zip(xs, a.coeffs)}
+    return as_terms(objective), [as_terms(inner, a.k), as_terms(lo, 1), as_terms(hi, 1)]
 
 
 def _two_component_problem():
     # indices 0 and 1 are joined by the x1 term, index 2 stands alone
-    g = MatPoly(2, 3, {(0, 0): np.diag([1.0, 2.0, 3.0]),
-                       (1, 0): [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]})
-    return Poly(2, {(2, 0): 1.0, (0, 2): 1.0}), [g]
+    g = as_terms({(0, 0): np.diag([1.0, 2.0, 3.0]),
+                  (1, 0): [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]}, 3)
+    return as_terms({(2, 0): 1.0, (0, 2): 1.0}), [g]
 
 
 @pytest.mark.parametrize("make", [
     # x1 and x2 flip on their own
-    lambda: (Poly(2, {(2, 0): 1.0, (0, 2): 1.0}),
-             [Poly(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})]),
+    lambda: (as_terms({(2, 0): 1.0, (0, 2): 1.0}),
+             [as_terms({(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0}, 1)]),
     # x1 and x2 flip together, x3 on its own
-    lambda: (Poly(3, {(1, 1, 0): 1.0, (0, 0, 2): 1.0}),
-             [Poly(3, {(0, 0, 0): 1.0, (2, 0, 0): -1.0, (0, 2, 0): -1.0,
-                       (0, 0, 2): -1.0})]),
+    lambda: (as_terms({(1, 1, 0): 1.0, (0, 0, 2): 1.0}),
+             [as_terms({(0, 0, 0): 1.0, (2, 0, 0): -1.0, (0, 2, 0): -1.0,
+                        (0, 0, 2): -1.0}, 1)]),
     # a diagonal B: every z_i flips on its own
     lambda: _containment_problem(*_criterion6_ball(0)),
     # x2 flips with z1 and an index of A
@@ -232,10 +283,10 @@ def test_kept_moments_are_those_every_sign_symmetry_fixes(make):
     # indices: the kept moments are those every fixing flip fixes, and each
     # localizing matrix splits into the position classes of the flips
     objective, constraints = make()
-    nvars = objective.nvars
+    nvars = objective[0].shape[1]
     t = 2
     _, _, info = build_pmi_relaxation(objective, constraints, t)
-    ks = [1 if isinstance(g, Poly) else g.k for g in constraints]
+    ks = [coeffs.shape[1] for _, coeffs in constraints]
     nbits = nvars + sum(ks)
     signs = 1 - 2 * (np.arange(2 ** nbits)[:, None] >> np.arange(nbits) & 1)
 
@@ -243,12 +294,12 @@ def test_kept_moments_are_those_every_sign_symmetry_fixes(make):
         return np.prod(flips[:, :nvars] ** np.array(e), axis=1)
 
     fixing = np.ones(len(signs), dtype=bool)
-    for e in objective.terms:
+    for e in objective[0]:
         fixing &= sign_of(e, signs) == 1
     first = nvars
-    for g, k in zip(constraints, ks):
-        for e, c in g.terms.items():
-            i, j = np.nonzero(np.reshape(c, (k, k)))
+    for (exps, coeffs), k in zip(constraints, ks):
+        for e, c in zip(exps, coeffs):
+            i, j = np.nonzero(c)
             idx = signs[:, first:first + k]
             fixing &= np.all(sign_of(e, signs)[:, None] * idx[:, i] * idx[:, j] == 1, axis=1)
         first += k
@@ -260,8 +311,9 @@ def test_kept_moments_are_those_every_sign_symmetry_fixes(make):
 
     # the moment matrix has one index that no flip negates
     sizes, first = [], nvars
-    for g, k in zip([Poly(nvars, {}), *constraints], [0, *ks]):
-        basis = monomials_upto(nvars, t - (g.degree() + 1) // 2)
+    degrees = [0, *(int(exps.sum(axis=1).max()) for exps, _ in constraints)]
+    for degree, k in zip(degrees, [0, *ks]):
+        basis = monomials_upto(nvars, t - (degree + 1) // 2)
         idx = flips[:, first:first + k] if k else np.ones((len(flips), 1), dtype=int)
         first += k
         blocks = {}
@@ -338,10 +390,10 @@ def test_circumradius_program_equals_loop_assembly(make, monkeypatch):
     monkeypatch.setattr(radii, "solve", capture)
     radii.circumradius_sq(p)
     d = momrelax._x_scale(p)
-    obj = Poly(p.n, {tuple(2 * np.eye(p.n, dtype=int)[q]): d[q] ** 2
-                     for q in range(p.n)})
+    obj = as_terms({tuple(2 * np.eye(p.n, dtype=int)[q]): d[q] ** 2 for q in range(p.n)})
     scaled = pencil([p.coeffs[0].mat] + [dq * c.mat for dq, c in zip(d, p.coeffs[1:])])
-    constraints = [pencil_as_matpoly(scaled, p.n)]
+    units = [(0,) * p.n] + [tuple(np.eye(p.n, dtype=int)[q]) for q in range(p.n)]
+    constraints = [as_terms(dict(zip(units, scaled.coeff_array())), p.k)]
     want, _ = moment_relaxation_by_terms(obj, constraints, 2, sense="max",
                                          metadata={"origin": "circumradius"})
     got, = built

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from spectracon.errors import InvalidInput
 from spectracon.pencil import ellipsoid_pencil, elliptope_pencil
 from spectracon.render import (mask_to_svg, projection_mask, render_slice,
                                slice_mask)
@@ -49,3 +51,8 @@ def test_mask_to_svg_handles_empty_mask():
     svg = mask_to_svg(np.zeros((8, 8), dtype=bool), (-1.0, 1.0))
     assert "<svg" in svg
     assert svg.count('class="cell"') == 0 or svg.count("<rect") <= 1
+
+
+def test_mask_to_svg_rejects_a_mask_without_cells():
+    with pytest.raises(InvalidInput):
+        mask_to_svg(np.zeros((0, 0), dtype=bool), (-1.0, 1.0))

@@ -3,13 +3,12 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from builders import LmiBuilder, PrimalBuilder
+from builders import LmiBuilder, PrimalBuilder, as_terms
 from spectracon import sdpcore
 
 from spectracon.errors import InvalidInput
 from spectracon.families import disk_pair, random_pair
-from spectracon.momrelax import (Poly, build_pmi_relaxation, containment_relaxation,
-                                 pencil_as_matpoly)
+from spectracon.momrelax import build_pmi_relaxation, containment_relaxation
 from spectracon.pencil import elliptope_pencil, pencil
 from spectracon.sdpa import export_sdpa, parse_sdpa
 from spectracon.sosrelax import sos_relaxation
@@ -674,9 +673,8 @@ def test_margin_lmi_matches_term_assembly(k, nq, box):
 def _stalling_problem():
     """The order-2 circumradius program of the half-line x >= -1: its
     supremum is +inf, and the solve stalls instead of certifying that."""
-    halfline = pencil([np.diag([1.0, 1.0]), np.diag([1.0, 0.0])])
-    problem, _, _ = build_pmi_relaxation(Poly(1, {(2,): 1.0}),
-                                         [pencil_as_matpoly(halfline, 1)], 2,
+    halfline = as_terms({(0,): np.diag([1.0, 1.0]), (1,): np.diag([1.0, 0.0])}, 2)
+    problem, _, _ = build_pmi_relaxation(as_terms({(2,): 1.0}), [halfline], 2,
                                          sense="max")
     return problem
 

@@ -109,11 +109,17 @@ def test_mismatched_variable_counts_rejected():
         check_containment(*disk_pair(0.5), method="nosuch")
 
 
+def test_samples_must_be_positive():
+    # the disk is refuted by sampling; without samples that is bad input,
+    # not a failed search
+    with pytest.raises(InvalidInput):
+        check_containment(*disk_pair(1.2), samples=0)
+
+
 def test_certification_tolerance_scales_with_outer():
     b = disk_pair(0.5)[1]
     tol = certification_tolerance(b)
     assert tol == pytest.approx(1e-7 * 2.0, rel=1e-6)
-    assert certification_tolerance(b, factor=1e-5) == pytest.approx(2e-5, rel=1e-6)
 
 
 def test_verdict_string_and_exit_codes():
