@@ -86,6 +86,8 @@ def _cmd_shrink(args) -> int:
 
 def _cmd_radius(args) -> int:
     p = _load(args.pencil)
+    if args.order < 1:  # circumradius_sq's gate, before the boundedness solve
+        raise OrderTooSmall("relaxation order must be at least 1")
     rep = boundedness_certificate(p)
     print(f"boundedness: {rep.kind}")
     if rep.kind == "Unbounded":

@@ -88,8 +88,8 @@ def _positions(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     both = np.zeros((len(table) + len(rows), table.shape[1] + 1), dtype=table.dtype)
     both[:, 1:] = np.concatenate((table, rows))
     keys = both.view(np.dtype((np.void, both.itemsize * both.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first[inverse[len(table):]]
+    order = np.argsort(keys[:len(table)])
+    return order[np.searchsorted(keys[:len(table)], keys[len(table):], sorter=order)]
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +183,13 @@ def _position_blocks(basis_classes: np.ndarray, index_classes: np.ndarray) -> np
     """Block of each position (u, a) of a localizing matrix, u-major: one
     block per class u ^ a, numbered in order of first appearance over the
     positions taken index-major, so that a block-diagonal constraint's
-    blocks come index group by index group."""
+    blocks come index group by index group.  build_pmi_relaxation labels
+    its moment and localizing matrices with it, and sosrelax.sos_relaxation
+    its Gram matrices Q_S and Q_T."""
     cls = basis_classes[None, :] ^ index_classes[:, None]
-    _, first, label = np.unique(cls.ravel(), return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[label].reshape(cls.shape).T.ravel()
+    labels = {}
+    block = [labels.setdefault(c, len(labels)) for c in cls.ravel().tolist()]
+    return np.array(block, dtype=np.intp).reshape(cls.shape).T.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -231,23 +234,42 @@ def _localizing_entries(exps, mats, basis, block, moments: np.ndarray):
     Position P = u k + a is basis monomial u and index a; ``block`` labels
     the positions, and i, j are the indices of P and P' in their block's
     positions.  Entry (a, b) of the coefficient of v^e sits at (P, P') on
-    the moment of basis[u] + basis[w] + e: row ``moment`` of ``moments``.
+    the moment of basis[u] + basis[w] + e: row ``moment`` of ``moments``,
+    which must hold it.  build_pmi_relaxation reads its moment and
+    localizing matrices from here, and sosrelax.sos_relaxation its Gram
+    matrices Q_S and Q_T, whose table is the Gram program's equations.
     """
     k = mats.shape[1]
     order = np.argsort(block, kind="stable")
     counts = np.bincount(block)
     local = np.empty_like(order)
     local[order] = np.arange(block.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    u, w = np.triu_indices(len(basis))
+    u, w = np.nonzero(np.arange(len(basis))[:, None] <= np.arange(len(basis)))
     term, a, b = np.nonzero(mats)
     # both triangles of an off-diagonal basis pair, the upper one of a diagonal pair
     pair, nz = np.nonzero((u < w)[:, None] | (a <= b))
-    term, a, b, u, w = term[nz], a[nz], b[nz], u[pair], w[pair]
-    P, Q = u * k + a, w * k + b
+    P, Q = u[pair] * k + a[nz], w[pair] * k + b[nz]
     same = block[P] == block[Q]
-    term, a, b, u, w, P, Q = (v[same] for v in (term, a, b, u, w, P, Q))
-    moment = _positions(moments, basis[u] + basis[w] + exps[term])
-    return block[P], moment, local[P], local[Q], mats[term, a, b]
+    pair, nz, P, Q = pair[same], nz[same], P[same], Q[same]
+    # one moment lookup per basis pair and term in use
+    combo = pair * len(exps) + term[nz]
+    used = np.zeros(len(u) * len(exps), dtype=bool)
+    used[combo] = True
+    pair, e = np.divmod(np.flatnonzero(used), len(exps))
+    moment = _positions(moments, basis[u[pair]] + basis[w[pair]] + exps[e])
+    moment = moment[np.cumsum(used)[combo] - 1]
+    return block[P], moment, local[P], local[Q], mats[term[nz], a[nz], b[nz]]
+
+
+def _localizing_blocks(m: int, block, blk, moment, i, j, v):
+    """(size, C, A rows) of each block of ``block``, in label order, from
+    entries (blk, moment, i, j, v) as :func:`_localizing_entries` gives
+    them: moment 0 is C and moment r in 1..m constraint r - 1."""
+    out = []
+    for label, size in enumerate(np.bincount(block)):
+        sel = blk == label
+        out.append((int(size), *_block_data(m, int(size), moment[sel], i[sel], j[sel], v[sel])))
+    return out
 
 
 def build_pmi_relaxation(objective, constraints, t: int,
@@ -296,7 +318,7 @@ def build_pmi_relaxation(objective, constraints, t: int,
     # on moment 0), A = -F and b = +-objective, and the bound is the
     # objective's constant +- the solve's value.
     sign = 1.0 if sense == "max" else -1.0
-    sizes, c_blocks, a_blocks = [], [], []
+    blocks = []
     first = nvars  # the bit of the next index
     for (exps, mats), d in zip(terms, half_degs):
         k = mats.shape[1]
@@ -305,20 +327,15 @@ def build_pmi_relaxation(objective, constraints, t: int,
                                  classes[first:first + k])
         first += k
         blk, moment, i, j, v = _localizing_entries(exps, mats, basis, block, table)
-        v = np.where(moment == 0, v, -v)
-        for label, size in enumerate(np.bincount(block)):
-            sel = blk == label
-            sizes.append(int(size))
-            c, a = _block_data(m, sizes[-1], moment[sel], i[sel], j[sel], v[sel])
-            c_blocks.append(c)
-            a_blocks.append(a)
+        blocks += _localizing_blocks(m, block, blk, moment, i, j, np.where(moment == 0, v, -v))
+    sizes, c_blocks, a_blocks = zip(*blocks)
     obj = np.zeros(m + 1)
     np.add.at(obj, _positions(table, obj_exps), obj_coeffs.ravel())
     offset = obj[0]
-    problem = SdpProblem(tuple(sizes), c_blocks, a_blocks, sign * obj[1:],
+    problem = SdpProblem(sizes, list(c_blocks), list(a_blocks), sign * obj[1:],
                          dict(metadata or {}))
     info = RelaxationInfo(order=t, nvars=nvars, n_moments=len(moments) - 1,
-                          block_sizes=tuple(sizes), moments=tuple(moments),
+                          block_sizes=sizes, moments=tuple(moments),
                           scale=np.ones(nvars))
     return problem, (lambda sol: offset + sign * sol.value), info
 

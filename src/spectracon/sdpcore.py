@@ -867,9 +867,10 @@ def _block_data(m: int, size: int, row, i, j, val):
     # position summed in the order given
     body = ~head
     row, col, val = row[body] - 1, col[body], val[body]
-    order = np.lexsort((col, row))
+    key = row * veclen + col
+    order = np.argsort(key, kind="stable")
     row, col = row[order], col[order]
-    first = np.flatnonzero(np.diff(row * veclen + col, prepend=-1))
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
     indptr = np.searchsorted(row[first], np.arange(m + 1))
     a = sp.csr_matrix((np.add.reduceat(val[order], first), col[first], indptr),
                       shape=(m, veclen))

@@ -11,10 +11,17 @@ lambda <= lambda_min(B(x)) for every x with A(x) psd, so the optimal
 lambda_sos(t) is a lower bound on the uniform eigenvalue margin; it is
 monotone in t.
 
-The multiplier lambda lives only in the constant diagonal part of the
-identity, so it is eliminated: the (constant, top-left) coefficient match
-defines lambda, the remaining constant diagonal matches turn into
-equalization rows, and maximizing lambda becomes minimizing a linear
+The Gram program is the dual side of a moment relaxation in the joint
+variables (x, z).  On the basis x^alpha z_u, Q_S is the localizing matrix
+of A(x) and Q_T that of the constant 1, the moment matrix, and the
+(gamma, u, v) coefficient match is the moment x^gamma z_u z_v: its entries
+are those of momrelax._localizing_entries, the assembler of the moment
+relaxations.  Two steps are the Gram program's own.  A u != v match reads
+the (u, v) and (v, u) entries of the identity at once, so it takes half of
+each entry.  And the multiplier lambda, which lives only in the constant
+diagonal part of the identity, is eliminated: the (1, 0, 0) match defines
+it and becomes the cost, and its entries are subtracted in every other
+(1, u, u) match, so maximizing lambda becomes minimizing a linear
 functional of the Gram matrices.
 
 The dual of the Gram program is a matrix moment sequence: the multiplier y
@@ -27,9 +34,10 @@ The program is assembled reduced exactly by its sign flips, those of
 momrelax's moment relaxation of the pair with B's indices for z: they
 negate some x_p together with some indices of A and of B and fix every
 coefficient.  Averaged over them, an optimal Gram pair is zero across flip
-classes, so Q_S and Q_T split into one block per class and the equations
-between classes hold trivially and are left out.  lambda_sos maps the
-solution back to the full Gram matrices and equation index.
+classes, so Q_S and Q_T split into one block per class
+(momrelax._position_blocks) and the equations between classes hold
+trivially and are left out.  lambda_sos maps the solution back to the full
+Gram matrices and equation index.
 """
 
 from __future__ import annotations
@@ -39,10 +47,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, OrderTooSmall
-from .momrelax import (_exponent_array, _flip_classes, _monomial_classes, _pencil_terms,
-                       _positions, basis_size, monomials_upto)
+from .momrelax import (_exponent_array, _flip_classes, _localizing_blocks, _localizing_entries,
+                       _monomial_classes, _pencil_terms, _position_blocks, _positions,
+                       basis_size, monomials_upto)
 from .pencil import LinearPencil
-from .sdpcore import SdpProblem, SdpSolution, SolveStatus, _block_data, solve
+from .sdpcore import SdpProblem, SdpSolution, SolveStatus, solve
 
 
 def count_unknowns(n: int, k: int, l: int, t: int) -> dict:
@@ -112,87 +121,85 @@ def sos_relaxation(a: LinearPencil, b: LinearPencil, t: int):
     """Assemble the order-t Gram program, split by its sign flips; returns
     (problem, info).
 
-    The (gamma, i, j) coefficient match, i <= j, is row gamma * l(l+1)/2 +
-    pair(i, j) of the assembly, with gamma numbered as in monomials_upto(n,
-    2t+1) and the pairs (i, j) in row-major order.  Row 0, the (1, 0, 0)
-    match that defines lambda, is the cost, and its entries are subtracted
-    in every (1, i, i) match; row r > 0 is equation r - 1.  A coefficient
-    at an off-diagonal position (p, q) of a Gram matrix enters its match as
-    two halves, at (p, q) and at (q, p).
+    The (gamma, u, v) coefficient match, u <= v, is the moment x^gamma z_u
+    z_v of the joint variables (x, z), row gamma * l(l+1)/2 + pair(u, v) of
+    the equation table, with gamma numbered as in monomials_upto(n, 2t+1)
+    and the pairs (u, v) in row-major order.  Q_S is the localizing matrix
+    of A(x) and Q_T that of the constant 1, both on the basis x^alpha z_u
+    (alpha-major, then u), their entries from
+    :func:`momrelax._localizing_entries`; a u != v match takes half of
+    each.  Row 0, the (1, 0, 0) match that defines lambda, is the cost, and
+    its entries are subtracted in every (1, u, u) match; row r > 0 is
+    equation r - 1.
 
     The program keeps the equations ``info.rows``, in order, and has one
     block per part of ``info.parts`` (Q_S's parts, then Q_T's), on that
-    part's positions in order (:func:`_flip_split`); entries on the other
-    equations or joining two parts are left out.
+    part's positions in order: the flip classes of
+    :func:`momrelax._position_blocks`, for the flips of
+    :func:`momrelax._flip_classes` on the bits x_p, then A's indices, then
+    B's, with B's index u for z_u.  The kept equations are those of class
+    0; entries on the others or joining two parts are left out.
     """
     if a.n != b.n:
         raise InvalidInput("pencils must share the variable count")
     if t < 0:
         raise OrderTooSmall("order must be nonnegative")
     n, k, l = a.n, a.k, b.k
-    kl = k * l
-    basis = _exponent_array(monomials_upto(n, t), n)
-    N = len(basis)
-    gammas = _exponent_array(monomials_upto(n, 2 * t + 1), n)
-    units, coeffs = _pencil_terms(a, n)
-    unit_rows = _positions(gammas, units)  # the monomials 1, x_1, ..., x_n
+    z = np.eye(l, dtype=np.intp)
     pi, pj = np.triu_indices(l)
     npair = len(pi)
-    diag = np.flatnonzero(pi == pj)  # pair(i, i)
-    n_eq = len(gammas) * npair - 1
-    info = SosInfo(order=t, n=n, k=k, l=l, basis_n=N, gram_s_dim=kl * N,
-                   gram_t_dim=l * N, n_equations=n_eq,
-                   point_rows=unit_rows[1:, None] * npair + diag - 1)
-    info.parts, info.rows = _flip_split(a, b, basis, gammas)
-    m = info.rows.size
-    program_row = np.full(n_eq + 1, -1)  # -1 on the equations left out
-    program_row[np.r_[0, info.rows + 1]] = np.arange(m + 1)
-    alpha, beta = np.divmod(np.arange(N * N), N)  # ordered basis pairs
+    diag = np.flatnonzero(pi == pj)  # pair(u, u)
+    xbasis = _exponent_array(monomials_upto(n, t), n)
+    gammas = _exponent_array(monomials_upto(n, 2 * t + 1), n)
+    N = len(xbasis)
+    basis = _joint(xbasis, z)
+    table = _joint(gammas, z[pi] + z[pj])
+    a_exps, a_coeffs = _pencil_terms(a, n + l)
+    unit_rows = _positions(gammas, a_exps[:, :n])  # the monomials 1, x_1, ..., x_n
+    info = SosInfo(order=t, n=n, k=k, l=l, basis_n=N, gram_s_dim=k * l * N,
+                   gram_t_dim=l * N, n_equations=len(table) - 1,
+                   point_rows=unit_rows[1:, None] * npair + diag - 1, parts=[])
+    rep = _flip_classes(n, [(a_exps[:, :n], a_coeffs), _pencil_terms(b, n)])
+    x_rep, b_rep = rep[:n], rep[n + k:]
+    # x^gamma z_u z_v has the class of x^gamma ^ B_u ^ B_v, and x^alpha z_u that
+    # of x^alpha ^ B_u
+    kept = (_monomial_classes(gammas, x_rep)[:, None] ^ b_rep[pi] ^ b_rep[pj]).ravel() == 0
+    info.rows = np.flatnonzero(kept[1:])
+    table = table[kept]
+    half = np.where(table[:, n:].max(axis=1) == 1, 0.5, 1.0)  # the u != v matches
+    lam_rows = np.cumsum(kept)[diag[1:]] - 1  # the (1, u, u) matches, u > 0
+    basis_rep = (_monomial_classes(xbasis, x_rep)[:, None] ^ b_rep).ravel()
+    blocks = []
+    for exps, mats, index_rep in ((a_exps, a_coeffs, rep[n:n + k]),
+                                  (np.zeros((1, n + l), dtype=np.intp), np.ones((1, 1, 1)),
+                                   np.zeros(1, dtype=object))):
+        block = _position_blocks(basis_rep, index_rep)
+        blk, moment, i, j, v = _localizing_entries(exps, mats, basis, block, table)
+        v = v * half[moment]
+        # lambda: the cost entries, negated, in every (1, u, u) match, u > 0
+        cost = np.flatnonzero(moment == 0)
+        blk, i, j = (np.concatenate((x, np.repeat(x[cost], l - 1))) for x in (blk, i, j))
+        moment = np.concatenate((moment, np.tile(lam_rows, cost.size)))
+        v = np.concatenate((v, np.repeat(-v[cost], l - 1)))
+        info.parts.append([np.flatnonzero(block == c) for c in range(block.max() + 1)])
+        blocks += _localizing_blocks(info.rows.size, block, blk, moment, i, j, v)
 
-    def gram_blocks(parts, stride, gamma, p, q, v):
-        # the (0, 0) positions p, q of the entries, moved by (i, j) * stride
-        # into every (gamma, i, j) match, then the cost entries negated in
-        # the (1, i, i) matches, i > 0
-        cost = gamma == 0
-        row = np.concatenate(((gamma[:, None] * npair + np.arange(npair)).ravel(),
-                              np.tile(diag[1:], np.count_nonzero(cost))))
-        p = np.concatenate(((p[:, None] + pi * stride).ravel(), np.repeat(p[cost], l - 1)))
-        q = np.concatenate(((q[:, None] + pj * stride).ravel(), np.repeat(q[cost], l - 1)))
-        v = np.concatenate((np.repeat(v, npair), np.repeat(-v[cost], l - 1)))
-        v = np.where(p == q, v, v / 2.0)
-        # each position's part and its index there
-        part = np.empty(sum(idx.size for idx in parts), dtype=np.intp)
-        local = np.empty_like(part)
-        for c, idx in enumerate(parts):
-            part[idx] = c
-            local[idx] = np.arange(idx.size)
-        row, cls = program_row[row], part[p]
-        kept = (row >= 0) & (cls == part[q])
-        return [_block_data(m, idx.size, row[sel], local[p[sel]], local[q[sel]], v[sel])
-                for c, idx in enumerate(parts) for sel in [kept & (cls == c)]]
-
-    # Q_S: coefficient entry (aa, bb) of A's x^u term at basis pair
-    # (alpha, beta) matches x^(alpha + beta + u)
-    match = _positions(gammas, (basis[alpha][:, None] + basis[beta][:, None] + units)
-                       .reshape(N * N * (n + 1), n)).reshape(N * N, n + 1)
-    r, aa, bb = np.nonzero(coeffs)
-    blocks = gram_blocks(info.parts[0], k, match[:, r].ravel(),
-                         (alpha[:, None] * kl + aa).ravel(),
-                         (beta[:, None] * kl + bb).ravel(),
-                         np.tile(coeffs[r, aa, bb], N * N))
-    # Q_T: entry (alpha, beta) matches x^(alpha + beta)
-    blocks += gram_blocks(info.parts[1], 1,
-                          _positions(gammas, basis[alpha] + basis[beta]),
-                          alpha * l, beta * l, np.ones(N * N))
-
+    sizes, c_blocks, a_blocks = zip(*blocks)
     rhs = np.zeros((len(gammas), npair))
     rhs[unit_rows] = b.coeff_array()[:, pi, pj]
     rhs[0, diag[1:]] -= rhs[0, 0]
-    c_blocks, a_blocks = zip(*blocks)
-    problem = SdpProblem(tuple(idx.size for parts in info.parts for idx in parts),
-                         list(c_blocks), list(a_blocks), rhs.ravel()[1:][info.rows],
+    problem = SdpProblem(sizes, list(c_blocks), list(a_blocks), rhs.ravel()[1:][info.rows],
                          {"origin": "sos_gram", "order": t})
     return problem, info
+
+
+def _joint(x_exps: np.ndarray, z_exps: np.ndarray) -> np.ndarray:
+    """The exponent rows of x^alpha z^beta, alpha-major, for the rows alpha
+    of ``x_exps`` and beta of ``z_exps``."""
+    out = np.empty((len(x_exps), len(z_exps), x_exps.shape[1] + z_exps.shape[1]), dtype=np.intp)
+    out[:, :, :x_exps.shape[1]] = x_exps[:, None]
+    out[:, :, x_exps.shape[1]:] = z_exps
+    return out.reshape(-1, out.shape[2])
 
 
 _STATUS = {
@@ -202,38 +209,6 @@ _STATUS = {
     SolveStatus.INACCURATE: "inaccurate",
     SolveStatus.ITER_LIMIT: "iterlimit",
 }
-
-
-def _flip_split(a: LinearPencil, b: LinearPencil, basis: np.ndarray,
-                gammas: np.ndarray):
-    """(parts, rows): the positions of Q_S and Q_T split by the sign flips,
-    for the Gram basis ``basis`` and the equation monomials ``gammas``
-    (exponent rows, as ``sos_relaxation`` numbers them).
-
-    The flips are those of ``momrelax._flip_classes`` on the bits x_p, then
-    A's indices, then B's: they fix the pair when they meet the row masks
-    x_p ^ A_i ^ A_j of the nonzero A_p[i, j] and x_p ^ B_u ^ B_v of the
-    nonzero B_p[u, v] evenly.  A Q_S position (alpha, u, a) has mask
-    parity(alpha) ^ B_u ^ A_a and a Q_T position (alpha, u) parity(alpha) ^
-    B_u; the positions of one class modulo the rows are a part of their
-    Gram matrix.  The flips map an optimal Gram pair to optimal ones, so
-    their average, zero across classes, is optimal too; then an equation
-    (gamma, u, v) whose mask parity(gamma) ^ B_u ^ B_v is not in the row
-    space holds trivially (its right-hand side is 0), and ``rows`` are the
-    other equations.
-    """
-    n, k = a.n, a.k
-    rep = _flip_classes(n, [_pencil_terms(a, n), _pencil_terms(b, n)])
-    x_rep, a_rep, b_rep = rep[:n], rep[n:n + k], rep[n + k:]
-    alpha = _monomial_classes(basis, x_rep)
-    parts = []
-    for cls in (alpha[:, None, None] ^ b_rep[:, None] ^ a_rep, alpha[:, None] ^ b_rep):
-        _, label = np.unique(cls.ravel(), return_inverse=True)
-        parts.append([np.flatnonzero(label == c) for c in range(label.max() + 1)])
-    pi, pj = np.triu_indices(b.k)
-    eq_cls = _monomial_classes(gammas, x_rep)[:, None] ^ b_rep[pi] ^ b_rep[pj]
-    rows = np.flatnonzero(eq_cls.ravel()[1:] == 0)
-    return parts, rows
 
 
 def lambda_sos(a: LinearPencil, b: LinearPencil, t: int = 0) -> SosResult:

@@ -131,6 +131,8 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
         raise InvalidInput("pencils must share the variable count")
     if samples < 1:
         raise InvalidInput("samples must be positive")
+    if not (0 < r <= R):
+        raise InvalidInput("need 0 < r <= R")
     tol = certification_tolerance(b)
     details: dict = {"tolerance": tol}
 

@@ -8,7 +8,7 @@ reads.  ``moment_relaxation_by_terms`` and
 ``gram_program_by_terms`` are the unreduced relaxations assembled by Python
 loops over basis pairs and matrix entries through these builders;
 ``principal_split`` cuts them by their sign flips (``moment_flip_split``,
-``sosrelax._flip_split``), and the package's relaxations must be equal to
+``SosInfo.parts`` and ``rows``), and the package's relaxations must be equal to
 the cut programs, entry for entry.  ``cp_sdfp_by_nullspace`` decides the
 block certificate through its margin program, posed as an LMI over the
 nullspace of the block equations that ``equation_system`` writes out; it

@@ -113,6 +113,13 @@ def test_check_without_samples_is_usage_error(tmp_path, capsys):
     assert "samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["moment", "sos", "sdfp"])
+def test_check_with_a_bad_annulus_is_usage_error(disk_files, capsys, method):
+    a, b = disk_files
+    assert main(["check", a, b, "--method", method, "--r", "-1"]) == 64
+    assert "0 < r <= R" in capsys.readouterr().err
+
+
 def test_shrink_reports_factor(tmp_path, capsys):
     prefix = str(tmp_path / "mid")
     main(["gen", "disk", "--nu", "0.9", "--out", prefix])
@@ -140,6 +147,14 @@ def test_radius_command(tmp_path, capsys):
     assert code == 0
     assert "Bounded" in out
     assert any(abs(float(t) - 3.0) < 1e-4 for t in out.split() if _is_float(t))
+
+
+def test_radius_below_order_one_is_usage_error_before_any_solve(disk_files, capsys):
+    a, _ = disk_files
+    assert main(["radius", a, "--order", "0"]) == 64
+    captured = capsys.readouterr()
+    assert "boundedness:" not in captured.out
+    assert "order" in captured.err
 
 
 def test_render_command(tmp_path, disk_files):

@@ -98,9 +98,9 @@ def test_count_unknowns_are_the_unreduced_sizes(make):
     lambda: disk_pair(0.8), lambda: ball_elliptope_pair(3), lambda: random_pair(1),
     lambda: random_pair(18), choi_pair, lambda: _criterion6_ball(0),
     lambda: _criterion6_ball(5), lambda: disk_pair(1.2), lambda: ball_elliptope_pair(4),
-    lambda: random_pair(12), lambda: _criterion6_ball(11),
+    lambda: random_pair(12), lambda: _criterion6_ball(11), lambda: random_pair(37),
 ], ids=["disk-0.8", "ball-elliptope-3", "random-1", "random-18", "choi", "ball-0",
-        "ball-5", "disk-1.2", "ball-elliptope-4", "random-12", "ball-11"])
+        "ball-5", "disk-1.2", "ball-elliptope-4", "random-12", "ball-11", "random-37"])
 def test_gram_program_equals_loop_assembly(make, t):
     # the assembled program is the loop assembly cut by the sign flips
     a, b = make()

@@ -116,6 +116,20 @@ def test_samples_must_be_positive():
         check_containment(*disk_pair(1.2), samples=0)
 
 
+@pytest.mark.parametrize("method", ["moment", "sos", "sdfp"])
+@pytest.mark.parametrize("r,R", [(-1.0, 2.0), (0.0, 2.0), (2.0, 1.0)])
+def test_annulus_is_checked_for_every_method(method, r, R, monkeypatch):
+    # sos and sdfp never read the annulus, but a bad one is still bad input,
+    # rejected before any solve
+    def no_solve(problem):
+        raise AssertionError("solved before the input check")
+
+    for mod in (sdpcore, momrelax, sosrelax):
+        monkeypatch.setattr(mod, "solve", no_solve)
+    with pytest.raises(InvalidInput, match="0 < r <= R"):
+        check_containment(*disk_pair(0.7), method=method, r=r, R=R)
+
+
 def test_certification_tolerance_scales_with_outer():
     b = disk_pair(0.5)[1]
     tol = certification_tolerance(b)
