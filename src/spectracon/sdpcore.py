@@ -30,29 +30,40 @@ more than ``_TOL_FEAS`` of the right-hand side is refined with M's factor.
 Each iteration assembles the Schur complement
 M_ij = sum_b <A_ib, W_b A_jb W_b> for the NT scalings W_b, read from their
 class stacks.  The sparsity pattern does not change during a solve, so the
-assembly plan is built once per solve, on the class-ordered problem,
-before the first iteration.  Per block it keeps only the constraint rows
-with stored entries there, sorts them by their stored-entry count r and
-cuts them into chunks of at most ``_CHUNK_TARGET`` floats of vec(W A_i W)
-(at least one row).  Within a chunk, the rows of each count r are done in
-one batched numpy call: the thin product (W[:, p] * v) @ W[q, :] over the
-stored entries for r <= 2s, the full congruence W A_i W for denser rows.
-The A_i are symmetric, so W A_i W is too, and <A_j, W A_i W> needs only
-its upper triangle: the plan also keeps each dense block's rows folded
-onto the s(s+1)/2 positions p <= q (weight a_pq + a_qp off the diagonal),
-and one sparse product of those folded rows with a C-ordered gather of the
-chunk's triangle gives the chunk's rows of M.  A block whose rows cover all
-m constraints adds them into M directly.  The merged diagonal block adds
+assembly plan is built once per solve, before the first iteration, in one
+pass per class over the class's constraint rows.  Its unit of work is a
+pair (constraint row i, block b) with stored entries, whose product is
+W_b A_ib W_b.  In row and then block order, a class's pairs are cut into
+chunks of at most ``_CHUNK_TARGET`` floats of products (at least one pair).
+Within a chunk the pairs are grouped by their stored-entry count r rounded
+up to a power of two, R, and each group is one batched numpy call across
+the blocks of the class: the thin product (W[:, p] * v) @ W[q, :] over the
+stored entries, padded to R with value 0 (which adds exact zeros), for
+r <= 2s, and the full congruence W A_i W for denser rows.  The A_i are
+symmetric, so W A_i W is too, and <A_j, W A_i W> needs only its upper
+triangle: the plan keeps the class's rows folded onto the s(s+1)/2
+positions p <= q of each block (weight a_pq + a_qp off the diagonal), and
+one sparse product of those folded rows, restricted to the blocks the chunk
+has pairs in, with a C-ordered gather of the chunk's triangles gives the
+chunk's rows of M.  The products of one row in several blocks share a
+gather column, so the sparse product sums them.  The folded rows span all
+m constraints, so a chunk adds whole rows of M, which costs less than a
+scatter into the class's rows and columns.  The merged diagonal class adds
 A diag(w)^2 A' on its rows, kept as one dense (rows, d) array.
-Memory: the plan holds a dense block's rows with stored entries twice (as
-given and folded) plus two indices per thin-row entry, the diagonal rows
-once more as a dense array, and one chunk buffer (at most
-``_CHUNK_TARGET`` floats, or s^2 for a single row) with its triangle
-gather (about half that), which the dense blocks share.  The solve holds M
-itself; it and the buffers are allocated once and overwritten by every
-assembly, and M is symmetrized in place in tiles.  Besides those, an
-assembly makes the product of the folded rows with one gather and
-thin-product operands of at most 6 * ``_CHUNK_TARGET`` floats (at r = 2s).
+Memory: for each dense class the plan holds two indices and a value per
+padded entry (padding at most doubles the entries), the folded rows once
+per set of blocks that a chunk covers (once when the class fits in one
+chunk), the diagonal rows once more as a dense array, one chunk buffer (at
+most ``_CHUNK_TARGET`` floats, or s^2 for a single pair) and one gather
+buffer (no more triangles than a full chunk of products, or one pair's),
+which the dense classes share.  The solve holds M itself; it and the
+buffers are allocated once and overwritten by every assembly, and M is
+symmetrized in place in tiles.  It holds one factor of M at a time: the
+last iteration's is released before the next assembly.  Besides those, an
+assembly makes the product of the folded rows with one gather (m floats a
+column), the gather's tiles before they are transposed into it, and the
+operands of each batched product, at most ``_CHUNK_TARGET`` floats
+together (or one pair's).
 
 Step lengths and the corrector work in the NT frame.  With W = R R' the
 scaling gives R^-1 X R^-T = R' S R = lam, a diagonal.  A direction maps to
@@ -78,7 +89,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -102,8 +113,9 @@ _MAX_CONSTRAINTS = 8000
 # the transposed copy the sparse product makes of it stay in cache.
 _CHUNK_TARGET = 250_000
 
-# Side of the tiles the Schur matrix is symmetrized in: 115 KB, below
-# glibc's default 128 KB mmap threshold, so no tile is mapped afresh.
+# Side of the tiles the Schur matrix is symmetrized in, and the square root
+# of the float count of the tiles a chunk's gather is filled in: 115 KB,
+# below glibc's default 128 KB mmap threshold, so no tile is mapped afresh.
 _SYM_TILE = 120
 
 
@@ -152,6 +164,8 @@ class SdpProblem:
         if not np.all(np.isfinite(self.b)):
             raise InvalidInput("right-hand side has non-finite entries")
         m = self.b.size
+        if m == 0:
+            raise InvalidInput("problem needs at least one constraint")
         if len(self.c_blocks) != len(self.block_sizes):
             raise InvalidInput("one objective block per cone block required")
         if len(self.a_blocks) != len(self.block_sizes):
@@ -391,123 +405,294 @@ class _DiagBlock:
 # Schur complement assembly
 
 
-@dataclass
-class _BlockPlan:
-    """Schur assembly plan of one block with stored entries.
+def _class_members(sizes):
+    """The classes of a block list, in class order, as (size, blocks): the
+    dense blocks grouped by size, sizes in order of first appearance, then
+    every diagonal block and every 1 x 1 dense block (a nonnegative entry),
+    merged into one class of size 0."""
+    groups = {}
+    for bi, size in enumerate(sizes):
+        groups.setdefault(size if size > 1 else 0, []).append(bi)
+    diag = groups.pop(0, [])
+    return list(groups.items()) + ([(0, diag)] if diag else [])
 
-    ``rows`` are the constraint rows with stored entries in the block.  A
-    diagonal block keeps ``sub_dense``, those rows as a dense (rows, d)
-    array.  A dense block keeps ``chunks`` of (sel, parts): ``sel`` indexes
-    ``rows`` and each part (lo, hi, p, q, vals) covers sel[lo:hi],
-    rows of one stored-entry count r.  A thin part (r <= 2s) holds the entry
-    positions p, q and values; a dense part (r > 2s) has p None and holds
-    the CSR rows in ``vals``.  It also keeps ``tri``, its rows folded onto
-    the upper-triangle positions ``tri_pos`` (flat p*s + q, p <= q), and
-    the flat chunk and gather buffers ``u`` and ``g``, which all dense
-    blocks of the plan share and every assembly overwrites.
+
+def _entries(a_blocks, m):
+    """The stored entries of blocks of one width as (block, row, column,
+    value) arrays, blocks numbered in the order given."""
+    counts = [np.diff(a.indptr) for a in a_blocks]
+    blk = np.repeat(np.arange(len(a_blocks)), [a.indptr[-1] for a in a_blocks])
+    row = np.concatenate([np.repeat(np.arange(m), c) for c in counts])
+    col = np.concatenate([a.indices[:a.indptr[-1]] for a in a_blocks])
+    val = np.concatenate([a.data[:a.indptr[-1]] for a in a_blocks])
+    return blk, row, col, val
+
+
+def _triangle(s):
+    """Of an s x s block: the triangle position of every flat position
+    p*s + q (row-major over p <= q, folding (q, p) onto (p, q)), and the
+    flat positions of the triangle, in triangle order."""
+    p, q = np.divmod(np.arange(s * s), s)
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    return lo * (2 * s - lo + 1) // 2 + hi - lo, np.flatnonzero(p <= q)
+
+
+def _runs(key):
+    """The bounds of the runs of equal values of a sorted array: run i is
+    key[bounds[i]:bounds[i + 1]]."""
+    new = np.empty(key.size + 1, dtype=bool)
+    new[0] = new[-1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:-1])
+    return np.flatnonzero(new)
+
+
+def _first_counts(v):
+    """How many distinct values each prefix of v holds."""
+    seen = np.zeros(v.size, dtype=np.intp)
+    seen[np.unique(v, return_index=True)[1]] = 1
+    return np.cumsum(seen)
+
+
+class _Gather(NamedTuple):
+    """Where the ``n`` products W A_i W of a chunk go.
+
+    ``tri`` holds the folded rows of all m constraints on the
+    upper-triangle positions of the blocks the chunk has pairs in, one slot
+    of s(s+1)/2 columns per block, and the gather holds one column per row
+    ``out[c]`` of M.  With one slot, product k is column k (``slot`` and
+    ``col`` are None); with several, product k fills slot slot[k] of column
+    col[k], so the products of one constraint row in several blocks share a
+    column, and the rest of the gather is zero.
+    """
+
+    n: int
+    out: np.ndarray
+    slot: np.ndarray | None
+    col: np.ndarray | None
+    tri: sp.csr_matrix
+
+
+@dataclass
+class _ClassPlan:
+    """Schur assembly plan of one class with stored entries.
+
+    ``block`` is the class's index, which selects its scaling, and ``rows``
+    are the constraint rows with stored entries in the class.  The diagonal
+    class keeps ``sub_dense``, those rows as a dense (rows, d) array.  A
+    dense class keeps ``chunks`` of (sel, parts): ``sel`` is the chunk's
+    :class:`_Gather` and each part (lo, hi, p, q, vals) covers its products
+    lo..hi-1, pairs of one group.  A thin part holds the entry rows p and q
+    of the class's stacked W (block * s + position) and the values as a
+    (pairs, R, 1) array, zero on padding; a dense part has p None, the
+    pairs' blocks in q and (flat positions, values) of their entries in
+    ``vals``.  ``tri_pos`` are the
+    flat upper-triangle positions p*s + q, p <= q, of one block, and ``u``
+    and ``g`` the flat chunk and gather buffers, which all dense classes of
+    the plan share and every assembly overwrites.
     """
 
     block: int
     rows: np.ndarray
     sub_dense: np.ndarray | None = None
     chunks: list = field(default_factory=list)
-    tri: sp.csr_matrix | None = None
     tri_pos: np.ndarray | None = None
     u: np.ndarray | None = None
     g: np.ndarray | None = None
 
 
+def _operand_slices(cuts, group, s):
+    """The runs cuts[i]..cuts[i+1] of one group, sliced so that the operands
+    of each batched product fit in ``_CHUNK_TARGET`` floats together (or
+    hold one pair): per pair both thin factors of R x s, or W, A_i and
+    W A_i of a dense pair."""
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        width = int(group[a])
+        per_pair = 3 * s * s if width == 4 * s else 2 * width * s
+        step = max(1, _CHUNK_TARGET // per_pair)
+        for lo in range(a, b, step):
+            yield lo, min(lo + step, b)
+
+
 def _schur_plan(problem):
-    """Per-block assembly plan; it depends only on the sparsity pattern."""
+    """Per-class assembly plan; it depends only on the sparsity pattern.
+
+    The unit of work is a pair (constraint row, block) with stored entries.
+    A class's pairs, in row and then block order, are cut into chunks of at
+    most ``_CHUNK_TARGET`` floats of products W A_i W (s^2 floats a pair)
+    whose gather, slots times columns, holds no more triangles than that;
+    a chunk holds at least one pair.  Within a chunk the pairs with r <= 2s
+    stored entries are grouped by r rounded up to a power of two, R, and
+    padded to R entries of value 0; the pairs with r > 2s form one dense
+    group.
+    """
+    m = problem.m
     plan = []
-    u_len = g_len = 0  # the largest chunk and gather over the dense blocks
-    for bi, (size, a) in enumerate(zip(problem.block_sizes, problem.a_blocks)):
-        nnz_row = np.diff(a.indptr)
-        rows = np.flatnonzero(nnz_row)
-        if rows.size == 0:
+    u_len = g_len = 0  # the largest chunk and gather over the dense classes
+    for ci, (size, members) in enumerate(_class_members(problem.block_sizes)):
+        a_blocks = [problem.a_blocks[bi] for bi in members]
+        if not any(a.indptr[-1] for a in a_blocks):
             continue
-        if size < 0:
-            plan.append(_BlockPlan(bi, rows, sub_dense=a.toarray()[rows]))
+        blk, row, col, val = _entries(a_blocks, m)
+        if size == 0:
+            offsets = np.cumsum([0] + [a.shape[1] for a in a_blocks])
+            dense = np.zeros((m, offsets[-1]))
+            np.add.at(dense, (row, offsets[blk] + col), val)
+            rows = np.unique(row)
+            plan.append(_ClassPlan(ci, rows, sub_dense=dense[rows]))
             continue
-        sub = a if rows.size == a.shape[0] else a[rows]
-        s = size
-        counts = nnz_row[rows]
-        order = np.argsort(counts, kind="stable")
-        cap = max(1, _CHUNK_TARGET // (s * s))
+        s, ss = size, size * size
+        tri_of, tri_pos = _triangle(s)
+        tri_len = tri_pos.size
+        # canonical entries, sorted by (row, block, position) and summed
+        key = (row * len(members) + blk) * ss + col
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = _runs(key)[:-1]
+        val = np.add.reduceat(val[order], first)
+        pair, pos = np.divmod(key[first], ss)
+        bounds = _runs(pair)
+        start, count = bounds[:-1], np.diff(bounds)
+        pair_row, pair_blk = np.divmod(pair[start], len(members))
+        rows = pair_row[_runs(pair_row)[:-1]]
+        # fold: entries (p, q) and (q, p) add onto triangle position p <= q,
+        # on (block, position) columns
+        fkey = ((np.repeat(pair_row, count) * len(members)
+                 + np.repeat(pair_blk, count)) * tri_len + tri_of[pos])
+        forder = np.argsort(fkey, kind="stable")
+        fkey = fkey[forder]
+        ffirst = _runs(fkey)[:-1]
+        fval = np.add.reduceat(val[forder], ffirst)
+        frow, fcol = np.divmod(fkey[ffirst], len(members) * tri_len)
+
+        def folded(blocks):
+            """The folded rows on the columns of ``blocks``, in that order."""
+            slot_of = np.full(len(members), -1)
+            slot_of[blocks] = np.arange(blocks.size)
+            slot = slot_of[fcol // tri_len]
+            keep = slot >= 0
+            # int32 indices, which scipy would otherwise check the entries for
+            return sp.csr_matrix(
+                (fval[keep], (slot[keep] * tri_len + fcol[keep] % tri_len).astype(np.int32),
+                 np.searchsorted(frow[keep], np.arange(m + 1)).astype(np.int32)),
+                shape=(m, blocks.size * tri_len))
+
+        tris = {}  # the folded rows of each chunk's block set
+        # groups: R for a thin pair (r <= 2s, so R < 4s), 4s for a dense one
+        padded = 1 << np.ceil(np.log2(count)).astype(np.intp)
+        group = np.where(count <= 2 * s, padded, 4 * s)
+        cap = max(1, _CHUNK_TARGET // ss)
         chunks = []
-        for start in range(0, order.size, cap):
-            sel = order[start:start + cap]
-            r_sel = counts[sel]
-            cuts = [0, *(np.flatnonzero(np.diff(r_sel)) + 1), sel.size]
+        lo = 0
+        while lo < start.size:
+            sel = np.arange(lo, min(lo + cap, start.size))
+            if len(members) * rows.size > cap:
+                # slots times columns, at most the cap's pairs of one block
+                gather = _first_counts(pair_blk[sel]) * _first_counts(pair_row[sel])
+                sel = sel[:max(1, int(np.searchsorted(gather, cap, side="right")))]
+            lo += sel.size
+            sel = sel[np.argsort(group[sel], kind="stable")]
+            blocks = np.unique(pair_blk[sel])
+            if blocks.size == 1:
+                out, slot, col = pair_row[sel], None, None
+            else:
+                out, col = np.unique(pair_row[sel], return_inverse=True)
+                slot = np.searchsorted(blocks, pair_blk[sel])
+            if blocks.tobytes() not in tris:
+                tris[blocks.tobytes()] = folded(blocks)
+            tri = tris[blocks.tobytes()]
+            g_sel = group[sel]
+            cuts = [0, *(np.flatnonzero(np.diff(g_sel)) + 1), sel.size]
+            # the thin pairs come first; their entries padded to R, repeating
+            # the last with value 0, pair after pair
+            n_thin = int(np.searchsorted(g_sel, 4 * s))
+            end = np.cumsum(g_sel[:n_thin])
+            pad_of = np.repeat(sel[:n_thin], g_sel[:n_thin])
+            t = np.arange(pad_of.size) - np.repeat(end - g_sel[:n_thin], g_sel[:n_thin])
+            ent = start[pad_of] + np.minimum(t, count[pad_of] - 1)
+            pad_p, pad_q = np.divmod(pos[ent], s)
+            pad_p += pair_blk[pad_of] * s
+            pad_q += pair_blk[pad_of] * s
+            pad_v = np.where(t < count[pad_of], val[ent], 0.0)
             parts = []
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                r = int(r_sel[lo])
-                if r > 2 * s:
-                    parts.append((lo, hi, None, None, sub[sel[lo:hi]]))
+            for a, b in _operand_slices(cuts, g_sel, s):
+                if a < n_thin:
+                    width = int(g_sel[a])
+                    cut = slice(end[a] - width, end[b - 1])
+                    parts.append((a, b, pad_p[cut].reshape(-1, width),
+                                  pad_q[cut].reshape(-1, width),
+                                  pad_v[cut].reshape(-1, width, 1)))
                     continue
-                pos = sub.indptr[sel[lo:hi]][:, None] + np.arange(r)
-                cols = sub.indices[pos]
-                parts.append((lo, hi, cols // s, cols % s, sub.data[pos]))
-            chunks.append((sel, parts))
-        # fold: entries (p, q) and (q, p) add onto triangle position p <= q
-        iu = np.triu_indices(s)
-        tri_of = np.empty((s, s), dtype=np.intp)
-        tri_of[iu] = np.arange(iu[0].size)
-        tri_of[iu[1], iu[0]] = tri_of[iu]
-        coo = sub.tocoo()
-        tri = sp.csr_matrix((coo.data, (coo.row, tri_of.ravel()[coo.col])),
-                            shape=(rows.size, iu[0].size))
-        plan.append(_BlockPlan(bi, rows, chunks=chunks, tri=tri,
-                               tri_pos=iu[0] * s + iu[1]))
-        u_len = max(u_len, min(cap, rows.size) * s * s)
-        g_len = max(g_len, min(cap, rows.size) * iu[0].size)
-    # one chunk buffer and one gather buffer serve the dense blocks in turn
+                # dense: the entries of every pair, at their flat positions
+                ks = sel[a:b]
+                ent = np.repeat(start[ks] - np.cumsum(count[ks]) + count[ks],
+                                count[ks]) + np.arange(int(count[ks].sum()))
+                flat = np.repeat(np.arange(ks.size) * ss, count[ks]) + pos[ent]
+                parts.append((a, b, None, pair_blk[ks], (flat, val[ent])))
+            chunks.append((_Gather(sel.size, out, slot, col, tri), parts))
+            u_len = max(u_len, sel.size * ss)
+            g_len = max(g_len, blocks.size * out.size * tri_len)
+        plan.append(_ClassPlan(ci, rows, chunks=chunks, tri_pos=tri_pos))
+    # one chunk buffer and one gather buffer serve the dense classes in turn
     u, g = np.empty(u_len), np.empty(g_len)
-    for bp in plan:
-        if bp.tri is not None:
-            bp.u, bp.g = u, g
+    for cp in plan:
+        if cp.sub_dense is None:
+            cp.u, cp.g = u, g
     return plan
 
 
 def _schur_matrix(m, plan, scal, out=None):
-    """M_ij = sum_b <A_ib, W_b A_jb W_b>, assembled blockwise from the plan.
+    """M_ij = sum_b <A_ib, W_b A_jb W_b>, assembled classwise from the plan.
 
-    ``out`` is an optional (m, m) array that receives M; the solve
-    allocates it once and every assembly overwrites it.
+    ``scal`` holds each class's scaling: ``w`` is the class's (nb, s, s)
+    stack, an (s, s) array for a class of one block, or the diagonal
+    class's vector.  ``out`` is an optional (m, m) array that receives M;
+    the solve allocates it once and every assembly overwrites it.
     """
     mat = np.empty((m, m)) if out is None else out
-    # Every block adds the transpose of its contribution, which the final
+    # Every class adds the transpose of its contribution, which the final
     # symmetrization undoes exactly; a chunk then fills rows of ``mat``
     # instead of scattering into columns.
     mat.fill(0.0)
-    for bp in plan:
-        w = scal[bp.block]["w"]
-        rows = bp.rows
-        if bp.sub_dense is not None:
-            mat[np.ix_(rows, rows)] += (bp.sub_dense * (w * w)) @ bp.sub_dense.T
+    for cp in plan:
+        w = scal[cp.block]["w"]
+        if cp.sub_dense is not None:
+            mat[np.ix_(cp.rows, cp.rows)] += (cp.sub_dense * (w * w)) @ cp.sub_dense.T
             continue
-        s = w.shape[0]
-        for sel, parts in bp.chunks:
-            u = bp.u[:sel.size * s * s].reshape(sel.size, s, s)
+        s = w.shape[-1]
+        ss = s * s
+        w = w.reshape(-1, s, s)
+        # W is symmetric: row b*s + p of the stack is row and column p of W_b
+        w_rows = w.reshape(-1, s)
+        for (n, out_rows, slot, col, tri), parts in cp.chunks:
+            u = cp.u[:n * ss].reshape(n, s, s)
             for lo, hi, p, q, vals in parts:
                 if p is None:
-                    dense = vals.toarray().reshape(hi - lo, s, s)
-                    np.matmul(np.matmul(w, dense), w, out=u[lo:hi])
+                    flat, v = vals
+                    dense = np.zeros((hi - lo) * ss)
+                    dense[flat] = v
+                    wb = w[q]
+                    np.matmul(wb @ dense.reshape(-1, s, s), wb, out=u[lo:hi])
                 else:
                     # W A_i W as thin products over the stored entries; rows
                     # are fully mirrored so this covers both triangles.
-                    np.matmul((w[:, p] * vals).transpose(1, 0, 2), w[q], out=u[lo:hi])
+                    left = np.take(w_rows, p, axis=0)
+                    left *= vals
+                    np.matmul(_t(left), np.take(w_rows, q, axis=0), out=u[lo:hi])
             # W A_i W is symmetric, so its upper triangle against the folded
             # rows gives <A_j, W A_i W>; the gather is C-ordered as the
-            # sparse product needs it
-            g = bp.g[:bp.tri_pos.size * sel.size].reshape(-1, sel.size)
-            np.take(u.reshape(sel.size, s * s).T, bp.tri_pos, axis=0, out=g,
-                    mode="clip")
-            contrib = (bp.tri @ g).T
-            if rows.size == m:
-                mat[sel] += contrib
-            else:
-                mat[np.ix_(rows[sel], rows)] += contrib
+            # sparse product needs it, and is filled a tile at a time
+            g = cp.g[:tri.shape[1] * out_rows.size].reshape(-1, cp.tri_pos.size,
+                                                             out_rows.size)
+            if slot is not None:
+                g.fill(0.0)
+            step = max(1, _SYM_TILE * _SYM_TILE // cp.tri_pos.size)
+            for k in range(0, n, step):
+                upper = np.take(u[k:k + step].reshape(-1, ss), cp.tri_pos, axis=1)
+                if slot is None:
+                    g[0, :, k:k + step] = upper.T
+                else:
+                    g[slot[k:k + step], :, col[k:k + step]] = upper
+            mat[out_rows] += (tri @ g.reshape(tri.shape[1], -1)).T
     _symmetrize(mat)
     return mat
 
@@ -566,17 +751,15 @@ def solve(problem: SdpProblem) -> SdpSolution:
     # appearance, then every diagonal block and every 1 x 1 dense block (a
     # nonnegative entry), merged into one
     sizes = problem.block_sizes
-    groups = {}
-    for bi, size in enumerate(sizes):
-        groups.setdefault(size if size > 1 else 0, []).append(bi)
-    diag = groups.pop(0, [])
-    dense = [bi for members in groups.values() for bi in members]
-    order = dense + diag
-    classes = [(_DenseBlock(size), (len(members), size, size))
-               for size, members in groups.items()]
-    if diag:
-        d = sum(_block_veclen(sizes[bi]) for bi in diag)
-        classes.append((_DiagBlock(d), (d,)))
+    members = _class_members(sizes)
+    order = [bi for _, blocks in members for bi in blocks]
+    classes = []
+    for size, blocks in members:
+        if size:
+            classes.append((_DenseBlock(size), (len(blocks), size, size)))
+        else:
+            d = sum(_block_veclen(sizes[bi]) for bi in blocks)
+            classes.append((_DiagBlock(d), (d,)))
     # the flat iterate: every class, and so every block, is a contiguous slice
     ends = np.cumsum([np.prod(shape) for _, shape in classes])
     classes = [(op, slice(end - np.prod(shape), end), shape)
@@ -644,10 +827,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     a_t = a_mat.T.tocsr()
     b = problem.b / sigma_b
     c = np.concatenate([problem.c_blocks[bi].ravel() for bi in order]) / sigma_c
-    # the plan sees the dense blocks as given, the diagonal class as one block
-    plan_sizes = [sizes[bi] for bi in dense] + ([-d] if diag else [])
-    plan_a = [problem.a_blocks[bi] for bi in dense] + ([a_mat[:, -d:]] if diag else [])
-    plan = _schur_plan(SimpleNamespace(block_sizes=plan_sizes, a_blocks=plan_a))
+    plan = _schur_plan(problem)
     schur_work = np.empty((m, m))
     nu = problem.cone_dim + 1.0
     norm_b = float(np.linalg.norm(b))
@@ -721,10 +901,11 @@ def solve(problem: SdpProblem) -> SdpSolution:
         except np.linalg.LinAlgError:
             return give_up(SolveStatus.INACCURATE, "iterate left the cone interior")
         ws = [sc["w"] for sc in scal]
-        block_w = [{"w": w} for wc in ws for w in (wc if wc.ndim == 3 else (wc,))]
 
+        # the last iteration's factor goes before this one's is formed
+        l_schur = upper = None
         try:
-            schur = _schur_matrix(m, plan, block_w, out=schur_work)
+            schur = _schur_matrix(m, plan, scal, out=schur_work)
             l_schur = _chol_with_jitter(schur)
         except np.linalg.LinAlgError:
             return give_up(SolveStatus.INACCURATE,

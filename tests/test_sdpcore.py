@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from builders import LmiBuilder, PrimalBuilder, as_terms
 from spectracon import sdpcore
@@ -9,7 +11,8 @@ from spectracon import sdpcore
 from spectracon.errors import InvalidInput
 from spectracon.families import disk_pair, random_pair
 from spectracon.momrelax import build_pmi_relaxation, containment_relaxation
-from spectracon.pencil import elliptope_pencil, pencil
+from spectracon.pencil import (elliptope_pencil, ellipsoid_pencil, pencil,
+                               polytope_pencil)
 from spectracon.sdpa import export_sdpa, parse_sdpa
 from spectracon.sosrelax import sos_relaxation
 from spectracon.sdpcore import (_LMI_STATUS, SdpProblem, SdpSolution,
@@ -284,6 +287,18 @@ def test_problem_validation():
                    a_blocks=[np.zeros((1, 4))], b=np.zeros(1))
 
 
+def test_program_without_constraints_is_rejected():
+    with pytest.raises(InvalidInput, match="at least one constraint"):
+        SdpProblem((2,), [np.eye(2)], [sp.csr_matrix((0, 4))], np.zeros(0))
+
+
+def test_parse_sdpa_rejects_a_file_without_constraints(tmp_path):
+    path = tmp_path / "empty.dat-s"
+    path.write_text("0\n1\n2\n{}\n0 1 1 1 1.0\n")
+    with pytest.raises(InvalidInput, match="at least one constraint"):
+        parse_sdpa(path)
+
+
 def _schur_fixture(seed):
     """Random blocks covering every row class of the assembly plan.
 
@@ -405,6 +420,161 @@ def test_schur_fold_matches_definition(monkeypatch):
         got = sdpcore._schur_matrix(m, plan, scal, out=work)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         np.testing.assert_array_equal(got, got.T)
+
+
+def _class_scalings(prob, rng):
+    """Random NT-like scalings of every class of a problem, as ``solve``
+    holds them, and the same scalings split per block for the references."""
+    sizes = prob.block_sizes
+    by_class, by_block = [], [None] * len(sizes)
+    for size, members in sdpcore._class_members(sizes):
+        if size:
+            g = rng.normal(size=(len(members), size, size))
+            w = g @ g.transpose(0, 2, 1) + size * np.eye(size)
+            for bi, wb in zip(members, w):
+                by_block[bi] = {"w": wb}
+        else:
+            w = rng.uniform(0.5, 2.0, size=sum(abs(sizes[bi]) for bi in members))
+            lo = 0
+            for bi in members:
+                d = abs(sizes[bi])
+                part = w[lo:lo + d]
+                by_block[bi] = {"w": part.reshape(1, 1) if sizes[bi] == 1 else part}
+                lo += d
+        by_class.append({"w": w})
+    return by_class, by_block
+
+
+def _assert_schur_matches(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+    np.testing.assert_array_equal(got, got.T)
+
+
+@st.composite
+def _class_ordered_problems(draw):
+    """A problem whose blocks are in class order: dense classes of several
+    blocks, blocks whose entries cover all, some or none of the rows, thin
+    rows of several stored-entry counts and rows with r > 2s, then the
+    merged diagonal class; plus a chunk target and a seed for the values."""
+    m = draw(st.integers(1, 12))
+    sizes = []
+    for s in draw(st.lists(st.integers(2, 5), min_size=1, max_size=3, unique=True)):
+        sizes += [s] * draw(st.integers(1, 3))
+    sizes += draw(st.lists(st.sampled_from([-3, -2, -1, 1]), max_size=3))
+    cover = draw(st.lists(st.sampled_from(["all", "some", "none"]),
+                          min_size=len(sizes), max_size=len(sizes)))
+    return m, sizes, cover, draw(st.integers(1, 120)), draw(st.integers(0, 2**32 - 1))
+
+
+def _covered_rows(rng, m, size, cover):
+    rows = {"all": range(m), "none": [],
+            "some": rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)}[cover]
+    out = np.zeros((m, size * size if size > 0 else -size))
+    for i in rows:
+        if size < 0:
+            out[i] = rng.normal(size=-size) * (rng.random(-size) < 0.6)
+            continue
+        mat = np.zeros((size, size))
+        if rng.random() < 0.3:  # r > 2s: a full symmetric matrix
+            mat = _sym(rng, size) + np.eye(size)
+        else:  # a few mirrored entries: counts from 1 to about 2s
+            for _ in range(int(rng.integers(1, size + 1))):
+                a, b = rng.integers(0, size, size=2)
+                mat[a, b] = mat[b, a] = rng.normal()
+        out[i] = mat.ravel()
+    return sp.csr_matrix(out)
+
+
+@given(_class_ordered_problems())
+def test_class_plan_matches_definition(case):
+    m, sizes, cover, target, seed = case
+    rng = np.random.default_rng(seed)
+    a_blocks = [_covered_rows(rng, m, s, c) for s, c in zip(sizes, cover)]
+    c_blocks = [np.zeros((s, s)) if s > 0 else np.zeros(-s) for s in sizes]
+    prob = SdpProblem(tuple(sizes), c_blocks, a_blocks, np.zeros(m))
+    by_class, by_block = _class_scalings(prob, rng)
+    with pytest.MonkeyPatch.context() as mp:
+        # chunks of a few pairs, so that they span blocks and count groups
+        mp.setattr(sdpcore, "_CHUNK_TARGET", target)
+        plan = sdpcore._schur_plan(prob)
+    got = sdpcore._schur_matrix(m, plan, by_class)
+    _assert_schur_matches(got, _schur_reference(prob, by_block))
+
+
+def _schur_by_batched_products(prob, by_block):
+    """M_ij = <A_ib, W_b A_jb W_b> summed over blocks, with W_b A_jb W_b
+    formed densely for every row j in one batched product."""
+    m = prob.m
+    mat = np.zeros((m, m))
+    for size, a, sc in zip(prob.block_sizes, prob.a_blocks, by_block):
+        rows, w = a.toarray(), sc["w"]
+        if size > 0:
+            waw = w @ rows.reshape(m, size, size) @ w
+            mat += rows @ waw.reshape(m, -1).T
+        else:
+            mat += (rows * (w * w)) @ rows.T
+    return mat
+
+
+def _ball_in_polytope():
+    """A criterion-6 pair: a disk of radius 0.6 in a triangle."""
+    amat = np.array([[1.0, 0.2], [-0.6, 1.1], [-0.5, -1.2]])
+    return ellipsoid_pencil([0.6, 0.6]), polytope_pencil(amat, np.ones(3))
+
+
+_REAL_PROGRAMS = {
+    "disk-order2": lambda: containment_relaxation(*disk_pair(0.7), 2)[0],
+    "random11-order2": lambda: containment_relaxation(*random_pair(11), 2)[0],
+    "ball-order2": lambda: containment_relaxation(*_ball_in_polytope(), 2)[0],
+    "gram10-order1": lambda: sos_relaxation(*random_pair(10), 1)[0],
+    "probe-lmi": lambda: _probe_lmi(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REAL_PROGRAMS))
+def test_schur_matrix_matches_batched_definition(name):
+    prob = _REAL_PROGRAMS[name]()
+    by_class, by_block = _class_scalings(prob, np.random.default_rng(3))
+    want = _schur_by_batched_products(prob, by_block)
+    _assert_schur_matches(sdpcore._schur_matrix(prob.m, sdpcore._schur_plan(prob), by_class),
+                          want)
+
+
+def test_class_chunks_span_blocks_and_count_groups(monkeypatch):
+    prob = _REAL_PROGRAMS["random11-order2"]()
+    assert prob.m == 109
+    monkeypatch.setattr(sdpcore, "_CHUNK_TARGET", 40 * 144)
+    plan = sdpcore._schur_plan(prob)
+    chunks = [chunk for cp in plan if cp.sub_dense is None for chunk in cp.chunks]
+    assert any(gather.slot is not None for gather, _ in chunks)
+    assert any(len(parts) > 1 for _, parts in chunks)
+    by_class, by_block = _class_scalings(prob, np.random.default_rng(4))
+    _assert_schur_matches(sdpcore._schur_matrix(prob.m, plan, by_class),
+                          _schur_by_batched_products(prob, by_block))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sos_relaxation(*random_pair(10), 1)[0],
+    lambda: containment_relaxation(*random_pair(15), 3)[0],
+], ids=["gram10-order1", "random15-order3"])
+def test_schur_plan_buffers_stay_within_the_chunk_target(make):
+    prob = make()
+    plan = sdpcore._schur_plan(prob)
+    dense = [cp for cp in plan if cp.sub_dense is None]
+    assert len(dense) > 1
+    # the dense classes share one chunk buffer and one gather buffer
+    assert all(cp.u is dense[0].u and cp.g is dense[0].g for cp in dense)
+    pair = max(s * s for s in prob.block_sizes)
+    assert dense[0].u.size <= max(sdpcore._CHUNK_TARGET, pair)
+    assert dense[0].g.size <= max(sdpcore._CHUNK_TARGET, pair)
+    for cp in dense:
+        s = int(np.sqrt(cp.tri_pos[-1] + 1))
+        cap = max(1, sdpcore._CHUNK_TARGET // (s * s))
+        for gather, _ in cp.chunks:
+            assert gather.n * s * s <= dense[0].u.size
+            # a gather holds no more triangles than a chunk of products
+            slots = gather.tri.shape[1] // cp.tri_pos.size
+            assert slots * gather.out.size <= cap or gather.n == 1
 
 
 def _sym(rng, n):
