@@ -1,10 +1,13 @@
 """Sampling-based probes of spectrahedra.
 
 Containment relaxations return one-sided bounds; the routines here supply
-the other side.  A hit-and-run walk draws points from the interior of S_A,
-mu_grid evaluates the containment functional on those points to get an
-upper bound on mu, and refutation_search polishes the worst point into an
-explicit violation witness when one exists.
+the other side.  boundary_witness tries the ends of chords through the
+origin, where the concave lambda_min(B(x)) has its minimum over S_A, at
+the cost of one dsygv per chord and one stacked eigvalsh.  A hit-and-run
+walk draws points from the interior of S_A, mu_grid evaluates the
+containment functional on those points to get an upper bound on mu, and
+refutation_search polishes the worst point into an explicit violation
+witness when one exists.
 
 The walk stacks the pencil once as A0 and the (k^2, n) matrix F of its
 linear coefficients, so A(x) = A0 + F x and the direction matrix U = F u.
@@ -22,7 +25,6 @@ turns a point into a witness, checked on the pencils themselves.
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 from scipy.linalg.lapack import dsygv
 
 from .errors import InvalidInput, NoInteriorPoint
@@ -39,6 +41,10 @@ _THIN = 3
 
 # A chord with no end on one side (a recession direction) is cut here.
 _CHORD_CAP = 1e6
+
+# Random chords through the origin that boundary_witness tries besides the
+# coordinate axes.
+_BOUNDARY_CHORDS = 16
 
 
 def interior_point(p: LinearPencil) -> np.ndarray:
@@ -140,6 +146,31 @@ def confirm_witness(a: LinearPencil, b: LinearPencil, x,
     return None
 
 
+def boundary_witness(a: LinearPencil, b: LinearPencil, tol: float,
+                     seed: int) -> dict | None:
+    """A witness among boundary points of S_A, or None; solves no SDP.
+
+    lambda_min(B(x)) is concave in x, so its minimum over S_A lies on the
+    boundary.  When the origin is strictly inside S_A, the chords through
+    it along the n coordinate axes and _BOUNDARY_CHORDS random unit
+    directions end on the boundary; both ends are pulled 0.1% inside, as in
+    the walk, and a capped end (a recession direction) is used as it is.  B
+    is evaluated at all the ends at once, and the most negative one goes
+    through confirm_witness.
+    """
+    origin = np.zeros(a.n)
+    if eigen_margin(a, origin) <= 0:
+        return None
+    a0, f = _flatten(a)
+    rand = np.random.default_rng(seed).standard_normal((_BOUNDARY_CHORDS, a.n))
+    dirs = np.vstack((np.eye(a.n), rand / np.linalg.norm(rand, axis=1, keepdims=True)))
+    ends = np.array([_chord(a0, f, origin, u) for u in dirs])
+    ends = np.where(np.abs(ends) >= _CHORD_CAP, ends, 0.999 * ends)
+    points = (ends[:, :, None] * dirs[:, None, :]).reshape(-1, a.n)
+    worst = points[np.argmin(_margins(*_flatten(b), points))]
+    return confirm_witness(a, b, worst, tol)
+
+
 def mu_grid(a: LinearPencil, b: LinearPencil, r: float = 1.0, R: float = 2.0,
             samples: int = 400, seed: int = 0) -> float:
     """Sampling upper bound on mu: min over drawn x of the z-profile value.
@@ -172,7 +203,10 @@ def refutation_search(a: LinearPencil, b: LinearPencil, tol: float = 1e-7,
         if hit is not None:
             return hit
 
-    # penalized local descent from the most negative candidates
+    # penalized local descent from the most negative candidates; imported
+    # here so that importing the package does not load scipy.optimize
+    from scipy import optimize
+
     def objective(x):
         am = float(_margins(*flat_a, x))
         bm = float(_margins(*flat_b, x))

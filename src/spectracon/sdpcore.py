@@ -1053,8 +1053,11 @@ def _block_data(m: int, size: int, row, i, j, val):
     row, col = row[order], col[order]
     first = np.flatnonzero(np.diff(key[order], prepend=-1))
     indptr = np.searchsorted(row[first], np.arange(m + 1))
-    a = sp.csr_matrix((np.add.reduceat(val[order], first), col[first], indptr),
-                      shape=(m, veclen))
+    # int32 indices unless they could overflow, so that scipy does not check
+    # the entries to choose the index type itself
+    index = np.int32 if max(first.size, veclen) < 2**31 else np.int64
+    a = sp.csr_matrix((np.add.reduceat(val[order], first), col[first].astype(index),
+                       indptr.astype(index)), shape=(m, veclen))
     return c.reshape(size, size) if size > 0 else c, a
 
 

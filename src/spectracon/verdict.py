@@ -1,21 +1,24 @@
 """Containment decisions with explicit outcomes.
 
 check_containment runs the full pipeline: exact lineality preprocessing,
-then one of the three semidefinite machines on the reduced pair, then a
-refutation pass when the bound comes back negative or unreliable.  The
-pass tries witness sources in order: first the x part of the machine's
-own solution (the first moments of the moment relaxation or of the Gram
-program's dual, the order-0 one for the block certificate), which is the
-minimizer whenever the relaxation is exact at a point mass; then,
-only if that point is not confirmed, a hit-and-run search of the inner
-set, which starts at the solution point when that is strictly inside it
-and solves a feasibility probe for a start point otherwise.
-details["witness_source"] says which one refuted ("solution" or
-"sampling").  Every verdict is one of Certified / Refuted / Inconclusive;
-Refuted always carries a point that confirm_witness confirmed, never just
-a negative bound.  The machine runs through one call, _bound; a bound that
-is not reliable has value nan and carries its solve's message in
-details["solver_message"].
+then, with refute=True, the boundary points of the reduced inner set on
+chords through the origin (sampling.boundary_witness); a confirmed one
+refutes at once with method "boundary", and no relaxation is built.
+Otherwise one of the three semidefinite machines runs on the reduced
+pair, then a refutation pass when the bound comes back negative or
+unreliable.  The pass tries witness sources in order: first the x part
+of the machine's own solution (the first moments of the moment
+relaxation or of the Gram program's dual, the order-0 one for the block
+certificate), which is the minimizer whenever the relaxation is exact at
+a point mass; then, only if that point is not confirmed, a hit-and-run
+search of the inner set, which starts at the solution point when that is
+strictly inside it and solves a feasibility probe for a start point
+otherwise.  details["witness_source"] says which one refuted
+("boundary", "solution" or "sampling").  Every verdict is one of
+Certified / Refuted / Inconclusive; Refuted always carries a point that
+confirm_witness confirmed, never just a negative bound.  The machine runs
+through one call, _bound; a bound that is not reliable has value nan and
+carries its solve's message in details["solver_message"].
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from .momrelax import solve_mu_mom
 from .pencil import LinearPencil
 from .posmap import cp_sdfp
 from .reduce import split_lineality
-from .sampling import (WITNESS_FEAS_TOL, confirm_witness, eigen_margin,
-                       interior_point, refutation_search)
+from .sampling import (WITNESS_FEAS_TOL, boundary_witness, confirm_witness,
+                       eigen_margin, interior_point, refutation_search)
 from .sosrelax import lambda_sos
 from .symcore import min_eigenvalue, spectral_norm
 
@@ -120,8 +123,9 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
     method selects the machine run on the lineality-reduced pair:
     "moment" (order-t bound on the containment functional), "sos"
     (order-t eigenvalue certificate), or "sdfp" (positivity-map feasibility,
-    order ignored).  A negative or failed bound triggers a refutation pass
-    when refute=True: the machine's own solution point first, the sampling
+    order ignored).  With refute=True, boundary points of the inner set are
+    tried before any machine runs, and a negative or failed bound triggers
+    a refutation pass: the machine's own solution point first, the sampling
     search only if that point is not confirmed.  Only a confirmed point
     yields Refuted.
     """
@@ -167,6 +171,16 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
         if hit is not None:
             return Verdict("Refuted", float(lam), None, "direct", hit, details)
         return Verdict("Inconclusive", float(lam), None, "direct", None, details)
+
+    if refute:
+        # a boundary point that refutes spares the relaxation; like the
+        # lineality and direct paths, no machine ran, so no bound is reported
+        hit = boundary_witness(ar, br, tol, seed)
+        if hit is not None:
+            hit = confirm_witness(a, b, to_original(hit["x"]), tol)
+        if hit is not None:
+            return Verdict("Refuted", hit["b_margin"], None, "boundary", hit,
+                           {**details, "witness_source": "boundary"})
 
     def refutation(det, point):
         """Verdict for a bound that did not certify; point is the x part of

@@ -13,7 +13,9 @@ the cut programs, entry for entry.  ``cp_sdfp_by_nullspace`` decides the
 block certificate through its margin program, posed as an LMI over the
 nullspace of the block equations that ``equation_system`` writes out; it
 is the reference for ``cp_sdfp``, which reads the decision, the margin and
-the witness off the order-0 Gram solve.
+the witness off the order-0 Gram solve.  ``criterion6_balls`` are the balls
+in polytopes of acceptance criterion 6, and ``shifted_disks`` is a
+refutable disk pair whose inner set misses the origin.
 """
 
 import numpy as np
@@ -22,7 +24,8 @@ import scipy.sparse as sp
 from spectracon import posmap
 from spectracon.errors import InvalidInput
 from spectracon.momrelax import _flip_classes, monomials_upto
-from spectracon.pencil import extend
+from spectracon.families import disk_pair
+from spectracon.pencil import ellipsoid_pencil, extend, pencil, polytope_pencil
 from spectracon.sdpcore import (SdpProblem, SdpSolution, SolveStatus,
                                 _block_veclen, _margin_lmi, solve)
 from spectracon.symcore import min_eigenvalue, nullspace, smat, svec
@@ -501,3 +504,34 @@ def assert_same_problem(got, want):
         assert ag.shape == aw.shape
         for part in ("indptr", "indices", "data"):
             assert _same_bits(getattr(ag, part), getattr(aw, part))
+
+
+def criterion6_balls():
+    """The 25 balls in polytopes of acceptance criterion 6, drawn as there,
+    each as (ball, polytope, margin, amat, nu): the ball of radius nu in
+    {x : 1 + amat x >= 0}, contained exactly when margin < 1."""
+    rng = np.random.default_rng(606)
+    out = []
+    for i in range(25):
+        n = 2 + i % 2
+        k = 3 + i % 3
+        amat = rng.normal(size=(k, n))
+        nu = rng.uniform(0.4, 1.0)
+        margin = rng.uniform(0.3, 1.7)
+        while abs(margin - 1.0) < 0.05:
+            margin = rng.uniform(0.3, 1.7)
+        amat *= margin / (nu * float(np.linalg.norm(amat, axis=1).max()))
+        out.append((ellipsoid_pencil([nu] * n), polytope_pencil(amat, np.ones(k)),
+                    margin, amat, nu))
+    return out
+
+
+def shifted_disks():
+    """A radius-1.2 disk around (3, 0), which misses the origin, against
+    the unit disk there: ``disk_pair(1.2)`` with x replaced by x - (3, 0)."""
+    center = np.array([3.0, 0.0])
+    out = []
+    for p in disk_pair(1.2):
+        c = p.coeff_array()
+        out.append(pencil([c[0] - np.tensordot(center, c[1:], axes=1), *c[1:]]))
+    return tuple(out)

@@ -44,6 +44,7 @@ def test_check_json_output(disk_files, capsys):
     assert code == 0
     assert payload["status"] == "Certified"
     assert payload["value"] == pytest.approx(0.010051, abs=1e-4)
+    assert payload["details"]["solve_status"] == "optimal"
     # the size of the solved relaxation, reduced by its sign flips
     assert payload["details"]["moments"] == 21
     assert payload["details"]["block_sizes"] == [6, 3, 3, 3, 5, 3, 3, 4, 2, 1, 1, 1,
@@ -57,8 +58,9 @@ def test_check_json_emits_details(tmp_path, capsys):
     code = main(["check", prefix + "_a.json", prefix + "_b.json", "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert payload["details"]["witness_source"] == "sampling"
-    assert payload["details"]["solve_status"] == "optimal"
+    # refuted on the boundary, before any relaxation is solved
+    assert payload["method"] == "boundary"
+    assert payload["details"]["witness_source"] == "boundary"
     assert payload["details"]["tolerance"] == pytest.approx(2e-7)
     assert len(payload["witness"]["x"]) == 2
 

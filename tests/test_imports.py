@@ -1,4 +1,4 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and importing the package stays light.
 
 The repository configures no linter, so this test is the check: every
 name bound by an import in ``src/spectracon``, ``tests/`` and ``scripts/``
@@ -7,6 +7,9 @@ since their imports are the package's re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,13 @@ def test_check_sees_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_import_leaves_scipy_optimize_out():
+    # only refutation_search's polish uses it, and imports it there
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, spectracon; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from builders import criterion6_balls, shifted_disks
 from spectracon.errors import InvalidInput
 from spectracon.families import ball_elliptope_pair, disk_pair, random_pair
 from spectracon.pencil import (ellipsoid_pencil, pencil, polytope_pencil,
                                random_pencil)
-from spectracon.sampling import (WITNESS_FEAS_TOL, _chord, _flatten, _margins,
-                                 confirm_witness, eigen_margin, interior_point,
-                                 mu_grid, refutation_search,
-                                 sample_spectrahedron)
+from spectracon.sampling import (_CHORD_CAP, WITNESS_FEAS_TOL, _chord, _flatten,
+                                 _margins, boundary_witness, confirm_witness,
+                                 eigen_margin, interior_point, mu_grid,
+                                 refutation_search, sample_spectrahedron)
 from spectracon.symcore import min_eigenvalue
 
 
@@ -182,3 +183,42 @@ def test_confirm_witness_rule():
     # inside both sets, and outside A, are not witnesses
     assert confirm_witness(a, b, np.array([0.5, 0.0]), tol) is None
     assert confirm_witness(a, b, np.array([1.3, 0.0]), tol) is None
+
+
+# -- boundary points on chords through the origin
+
+QUADRANT = pencil([np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+
+
+@pytest.mark.parametrize("pair", [disk_pair(1.2), random_pair(12)],
+                         ids=["disk", "random_pair_12"])
+def test_boundary_witness_refutes(pair):
+    a, b = pair
+    hit = boundary_witness(a, b, 1e-7, 0)
+    assert hit is not None
+    assert hit["b_margin"] < -1e-7
+    # 0.1% inside the boundary of S_A, not on it
+    assert hit["a_margin"] > 0
+
+
+def test_boundary_witness_uses_a_capped_end():
+    # the quadrant x >= -1 is unbounded, so chords into it end at the cap
+    hit = boundary_witness(QUADRANT, disk_pair(1.0)[1], 1e-7, 0)
+    assert hit is not None
+    assert np.linalg.norm(hit["x"]) == pytest.approx(_CHORD_CAP)
+
+
+def test_boundary_witness_none_when_contained():
+    pairs = [disk_pair(nu) for nu in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)]
+    balls = [(a, b) for a, b, margin, *_ in criterion6_balls() if margin < 1.0]
+    assert len(balls) == 17
+    for a, b in pairs + balls:
+        assert boundary_witness(a, b, 1e-7, 0) is None
+
+
+def test_boundary_witness_none_without_the_origin_inside():
+    # the inner disk overhangs the outer one, but the chords need the origin
+    a, b = shifted_disks()
+    assert eigen_margin(a, np.zeros(2)) < 0
+    assert boundary_witness(a, b, 1e-7, 0) is None
+    assert refutation_search(a, b) is not None

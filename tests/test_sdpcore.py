@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from builders import LmiBuilder, PrimalBuilder, as_terms
-from spectracon import sdpcore
+from spectracon import momrelax, sdpcore
 
 from spectracon.errors import InvalidInput
 from spectracon.families import disk_pair, random_pair
@@ -834,6 +834,46 @@ def test_margin_lmi_matches_term_assembly(k, nq, box):
         assert ag.shape == aw.shape
         for part in ("indptr", "indices", "data"):
             assert _same_bits(getattr(ag, part), getattr(aw, part))
+
+
+def _coo_reference(m, size, row, i, j, val):
+    """The CSR rows of one block built by scipy's COO conversion, with its
+    own index types: the entries mirrored off the diagonal, row 0 (C)
+    dropped, duplicates summed."""
+    row, i, j, val = (np.asarray(v) for v in (row, i, j, val))
+    off = (i != j) if size > 0 else np.zeros(i.size, dtype=bool)
+    col = i * size + j if size > 0 else i
+    row = np.concatenate((row, row[off]))
+    col = np.concatenate((col, j[off] * size + i[off]))
+    val = np.concatenate((val, val[off]))
+    body = row > 0
+    veclen = size * size if size > 0 else -size
+    return sp.coo_matrix((val[body], (row[body] - 1, col[body])),
+                         shape=(m, veclen)).tocsr()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: containment_relaxation(*disk_pair(0.7), 2),
+    lambda: sos_relaxation(*random_pair(10), 1)],
+    ids=["moment_disk_0.7", "gram_random_pair_10"])
+def test_block_rows_match_scipy_conversion(monkeypatch, build):
+    # _block_data hands scipy int32 indices; the rows it builds are those of
+    # scipy's own conversion, whatever their index type
+    calls = []
+    real = momrelax._block_data
+
+    def recorded(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(momrelax, "_block_data", recorded)
+    build()
+    assert len(calls) > 1
+    for args, (_, got) in calls:
+        want = _coo_reference(*args)
+        assert got.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 # ---------------------------------------------------------------------------

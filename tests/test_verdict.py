@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from builders import criterion6_balls, shifted_disks
 from spectracon import momrelax, sampling, sdpcore, sosrelax, verdict
 from spectracon.errors import InvalidInput
 from spectracon.families import disk_pair, random_pair
 from spectracon.momrelax import solve_mu_mom
-from spectracon.pencil import ellipsoid_pencil, pencil, polytope_pencil
+from spectracon.pencil import ellipsoid_pencil, pencil
 from spectracon.posmap import cp_sdfp
 from spectracon.sosrelax import lambda_sos
 from spectracon.verdict import (Verdict, certification_tolerance,
@@ -66,9 +67,15 @@ def test_sdfp_method_both_sides():
     assert v.status == "Refuted"
 
 
-def test_sdfp_refutes_an_unbounded_inner_set_by_sampling():
+def _skip_boundary(monkeypatch):
+    """Pass over the boundary points, to test the stages after them."""
+    monkeypatch.setattr(verdict, "boundary_witness", lambda *args: None)
+
+
+def test_sdfp_refutes_an_unbounded_inner_set_by_sampling(monkeypatch):
     # the quadrant x >= -1 leaves the unit disk along (1, 1), so no order-0
     # Gram pair exists for any lambda and the block test ends on a ray
+    _skip_boundary(monkeypatch)
     quadrant = pencil([np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     v = check_containment(quadrant, disk_pair(1.0)[1], method="sdfp")
     assert v.status == "Refuted"
@@ -164,22 +171,11 @@ def test_empty_inner_set_solves_the_probe_once(monkeypatch):
 def _overhanging_balls():
     """The criterion-6 balls with margin > 1, each with its unique minimizer
     -nu a_i / |a_i| of the containment functional, a_i the longest row."""
-    rng = np.random.default_rng(606)
     out = []
-    for i in range(25):
-        n = 2 + i % 2
-        k = 3 + i % 3
-        amat = rng.normal(size=(k, n))
-        nu = rng.uniform(0.4, 1.0)
-        margin = rng.uniform(0.3, 1.7)
-        while abs(margin - 1.0) < 0.05:
-            margin = rng.uniform(0.3, 1.7)
-        amat *= margin / (nu * float(np.linalg.norm(amat, axis=1).max()))
+    for a, b, margin, amat, nu in criterion6_balls():
         if margin > 1.0:
             far = amat[np.argmax(np.linalg.norm(amat, axis=1))]
-            out.append((ellipsoid_pencil([nu] * n),
-                        polytope_pencil(amat, np.ones(k)),
-                        -nu * far / np.linalg.norm(far)))
+            out.append((a, b, -nu * far / np.linalg.norm(far)))
     return out
 
 
@@ -202,6 +198,7 @@ def _no_search(*args, **kwargs):
 @pytest.mark.parametrize("method, order", MACHINES,
                          ids=["moment", "sos0", "sos1", "sdfp"])
 def test_solution_point_refutes_without_search(monkeypatch, method, order):
+    _skip_boundary(monkeypatch)
     monkeypatch.setattr(verdict, "refutation_search", _no_search)
     a, b = random_pair(12)
     v = check_containment(a, b, order=order, method=method)
@@ -211,8 +208,9 @@ def test_solution_point_refutes_without_search(monkeypatch, method, order):
     assert v.witness["b_margin"] < -certification_tolerance(b)
 
 
-def test_disk_solution_point_falls_back_to_sampling():
+def test_disk_solution_point_falls_back_to_sampling(monkeypatch):
     # the minimizers form a circle, so the first moments are its center
+    _skip_boundary(monkeypatch)
     v = check_containment(*disk_pair(1.2))
     assert v.status == "Refuted"
     assert v.details["witness_source"] == "sampling"
@@ -226,6 +224,7 @@ def _no_probe(p):
                          ids=["moment", "sos0", "sos1", "sdfp"])
 def test_disk_walk_starts_at_the_solution_point(monkeypatch, method, order):
     # every machine's first moments are the center, inside the disk
+    _skip_boundary(monkeypatch)
     monkeypatch.setattr(sampling, "interior_point", _no_probe)
     v = check_containment(*disk_pair(1.2), order=order, method=method)
     assert v.status == "Refuted"
@@ -277,3 +276,42 @@ def test_direct_path_certifies_an_empty_inner_set():
     assert v.status == "Certified"
     assert v.method == "direct"
     assert v.details["note"] == "inner set is empty"
+
+
+def _no_relaxation(*args):
+    raise AssertionError("no relaxation should be built")
+
+
+def _no_boundary(*args):
+    raise AssertionError("boundary_witness should not run")
+
+
+@pytest.mark.parametrize("pair", [disk_pair(1.2), random_pair(12)],
+                         ids=["disk", "random_pair_12"])
+@pytest.mark.parametrize("method, order", MACHINES,
+                         ids=["moment", "sos0", "sos1", "sdfp"])
+def test_boundary_point_refutes_before_any_machine(monkeypatch, pair, method, order):
+    monkeypatch.setattr(verdict, "_bound", _no_relaxation)
+    a, b = pair
+    v = check_containment(a, b, order=order, method=method)
+    assert v.status == "Refuted"
+    assert v.method == "boundary"
+    assert v.order is None
+    assert v.details["witness_source"] == "boundary"
+    assert v.value == v.witness["b_margin"] < -certification_tolerance(b)
+    assert float(np.linalg.eigvalsh(a.evaluate(v.witness["x"]).mat).min()) >= 0
+
+
+def test_refute_false_skips_the_boundary_points(monkeypatch):
+    monkeypatch.setattr(verdict, "boundary_witness", _no_boundary)
+    v = check_containment(*disk_pair(1.2), refute=False)
+    assert v.status == "Inconclusive"
+    assert v.method == "moment"
+
+
+def test_inner_set_off_the_origin_is_refuted_by_the_machine_path():
+    a, b = shifted_disks()
+    v = check_containment(a, b)
+    assert v.status == "Refuted"
+    assert v.method == "moment"
+    assert v.details["witness_source"] in ("solution", "sampling")
