@@ -184,7 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("outer", help="pencil JSON of the outer set")
     c.add_argument("--method", choices=("moment", "sos", "sdfp"),
                    default="moment")
-    c.add_argument("--order", type=int, default=2)
+    c.add_argument("--order", type=int, default=2,
+                   help="order of the requested relaxation; order 0 of the "
+                   "sos hierarchy is tried first, and the verdict's method, "
+                   "order and value name the stage that decided")
     c.add_argument("--r", type=float, default=1.0)
     c.add_argument("--R", type=float, default=2.0)
     c.add_argument("--samples", type=int, default=400)

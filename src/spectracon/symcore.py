@@ -78,16 +78,6 @@ def min_eigenvalue(m) -> float:
     return float(w[0])
 
 
-def max_eigenvalue(m) -> float:
-    a = _as_array(m)
-    a = (a + a.T) / 2.0
-    try:
-        w = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigenvalue computation failed: {exc}") from exc
-    return float(w[-1])
-
-
 def is_psd(m, tol: float = 1e-9) -> bool:
     """Whether min_eigenvalue(m) >= -tol."""
     if tol < 0:

@@ -3,22 +3,28 @@
 check_containment runs the full pipeline: exact lineality preprocessing,
 then, with refute=True, the boundary points of the reduced inner set on
 chords through the origin (sampling.boundary_witness); a confirmed one
-refutes at once with method "boundary", and no relaxation is built.
-Otherwise one of the three semidefinite machines runs on the reduced
-pair, then a refutation pass when the bound comes back negative or
-unreliable.  The pass tries witness sources in order: first the x part
-of the machine's own solution (the first moments of the moment
-relaxation or of the Gram program's dual, the order-0 one for the block
-certificate), which is the minimizer whenever the relaxation is exact at
-a point mass; then, only if that point is not confirmed, a hit-and-run
-search of the inner set, which starts at the solution point when that is
-strictly inside it and solves a feasibility probe for a start point
-otherwise.  details["witness_source"] says which one refuted
-("boundary", "solution" or "sampling").  Every verdict is one of
-Certified / Refuted / Inconclusive; Refuted always carries a point that
-confirm_witness confirmed, never just a negative bound.  The machine runs
-through one call, _bound; a bound that is not reliable has value nan and
-carries its solve's message in details["solver_message"].
+refutes at once with method "boundary", and no relaxation is built.  A
+request above the bottom of the hierarchy (moment, or sos at order >= 1)
+then solves the order-0 Gram program, the cheapest certificate; when it
+certifies, the verdict is Certified with method "sos" and order 0 and the
+requested relaxation is never built, otherwise its reading goes to
+details["order0"].  Otherwise the requested one of the three
+semidefinite machines runs on the reduced pair, then a refutation pass
+when the bound comes back negative or unreliable.  The pass tries
+witness sources in order: first the x part of the machine's own solution
+(the first moments of the moment relaxation or of the Gram program's
+dual, the order-0 one for the block certificate), which is the minimizer
+whenever the relaxation is exact at a point mass; then, only if that
+point is not confirmed, a hit-and-run search of the inner set, which
+starts at the solution point when that is strictly inside it and solves
+a feasibility probe for a start point otherwise.
+details["witness_source"] says which one refuted ("boundary", "solution"
+or "sampling").  Every verdict is one of Certified / Refuted /
+Inconclusive; Refuted always carries a point that confirm_witness
+confirmed, never just a negative bound.  A verdict's method, order and
+value always name the stage that decided.  Every machine runs through one
+call, _bound; a bound that is not reliable has value nan and carries its
+solve's message in details["solver_message"].
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NoInteriorPoint, NotContained, NumericalFailure
+from .errors import (InvalidInput, NoInteriorPoint, NotContained, NumericalFailure,
+                     OrderTooSmall)
 from .momrelax import solve_mu_mom
 from .pencil import LinearPencil
 from .posmap import cp_sdfp
@@ -124,10 +131,17 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
     "moment" (order-t bound on the containment functional), "sos"
     (order-t eigenvalue certificate), or "sdfp" (positivity-map feasibility,
     order ignored).  With refute=True, boundary points of the inner set are
-    tried before any machine runs, and a negative or failed bound triggers
-    a refutation pass: the machine's own solution point first, the sampling
-    search only if that point is not confirmed.  Only a confirmed point
-    yields Refuted.
+    tried before any machine runs.  A moment request, or an sos request at
+    order >= 1, first tries the order-0 Gram certificate and returns its
+    Certified verdict (method "sos", order 0) without building the
+    requested relaxation; when it does not certify, its value and solve
+    status are kept in details["order0"].  The verdict's method, order and
+    value are those of the stage that decided.  A negative or failed bound
+    of the requested machine triggers a refutation pass: the machine's own
+    solution point first, the sampling search only if that point is not
+    confirmed.  Only a confirmed point yields Refuted.  An order below the
+    requested relaxation's least (2 for moment, 0 for sos) raises
+    OrderTooSmall before anything runs.
     """
     if method not in _METHODS:
         raise InvalidInput(f"unknown method {method!r}, expected {_METHODS}")
@@ -137,6 +151,11 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
         raise InvalidInput("samples must be positive")
     if not (0 < r <= R):
         raise InvalidInput("need 0 < r <= R")
+    # the relaxations' own order gates, checked before any stage can decide
+    if method == "moment" and order < 2:
+        raise OrderTooSmall("containment bounds need order t >= 2")
+    if method == "sos" and order < 0:
+        raise OrderTooSmall("order must be nonnegative")
     tol = certification_tolerance(b)
     details: dict = {"tolerance": tol}
 
@@ -181,6 +200,17 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
         if hit is not None:
             return Verdict("Refuted", hit["b_margin"], None, "boundary", hit,
                            {**details, "witness_source": "boundary"})
+
+    if method == "moment" or (method == "sos" and order >= 1):
+        # the order-0 Gram program is the bottom of both hierarchies and the
+        # cheapest certificate; when it certifies, the requested relaxation
+        # is never built.  Its solution point is not used for refutation.
+        det, certified, _ = _bound(ar, br, "sos", 0, r, R, tol)
+        if certified:
+            return Verdict("Certified", det["value"], 0, "sos", None,
+                           {**details, **det})
+        details["order0"] = {"value": det["value"],
+                             "solve_status": det["solve_status"]}
 
     def refutation(det, point):
         """Verdict for a bound that did not certify; point is the x part of

@@ -37,18 +37,32 @@ def test_check_certified_exit_zero(disk_files, capsys):
     assert "Certified" in out
 
 
-def test_check_json_output(disk_files, capsys):
+def test_check_json_output(disk_files, tmp_path, capsys):
+    # order 0 certifies nu = 0.7, and the verdict names that machine
     a, b = disk_files
     code = main(["check", a, b, "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["status"] == "Certified"
+    assert (payload["method"], payload["order"]) == ("sos", 0)
     assert payload["value"] == pytest.approx(0.010051, abs=1e-4)
     assert payload["details"]["solve_status"] == "optimal"
+    # nu = 0.9 needs the order-3 moment relaxation
+    prefix = str(tmp_path / "mid")
+    main(["gen", "disk", "--nu", "0.9", "--out", prefix])
+    capsys.readouterr()
+    code = main(["check", prefix + "_a.json", prefix + "_b.json", "--order", "3",
+                 "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (payload["method"], payload["order"]) == ("moment", 3)
+    assert payload["value"] == pytest.approx(0.1, abs=2e-3)
+    assert payload["details"]["solve_status"] == "optimal"
+    assert payload["details"]["order0"]["solve_status"] == "optimal"
     # the size of the solved relaxation, reduced by its sign flips
-    assert payload["details"]["moments"] == 21
-    assert payload["details"]["block_sizes"] == [6, 3, 3, 3, 5, 3, 3, 4, 2, 1, 1, 1,
-                                                 2, 1, 1, 1]
+    assert payload["details"]["moments"] == 59
+    assert payload["details"]["block_sizes"] == [11, 8, 8, 8, 15, 9, 9, 12, 6, 3, 3, 3,
+                                                 6, 3, 3, 3]
 
 
 def test_check_json_emits_details(tmp_path, capsys):

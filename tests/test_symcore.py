@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from spectracon.errors import InvalidInput
 from spectracon.pencil import sym_basis_indices
-from spectracon.symcore import (SymMatrix, is_psd, max_eigenvalue,
-                                min_eigenvalue, nullspace,
+from spectracon.symcore import (SymMatrix, is_psd, min_eigenvalue, nullspace,
                                 orthonormal_complement, smat, spectral_norm,
                                 svec, sym)
 
@@ -25,7 +24,6 @@ def test_symmatrix_rejects_nonsquare():
 def test_eigenvalue_bounds_diag():
     d = sym(np.diag([3.0, -1.0, 0.5]))
     assert min_eigenvalue(d) == pytest.approx(-1.0)
-    assert max_eigenvalue(d) == pytest.approx(3.0)
     assert spectral_norm(d) == pytest.approx(3.0)
 
 
@@ -57,7 +55,7 @@ def test_rayleigh_quotient_between_extremes(dim, seed):
     v = rng.normal(size=dim)
     v /= np.linalg.norm(v)
     q = float(v @ m.mat @ v)
-    assert min_eigenvalue(m) - 1e-9 <= q <= max_eigenvalue(m) + 1e-9
+    assert min_eigenvalue(m) - 1e-9 <= q <= np.linalg.eigvalsh(m.mat)[-1] + 1e-9
 
 
 @given(st.integers(2, 5), st.integers(0, 2 ** 31 - 1))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 
 from builders import criterion6_balls, shifted_disks
 from spectracon import momrelax, sampling, sdpcore, sosrelax, verdict
-from spectracon.errors import InvalidInput
+from spectracon.errors import InvalidInput, OrderTooSmall
 from spectracon.families import disk_pair, random_pair
 from spectracon.momrelax import solve_mu_mom
 from spectracon.pencil import ellipsoid_pencil, pencil
 from spectracon.posmap import cp_sdfp
+from spectracon.sdpcore import SolveStatus
 from spectracon.sosrelax import lambda_sos
 from spectracon.verdict import (Verdict, certification_tolerance,
                                 check_containment)
@@ -19,11 +21,14 @@ MACHINES = [("moment", 2), ("sos", 0), ("sos", 1), ("sdfp", 2)]
 
 
 def test_disk_certified_order2():
+    # order 0 certifies the disk, so the order-2 relaxation is never built;
+    # the order-2 bound itself is pinned on the relaxation
     v = check_containment(*disk_pair(0.7))
     assert v.status == "Certified"
     assert v.exit_code == 0
-    assert v.method == "moment"
-    assert v.value == pytest.approx(0.010051, abs=1e-4)
+    assert v.method == "sos"
+    assert v.order == 0
+    assert solve_mu_mom(*disk_pair(0.7), 2).value == pytest.approx(0.010051, abs=1e-4)
 
 
 def test_disk_inconclusive_order2():
@@ -123,16 +128,20 @@ def test_samples_must_be_positive():
         check_containment(*disk_pair(1.2), samples=0)
 
 
-@pytest.mark.parametrize("method", ["moment", "sos", "sdfp"])
-@pytest.mark.parametrize("r,R", [(-1.0, 2.0), (0.0, 2.0), (2.0, 1.0)])
-def test_annulus_is_checked_for_every_method(method, r, R, monkeypatch):
-    # sos and sdfp never read the annulus, but a bad one is still bad input,
-    # rejected before any solve
+def _no_solves(monkeypatch):
     def no_solve(problem):
         raise AssertionError("solved before the input check")
 
     for mod in (sdpcore, momrelax, sosrelax):
         monkeypatch.setattr(mod, "solve", no_solve)
+
+
+@pytest.mark.parametrize("method", ["moment", "sos", "sdfp"])
+@pytest.mark.parametrize("r,R", [(-1.0, 2.0), (0.0, 2.0), (2.0, 1.0)])
+def test_annulus_is_checked_for_every_method(method, r, R, monkeypatch):
+    # sos and sdfp never read the annulus, but a bad one is still bad input,
+    # rejected before any solve
+    _no_solves(monkeypatch)
     with pytest.raises(InvalidInput, match="0 < r <= R"):
         check_containment(*disk_pair(0.7), method=method, r=r, R=R)
 
@@ -151,7 +160,8 @@ def test_verdict_string_and_exit_codes():
     assert "Certified" in s and "moment" in s
 
 
-def test_empty_inner_set_solves_the_probe_once(monkeypatch):
+def _count_solves(monkeypatch):
+    """The origins of the solves that follow, in order."""
     origins = []
     real = sdpcore.solve
 
@@ -161,11 +171,16 @@ def test_empty_inner_set_solves_the_probe_once(monkeypatch):
 
     for mod in (sdpcore, momrelax, sosrelax):
         monkeypatch.setattr(mod, "solve", counted)
+    return origins
+
+
+def test_empty_inner_set_solves_the_probe_once(monkeypatch):
+    origins = _count_solves(monkeypatch)
     empty = pencil([np.diag([-1.0, -1.0]), np.diag([1.0, -1.0])])
     outer = pencil([-np.eye(2), np.zeros((2, 2))])
     v = check_containment(empty, outer)
     assert v.status == "Certified"
-    assert origins == ["containment_moment", "feasibility_probe"]
+    assert origins == ["sos_gram", "containment_moment", "feasibility_probe"]
 
 
 def _overhanging_balls():
@@ -278,7 +293,7 @@ def test_direct_path_certifies_an_empty_inner_set():
     assert v.details["note"] == "inner set is empty"
 
 
-def _no_relaxation(*args):
+def _no_relaxation(*args, **kwargs):
     raise AssertionError("no relaxation should be built")
 
 
@@ -315,3 +330,106 @@ def test_inner_set_off_the_origin_is_refuted_by_the_machine_path():
     assert v.status == "Refuted"
     assert v.method == "moment"
     assert v.details["witness_source"] in ("solution", "sampling")
+
+
+@pytest.mark.parametrize("method, order", [("moment", 1), ("moment", 0), ("sos", -1)])
+def test_order_gates_come_before_any_solve(monkeypatch, method, order):
+    # order 0 certifies this disk, so a gate after it would never be reached
+    _no_solves(monkeypatch)
+    with pytest.raises(OrderTooSmall):
+        check_containment(*disk_pair(0.5), order=order, method=method)
+
+
+def _order0_certified_pairs():
+    """Two disks below the 1/sqrt(2) threshold, a criterion-6 ball inside its
+    polytope, and a random pair, each certified by order 0."""
+    ball = next((a, b) for a, b, margin, *_ in criterion6_balls() if margin < 1.0)
+    return [disk_pair(0.5), disk_pair(0.7), ball, random_pair(2)]
+
+
+@pytest.mark.parametrize("method, order", [("moment", 2), ("moment", 3), ("sos", 1)])
+def test_order0_certificate_spares_the_requested_machine(monkeypatch, method, order):
+    def no_lift(a, b, t=0):
+        assert t == 0, "the requested relaxation should not be built"
+        return lambda_sos(a, b, t)
+
+    monkeypatch.setattr(verdict, "solve_mu_mom", _no_relaxation)
+    monkeypatch.setattr(verdict, "lambda_sos", no_lift)
+    for a, b in _order0_certified_pairs():
+        v = check_containment(a, b, order=order, method=method)
+        assert v.status == "Certified"
+        assert (v.method, v.order) == ("sos", 0)
+        assert v.details["solve_status"] == "optimal"
+        assert v.value == v.details["value"] >= -certification_tolerance(b)
+        assert "order0" not in v.details
+
+
+@pytest.mark.parametrize("method, order", [("sos", 0), ("sdfp", 2)])
+def test_bottom_requests_solve_one_gram_program(monkeypatch, method, order):
+    # these requests are the order-0 stage itself
+    origins = _count_solves(monkeypatch)
+    for nu in (0.7, 0.9):
+        origins.clear()
+        check_containment(*disk_pair(nu), order=order, method=method, refute=False)
+        assert origins == ["sos_gram"]
+
+
+def _bypass_order0(monkeypatch):
+    """Let the order-0 stage run but never certify."""
+    real = verdict._bound
+
+    def bound(a, b, method, order, *rest):
+        det, certified, point = real(a, b, method, order, *rest)
+        return det, certified and (method, order) != ("sos", 0), point
+
+    monkeypatch.setattr(verdict, "_bound", bound)
+
+
+@pytest.mark.parametrize("method, order", [("moment", 2), ("sos", 1)])
+def test_unreliable_order0_falls_through_to_the_requested_machine(
+        monkeypatch, method, order):
+    pair = disk_pair(0.7)
+    with monkeypatch.context() as m:
+        _bypass_order0(m)
+        today = check_containment(*pair, order=order, method=method)
+    real = sosrelax.solve
+
+    def order0_stalls(problem):
+        sol = real(problem)
+        if problem.metadata["order"] > 0:
+            return sol
+        return dataclasses.replace(sol, status=SolveStatus.ITER_LIMIT,
+                                   residuals={**sol.residuals, "gap_rel": 1.0})
+
+    monkeypatch.setattr(sosrelax, "solve", order0_stalls)
+    v = check_containment(*pair, order=order, method=method)
+    assert (v.status, v.method, v.order) == ("Certified", method, order)
+    assert v.value == today.value
+    assert v.details["solve_status"] == today.details["solve_status"] == "optimal"
+    assert math.isnan(v.details["order0"]["value"])
+    assert v.details["order0"]["solve_status"] == "iterlimit"
+
+
+def test_inconclusive_verdict_reports_the_order0_bound():
+    v = check_containment(*disk_pair(0.9))
+    assert (v.status, v.method, v.order) == ("Inconclusive", "moment", 2)
+    order0 = v.details["order0"]
+    assert order0["solve_status"] == "optimal"
+    # the solitary criterion's margin 1 - nu sqrt(2); the top-level reading
+    # stays the order-2 bound's
+    assert order0["value"] == pytest.approx(1.0 - 0.9 * math.sqrt(2.0), abs=1e-6)
+    assert v.value == v.details["value"] == solve_mu_mom(*disk_pair(0.9), 2).value
+
+
+def test_order0_stage_keeps_every_status():
+    pairs = [(a, b) for a, b, *_ in criterion6_balls()]
+    pairs += [disk_pair(nu / 10) for nu in range(5, 14)]
+    pairs += [random_pair(seed) for seed in range(1, 31)]
+    for method, order in (("moment", 2), ("sos", 1)):
+        staged = [check_containment(a, b, order=order, method=method).status
+                  for a, b in pairs]
+        with pytest.MonkeyPatch.context() as m:
+            _bypass_order0(m)
+            bypassed = [check_containment(a, b, order=order, method=method).status
+                        for a, b in pairs]
+        assert staged == bypassed
