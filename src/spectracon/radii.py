@@ -73,9 +73,13 @@ def boundedness_certificate(p: LinearPencil) -> BoundednessReport:
 
     Bounded comes with W positive definite and <A_q, W> = 0 for all linear
     coefficients; any recession direction d then forces sum d_q A_q = 0,
-    impossible once the lineality space is trivial.  Unbounded comes with
-    an explicit recession direction d, re-checked to make sum d_q A_q
-    positive definite.  Degenerate boundary pencils yield Unknown.
+    impossible once the lineality space is trivial.  The dual search
+    maximizes lambda_min(W) over tr W = 1, where no W exceeds 1/k; when
+    every A_q is traceless, W = I/k attains that bound and is returned with
+    margin 1/k without a solve.  Otherwise the margin LMI is solved.
+    Unbounded comes with an explicit recession direction d, re-checked to
+    make sum d_q A_q positive definite.  Degenerate boundary pencils yield
+    Unknown.
     """
     n, k = p.n, p.k
     if n == 0:
@@ -85,6 +89,13 @@ def boundedness_certificate(p: LinearPencil) -> BoundednessReport:
         d = lin[:, 0]
         return BoundednessReport("Unbounded", d, 0.0,
                                  {"reason": "lineality direction"})
+
+    # W = I/k has the largest margin any W with tr W = 1 can have, so when
+    # it solves the dual search's equations it is that search's optimum
+    lin_res = float(np.linalg.norm(np.trace(p.coeff_array()[1:], axis1=1, axis2=2))) / k
+    if lin_res <= 1e-9:
+        return BoundednessReport("Bounded", np.eye(k) / k, 1.0 / k,
+                                 {"equation_residual": lin_res})
 
     # dual search: W in the orthogonal complement of the linear coefficients
     rows = np.array([svec(c) for c in p.coeffs[1:]] + [svec(np.eye(k))])

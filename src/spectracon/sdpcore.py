@@ -16,11 +16,14 @@ improving-ray certificate for one of the two sides.
 
 A solve works on one flat iterate in class order: the dense blocks grouped
 by size, each size a contiguous (nb, s, s) stack, then all diagonal blocks
-and 1 x 1 dense blocks merged into one.  A is one CSR matrix with its
+and 1 x 1 dense blocks merged into one.  A is one matrix with its
 transpose, so A(X), A*(y), <C, X> and <X, S> are one product each, and the
-cone arithmetic runs once per class.  The rows of A are fully mirrored, so
-A*(y) is exactly symmetric, and so is every direction and iterate built
-from it and from the symmetrized congruences: none is symmetrized again.
+cone arithmetic runs once per class.  A program whose A would hold at most
+``_DENSE_FLOATS`` floats stored dense (m times the iterate length) keeps
+A as one dense array; a larger one keeps it as one CSR matrix.  The rows
+of A are fully mirrored, so A*(y) is exactly symmetric, and so is every
+direction and iterate built from it and from the symmetrized congruences:
+none is symmetrized again.
 The de-scaled residuals are the homogeneous ones, formed once per
 iteration, times a scalar; Optimal also needs those compute_residuals
 recomputes on exit to pass.  Late on, the Schur complement M (below) is
@@ -29,14 +32,18 @@ more than ``_TOL_FEAS`` of the right-hand side is refined with M's factor.
 
 Each iteration assembles the Schur complement
 M_ij = sum_b <A_ib, W_b A_jb W_b> for the NT scalings W_b, read from their
-class stacks.  The sparsity pattern does not change during a solve, so the
-assembly plan is built once per solve, before the first iteration, in one
-pass per class over the class's constraint rows.  Its unit of work is a
-pair (constraint row i, block b) with stored entries, whose product is
-W_b A_ib W_b.  In row and then block order, a class's pairs are cut into
-chunks of at most ``_CHUNK_TARGET`` floats of products (at least one pair).
-Within a chunk the pairs are grouped by their stored-entry count r rounded
-up to a power of two, R, and each group is one batched numpy call across
+class stacks.  With A dense no plan is built: a dense class's rows, an
+(m, nb, s, s) view of A, take one batched congruence W A_i W and one
+product with those rows, and the merged diagonal class adds
+A diag(w)^2 A'.  With A sparse, the sparsity pattern does not change during
+a solve, so the assembly plan is built once per solve, before the first
+iteration, in one pass per class over the class's constraint rows.  Its
+unit of work is a pair (constraint row i, block b) with stored entries,
+whose product is W_b A_ib W_b.  In row and then block order, a class's
+pairs are cut into chunks of at most ``_CHUNK_TARGET`` floats of products
+(at least one pair).  Within a chunk the pairs are grouped by their
+stored-entry count r rounded up to a power of two, R, and each group is
+one batched numpy call across
 the blocks of the class: the thin product (W[:, p] * v) @ W[q, :] over the
 stored entries, padded to R with value 0 (which adds exact zeros), for
 r <= 2s, and the full congruence W A_i W for denser rows.  The A_i are
@@ -50,7 +57,9 @@ gather column, so the sparse product sums them.  The folded rows span all
 m constraints, so a chunk adds whole rows of M, which costs less than a
 scatter into the class's rows and columns.  The merged diagonal class adds
 A diag(w)^2 A' on its rows, kept as one dense (rows, d) array.
-Memory: for each dense class the plan holds two indices and a value per
+Memory: with A dense, A (at most ``_DENSE_FLOATS`` floats) and, during an
+assembly, one class's products W A_i W, no more floats than A.  With A
+sparse, for each dense class the plan holds two indices and a value per
 padded entry (padding at most doubles the entries), the folded rows once
 per set of blocks that a chunk covers (once when the class fits in one
 chunk), the diagonal rows once more as a dense array, one chunk buffer (at
@@ -112,6 +121,12 @@ _MAX_CONSTRAINTS = 8000
 # Floats of vec(W A_i W) per Schur assembly chunk: 2 MB, so the chunk and
 # the transposed copy the sparse product makes of it stay in cache.
 _CHUNK_TARGET = 250_000
+
+# Programs whose A, stored dense, holds at most this many floats (m times
+# the iterate length) keep A dense and assemble M without a plan.  Below
+# it, the plan's set-up and per-chunk calls cost more than the dense work;
+# above it, padding the sparse rows to dense costs more than they save.
+_DENSE_FLOATS = 20_000
 
 # Side of the tiles the Schur matrix is symmetrized in, and the square root
 # of the float count of the tiles a chunk's gather is filled in: 115 KB,
@@ -708,6 +723,36 @@ def _symmetrize(a):
             a[j:j + t, i:i + t] = avg.T
 
 
+def _dense_rows(problem, members):
+    """A in class order as one dense (m, N) array, and the rows of each
+    class with stored entries as (class index, view of A): (m, nb, s, s) for
+    a dense class, (m, d) for the merged diagonal class."""
+    m, a_blocks = problem.m, problem.a_blocks
+    a_mat = np.hstack([a_blocks[bi].toarray() for _, blocks in members for bi in blocks])
+    rows, lo = [], 0
+    for ci, (size, blocks) in enumerate(members):
+        view = a_mat[:, lo:lo + sum(a_blocks[bi].shape[1] for bi in blocks)]
+        lo += view.shape[1]
+        if any(a_blocks[bi].nnz for bi in blocks):
+            rows.append((ci, view.reshape(m, len(blocks), size, size) if size else view))
+    return a_mat, rows
+
+
+def _dense_schur(rows, scal, out):
+    """M_ij = sum_b <A_ib, W_b A_jb W_b> from ``_dense_rows``' class rows,
+    one batched congruence and one product per class, into ``out``."""
+    out.fill(0.0)
+    for ci, a_c in rows:
+        w = scal[ci]["w"]
+        if a_c.ndim == 2:
+            out += (a_c * (w * w)) @ a_c.T
+        else:
+            m = a_c.shape[0]
+            out += a_c.reshape(m, -1) @ (w @ a_c @ w).reshape(m, -1).T
+    _symmetrize(out)
+    return out
+
+
 def _chol_with_jitter(mat):
     jitter = 0.0
     scale = float(np.max(np.abs(np.diag(mat)))) or 1.0
@@ -823,12 +868,22 @@ def solve(problem: SdpProblem) -> SdpSolution:
         return give_up(SolveStatus.INACCURATE, f"constraint count {m} exceeds the "
                        f"dense Schur limit of {_MAX_CONSTRAINTS}")
 
-    a_mat = sp.hstack([problem.a_blocks[bi] for bi in order], format="csr")
-    a_t = a_mat.T.tocsr()
+    schur_work = np.empty((m, m))
+    if m * x.size <= _DENSE_FLOATS:
+        a_mat, class_rows = _dense_rows(problem, members)
+        a_t = a_mat.T
+
+        def assemble(scal):
+            return _dense_schur(class_rows, scal, schur_work)
+    else:
+        a_mat = sp.hstack([problem.a_blocks[bi] for bi in order], format="csr")
+        a_t = a_mat.T.tocsr()
+        plan = _schur_plan(problem)
+
+        def assemble(scal):
+            return _schur_matrix(m, plan, scal, out=schur_work)
     b = problem.b / sigma_b
     c = np.concatenate([problem.c_blocks[bi].ravel() for bi in order]) / sigma_c
-    plan = _schur_plan(problem)
-    schur_work = np.empty((m, m))
     nu = problem.cone_dim + 1.0
     norm_b = float(np.linalg.norm(b))
     norm_c = float(np.linalg.norm(c))
@@ -905,7 +960,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         # the last iteration's factor goes before this one's is formed
         l_schur = upper = None
         try:
-            schur = _schur_matrix(m, plan, scal, out=schur_work)
+            schur = assemble(scal)
             l_schur = _chol_with_jitter(schur)
         except np.linalg.LinAlgError:
             return give_up(SolveStatus.INACCURATE,

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from spectracon import radii, sdpcore
-from spectracon.pencil import elliptope_pencil, ellipsoid_pencil, pencil
+from spectracon.families import random_pair
+from spectracon.pencil import elliptope_pencil, ellipsoid_pencil, pencil, polytope_pencil
 from spectracon.radii import boundedness_certificate, circumradius_sq
+from spectracon.sdpcore import _margin_lmi
+from spectracon.symcore import nullspace, smat, svec
+
+# {1 + 2x >= 0, 1 + 2y >= 0, 1 - x - y >= 0}: tr A_1 = tr A_2 = 1
+_TRIANGLE = polytope_pencil(np.array([[2.0, 0.0], [0.0, 2.0], [-1.0, -1.0]]), np.ones(3))
 
 
 def test_ellipsoid_radius_is_largest_semiaxis():
@@ -79,6 +85,47 @@ def test_unknown_after_both_searches_when_no_solve_is_reliable(monkeypatch):
 
     monkeypatch.setattr(radii, "solve", recorded)
     monkeypatch.setattr(sdpcore, "_MAX_CONSTRAINTS", 0)
-    rep = boundedness_certificate(ellipsoid_pencil([1.0, 2.0]))
+    # a bounded triangle whose coefficients have trace 1, so the dual search
+    # needs its solve
+    rep = boundedness_certificate(_TRIANGLE)
     assert rep.kind == "Unknown"
     assert origins == ["boundedness", "recession"]
+
+
+def test_triangle_is_bounded_by_the_margin_lmi():
+    rep = boundedness_certificate(_TRIANGLE)
+    assert rep.kind == "Bounded"
+    assert 0 < rep.margin < 1.0 / 3.0
+    w = rep.certificate
+    for q in range(1, _TRIANGLE.n + 1):
+        assert abs(float(np.sum(w * _TRIANGLE.coeffs[q].mat))) <= 1e-7
+
+
+def _solved_dual_margin(p):
+    """The optimum of the dual search's margin LMI: the largest lambda_min(W)
+    over tr W = 1 and <A_q, W> = 0."""
+    k = p.k
+    rows = np.array([svec(c) for c in p.coeffs[1:]] + [svec(np.eye(k))])
+    part = np.linalg.lstsq(rows, np.eye(p.n + 1)[p.n], rcond=None)[0]
+    null = nullspace(rows, rank_tol=np.finfo(float).eps)
+    sol = sdpcore.solve(_margin_lmi(smat(part, k), smat(null.T, k), 2.0))
+    assert sol.reliable
+    return sol.value
+
+
+def _no_solve(problem):
+    raise AssertionError("a traceless pencil needs no solve")
+
+
+def test_traceless_pencils_are_bounded_at_the_known_optimum(monkeypatch):
+    pencils = [p for seed in range(1, 31) for p in random_pair(seed)]
+    pencils += [elliptope_pencil(3), ellipsoid_pencil([1.0, 2.0])]
+    for p in pencils:
+        assert np.all(np.trace(p.coeff_array()[1:], axis1=1, axis2=2) == 0)
+        with monkeypatch.context() as mp:
+            mp.setattr(radii, "solve", _no_solve)
+            rep = boundedness_certificate(p)
+        assert rep.kind == "Bounded"
+        np.testing.assert_array_equal(rep.certificate, np.eye(p.k) / p.k)
+        assert rep.margin == 1.0 / p.k
+        assert abs(rep.margin - _solved_dual_margin(p)) <= 1e-7

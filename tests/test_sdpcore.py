@@ -13,6 +13,7 @@ from spectracon.families import disk_pair, random_pair
 from spectracon.momrelax import build_pmi_relaxation, containment_relaxation
 from spectracon.pencil import (elliptope_pencil, ellipsoid_pencil, pencil,
                                polytope_pencil)
+from spectracon.radii import circumradius_sq
 from spectracon.sdpa import export_sdpa, parse_sdpa
 from spectracon.sosrelax import sos_relaxation
 from spectracon.sdpcore import (_LMI_STATUS, SdpProblem, SdpSolution,
@@ -501,6 +502,29 @@ def test_class_plan_matches_definition(case):
     _assert_schur_matches(got, _schur_reference(prob, by_block))
 
 
+def _dense_assembly(prob, by_class):
+    """M from the dense path, into an array that starts as NaN."""
+    rows = sdpcore._dense_rows(prob, sdpcore._class_members(prob.block_sizes))[1]
+    return sdpcore._dense_schur(rows, by_class, np.full((prob.m, prob.m), np.nan))
+
+
+def test_dense_assembly_matches_definition():
+    # the fixture's blocks are one per class, in class order
+    prob, scal = _schur_fixture(5)
+    _assert_schur_matches(_dense_assembly(prob, scal), _schur_reference(prob, scal))
+
+
+@given(_class_ordered_problems())
+def test_dense_class_assembly_matches_definition(case):
+    m, sizes, cover, _, seed = case
+    rng = np.random.default_rng(seed)
+    a_blocks = [_covered_rows(rng, m, s, c) for s, c in zip(sizes, cover)]
+    c_blocks = [np.zeros((s, s)) if s > 0 else np.zeros(-s) for s in sizes]
+    prob = SdpProblem(tuple(sizes), c_blocks, a_blocks, np.zeros(m))
+    by_class, by_block = _class_scalings(prob, rng)
+    _assert_schur_matches(_dense_assembly(prob, by_class), _schur_reference(prob, by_block))
+
+
 def _schur_by_batched_products(prob, by_block):
     """M_ij = <A_ib, W_b A_jb W_b> summed over blocks, with W_b A_jb W_b
     formed densely for every row j in one batched product."""
@@ -575,6 +599,12 @@ def test_schur_plan_buffers_stay_within_the_chunk_target(make):
             # a gather holds no more triangles than a chunk of products
             slots = gather.tri.shape[1] // cp.tri_pos.size
             assert slots * gather.out.size <= cap or gather.n == 1
+
+
+def test_dense_path_stays_within_a_plan_chunk():
+    # the dense A and its stack of products W A_i W, m times the iterate
+    # length floats each, hold no more than one chunk buffer of the plan
+    assert sdpcore._DENSE_FLOATS <= sdpcore._CHUNK_TARGET
 
 
 def _sym(rng, n):
@@ -897,7 +927,25 @@ def _nan_factor(mat):
     return np.full_like(mat, np.nan)
 
 
-@pytest.mark.parametrize("patch, status, reason, iterations", [
+def _no_plan(problem):
+    raise AssertionError("the Schur plan should not be built")
+
+
+def _no_dense(problem, members):
+    raise AssertionError("A should not be made dense")
+
+
+def _force_path(mp, path):
+    """Make solve take the dense or the plan path, and fail on the other."""
+    if path == "dense":
+        mp.setattr(sdpcore, "_DENSE_FLOATS", float("inf"))
+        mp.setattr(sdpcore, "_schur_plan", _no_plan)
+    else:
+        mp.setattr(sdpcore, "_DENSE_FLOATS", 0)
+        mp.setattr(sdpcore, "_dense_rows", _no_dense)
+
+
+_EXITS = [
     (None, SolveStatus.INACCURATE, "progress stalled", None),
     # steps go half again past the cone boundary
     (("_STEP_FRAC", 1.5), SolveStatus.INACCURATE, "iterate left the cone interior",
@@ -910,9 +958,17 @@ def _nan_factor(mat):
     (("_MAX_CONSTRAINTS", 5), SolveStatus.INACCURATE,
      "constraint count 6 exceeds the dense Schur limit of 5", 0),
     (("_MAX_ITER", 3), SolveStatus.ITER_LIMIT, "no convergence within 3 iterations", 3),
-], ids=["stall", "cone", "collapse", "schur", "reduced", "oversize", "iterlimit"])
+]
+_EXIT_IDS = ["stall", "cone", "collapse", "schur", "reduced", "oversize", "iterlimit"]
+
+
+# the plain ids are the dense path, which these small programs take unforced
+@pytest.mark.parametrize("patch, status, reason, iterations, path", [
+    pytest.param(*case, path, id=name if path == "dense" else f"{name}-plan")
+    for name, case in zip(_EXIT_IDS, _EXITS) for path in ("dense", "plan")])
 def test_every_exit_returns_the_best_iterate(monkeypatch, patch, status, reason,
-                                             iterations):
+                                             iterations, path):
+    _force_path(monkeypatch, path)
     if patch is None:
         prob = _stalling_problem()
     else:
@@ -929,21 +985,63 @@ def test_every_exit_returns_the_best_iterate(monkeypatch, patch, status, reason,
     assert not sol.reliable
 
 
-def _no_plan(problem):
-    raise AssertionError("the Schur plan should not be built")
-
-
 def test_oversize_returns_the_start_point_before_any_schur_work(monkeypatch):
     prob = _random_problem(0)
     monkeypatch.setattr(sdpcore, "_MAX_CONSTRAINTS", prob.m - 1)
     monkeypatch.setattr(sdpcore, "_schur_plan", _no_plan)
+    monkeypatch.setattr(sdpcore, "_dense_rows", _no_dense)
+    # below and above the dense limit
+    for dense_floats in (sdpcore._DENSE_FLOATS, 0):
+        monkeypatch.setattr(sdpcore, "_DENSE_FLOATS", dense_floats)
+        sol = solve(prob)
+        # the start point X = S = I, y = 0, de-scaled
+        sigma_b, sigma_c = max(1.0, prob.norm_b()), max(1.0, prob.norm_c())
+        assert np.array_equal(sol.x_blocks[0], sigma_b * np.eye(3))
+        assert np.array_equal(sol.x_blocks[1], sigma_b * np.ones(2))
+        assert np.array_equal(sol.s_blocks[0], sigma_c * np.eye(3))
+        assert np.array_equal(sol.y, np.zeros(prob.m))
+
+
+_real_plan = sdpcore._schur_plan
+
+
+def test_dense_path_selection_follows_size(monkeypatch):
+    prob = _random_problem(0)
+    floats = prob.m * sum(sdpcore._block_veclen(s) for s in prob.block_sizes)
+    # at the limit: A dense, no plan
+    monkeypatch.setattr(sdpcore, "_DENSE_FLOATS", floats)
+    monkeypatch.setattr(sdpcore, "_schur_plan", _no_plan)
+    dense = solve(prob)
+    assert dense.status is SolveStatus.OPTIMAL
+    # one float over it: the plan, and A kept sparse
+    planned = []
+    monkeypatch.setattr(sdpcore, "_DENSE_FLOATS", floats - 1)
+    monkeypatch.setattr(sdpcore, "_schur_plan",
+                        lambda problem: planned.append(problem) or _real_plan(problem))
+    monkeypatch.setattr(sdpcore, "_dense_rows", _no_dense)
     sol = solve(prob)
-    # the start point X = S = I, y = 0, de-scaled
-    sigma_b, sigma_c = max(1.0, prob.norm_b()), max(1.0, prob.norm_c())
-    assert np.array_equal(sol.x_blocks[0], sigma_b * np.eye(3))
-    assert np.array_equal(sol.x_blocks[1], sigma_b * np.ones(2))
-    assert np.array_equal(sol.s_blocks[0], sigma_c * np.eye(3))
-    assert np.array_equal(sol.y, np.zeros(prob.m))
+    assert planned == [prob]
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.value == pytest.approx(dense.value, rel=1e-7)
+
+
+def test_dense_and_plan_paths_agree(monkeypatch):
+    pairs = [random_pair(seed) for seed in range(1, 31)]
+    runs = [lambda a=a, b=b: solve(sos_relaxation(a, b, 0)[0]) for a, b in pairs]
+    runs += [lambda p=p: circumradius_sq(p).solution for pair in pairs for p in pair]
+    runs += [lambda nu=nu: solve(containment_relaxation(*disk_pair(nu / 10), 2)[0])
+             for nu in range(5, 14)]
+    for run in runs:
+        sols = []
+        for path in ("dense", "plan"):
+            with monkeypatch.context() as mp:
+                _force_path(mp, path)
+                sols.append(run())
+        dense, plan = sols
+        assert dense.status is plan.status
+        assert dense.reliable == plan.reliable
+        if plan.reliable:
+            assert abs(dense.value - plan.value) <= 1e-7 * (1.0 + abs(plan.value))
 
 
 def test_probe_is_unknown_when_the_solve_is_oversize(monkeypatch):
