@@ -193,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--samples", type=int, default=400)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--no-refute", action="store_true",
-                   help="skip the sampling refutation pass")
+                   help="skip the boundary points, the solution points "
+                   "and the sampling search")
     c.add_argument("--json", action="store_true")
     c.set_defaults(fn=_cmd_check)
 

@@ -95,6 +95,7 @@ returned iterate may be used is decided in one place,
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -344,10 +345,9 @@ class _DenseBlock:
         # R^-1 = lam^-1/2 U' Ls', both without a triangular solve.  ``frame``
         # stacks R^-1 and R', the maps of the two sides into the frame;
         # ``isqrt`` is 1 / sqrt(lam_i lam_j).
-        lx = np.linalg.cholesky(x)
-        ls = np.linalg.cholesky(s)
+        lx, ls = np.linalg.cholesky(np.stack((x, s)))
         u, sv, vt = np.linalg.svd(_t(ls) @ lx)
-        if np.any(sv <= 0):
+        if (sv <= 0).any():
             raise np.linalg.LinAlgError("vanishing singular value in scaling")
         root = np.sqrt(sv)
         r = (lx @ _t(vt)) / root[..., None, :]
@@ -360,18 +360,15 @@ class _DenseBlock:
         out = w @ m @ w
         return (out + _t(out)) / 2.0
 
-    def to_frame(self, sc, dx, ds):
-        """R^-1 dX R^-T and R' dS R, stacked: the directions in the NT frame."""
+    def frame_step(self, sc, dx, ds):
+        """The directions in the NT frame, R^-1 dX R^-T and R' dS R stacked
+        as dhat, and the largest alpha keeping lam + alpha dhat psd on both
+        sides of every block (inf if there is no boundary):
+        -1 / lam_min(lam^-1/2 dhat lam^-1/2)."""
         f = sc["frame"]
-        return f @ np.stack((dx, ds)) @ _t(f)
-
-    def max_step(self, sc, dhat):
-        """Largest alpha keeping lam + alpha dhat psd on both sides of every
-        block (inf if there is no boundary): -1 / lam_min(lam^-1/2 dhat lam^-1/2)."""
-        lam_min = float(np.min(np.linalg.eigvalsh(dhat * sc["isqrt"])[..., 0]))
-        if lam_min >= -1e-14:
-            return np.inf
-        return -1.0 / lam_min
+        dhat = f @ np.stack((dx, ds)) @ _t(f)
+        lam_min = float(np.linalg.eigvalsh(dhat * sc["isqrt"])[..., 0].min())
+        return dhat, (np.inf if lam_min >= -1e-14 else -1.0 / lam_min)
 
     def corrector(self, sc, dhat, target):
         """R (target lam^-1 - E) R' for the predictor's frame directions
@@ -394,22 +391,18 @@ class _DiagBlock:
 
     def nt_scaling(self, x, s):
         # here ``w`` is W itself, R = W^1/2
-        if np.any(x <= 0) or np.any(s <= 0):
+        if (x <= 0).any() or (s <= 0).any():
             raise np.linalg.LinAlgError("nonpositive diagonal entry")
         return {"w": np.sqrt(x / s), "lam": np.sqrt(x * s)}
 
     def congruence(self, w, m):
         return w * m * w
 
-    def to_frame(self, sc, dx, ds):
-        return np.stack((dx / sc["w"], sc["w"] * ds))
-
-    def max_step(self, sc, dhat):
+    def frame_step(self, sc, dx, ds):
         # the ratio test: dhat / lam is dx / x and ds / s
-        worst = float(np.min(dhat / sc["lam"]))
-        if worst >= -1e-14:
-            return np.inf
-        return -1.0 / worst
+        dhat = np.stack((dx / sc["w"], sc["w"] * ds))
+        worst = float((dhat / sc["lam"]).min())
+        return dhat, (np.inf if worst >= -1e-14 else -1.0 / worst)
 
     def corrector(self, sc, dhat, target):
         e = dhat[0] * dhat[1] / sc["lam"]
@@ -753,15 +746,26 @@ def _dense_schur(rows, scal, out):
     return out
 
 
+def _norm(v):
+    """The 2-norm of a vector, sqrt(v'v) as np.linalg.norm forms it, without
+    its argument handling."""
+    return math.sqrt(v @ v)
+
+
 def _chol_with_jitter(mat):
-    jitter = 0.0
-    scale = float(np.max(np.abs(np.diag(mat)))) or 1.0
-    for attempt in range(4):
+    """The Cholesky factor of mat, else of mat plus a jitter of 1e-13, 1e-11
+    and then 1e-9 times its largest diagonal entry on the diagonal."""
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        pass
+    scale = float(np.abs(mat.diagonal()).max()) or 1.0
+    jitter = scale * 1e-13
+    for _ in range(3):
         try:
-            return np.linalg.cholesky(
-                mat if attempt == 0 else mat + jitter * np.eye(mat.shape[0]))
+            return np.linalg.cholesky(mat + jitter * np.eye(mat.shape[0]))
         except np.linalg.LinAlgError:
-            jitter = scale * (1e-13 if attempt == 0 else jitter / scale * 100.0)
+            jitter = scale * (jitter / scale * 100.0)
     raise np.linalg.LinAlgError("Schur complement factorization failed")
 
 
@@ -812,14 +816,6 @@ def solve(problem: SdpProblem) -> SdpSolution:
     starts = dict(zip(order, np.cumsum([0] + [_block_veclen(sizes[bi]) for bi in order])))
 
     m = problem.m
-
-    def views(v):
-        return [v[sl].reshape(shape) for _, sl, shape in classes]
-
-    def per_class(fn, *parts):
-        """fn(op, *items) for every class, joined into one flat vector."""
-        return np.concatenate([np.ravel(fn(op, *items))
-                               for (op, _, _), *items in zip(classes, *parts)])
 
     def blocks(v):
         """The blocks of a flat vector, in the problem's block order."""
@@ -885,8 +881,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
     b = problem.b / sigma_b
     c = np.concatenate([problem.c_blocks[bi].ravel() for bi in order]) / sigma_c
     nu = problem.cone_dim + 1.0
-    norm_b = float(np.linalg.norm(b))
-    norm_c = float(np.linalg.norm(c))
+    norm_b = _norm(b)
+    norm_c = _norm(c)
 
     def converged(primal_res, dual_res, gap_rel, **_):
         return primal_res <= _TOL_FEAS and dual_res <= _TOL_FEAS and gap_rel <= _TOL_GAP
@@ -905,8 +901,8 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
         # the de-homogenized, de-scaled residuals the caller will see are
         # the homogeneous ones times a scalar
-        primal_res = sigma_b / tau * float(np.linalg.norm(p_res)) / norm_b_res
-        dual_res = sigma_c / tau * float(np.linalg.norm(d_res)) / norm_c_res
+        primal_res = sigma_b / tau * _norm(p_res) / norm_b_res
+        dual_res = sigma_c / tau * _norm(d_res) / norm_c_res
         pobj = sigma_b * sigma_c / tau * cx
         dobj = sigma_b * sigma_c / tau * by
         gap_rel = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
@@ -926,7 +922,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
         # infeasibility certificates from the homogeneous iterate
         if by > 0:
-            ray_norm = float(np.linalg.norm(aty + s))
+            ray_norm = _norm(aty + s)
             if (ray_norm / by <= _TOL_FEAS * (1.0 + norm_c)
                     and tau <= 1e-6 * max(1.0, kappa)):
                 by_base = sigma_b * by
@@ -936,7 +932,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
                               "primal infeasibility certified by dual ray",
                               (np.zeros_like(x), y / by_base, s / by_base, cert))
         if cx < 0:
-            ax_norm = float(np.linalg.norm(ax))
+            ax_norm = _norm(ax)
             if (ax_norm / (-cx) <= _TOL_FEAS * (1.0 + norm_b)
                     and tau <= 1e-6 * max(1.0, kappa)):
                 cx_base = sigma_c * cx
@@ -951,11 +947,10 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
         # NT scaling
         try:
-            scal = [op.nt_scaling(xv, sv)
-                    for (op, _, _), xv, sv in zip(classes, views(x), views(s))]
+            scal = [op.nt_scaling(x[sl].reshape(shape), s[sl].reshape(shape))
+                    for op, sl, shape in classes]
         except np.linalg.LinAlgError:
             return give_up(SolveStatus.INACCURATE, "iterate left the cone interior")
-        ws = [sc["w"] for sc in scal]
 
         # the last iteration's factor goes before this one's is formed
         l_schur = upper = None
@@ -973,7 +968,11 @@ def solve(problem: SdpProblem) -> SdpSolution:
             return dpotrs(upper, np.asarray_chkfinite(rhs), lower=0)[0]
 
         def congruence(v):
-            return per_class(lambda op, w, vb: op.congruence(w, vb), ws, views(v))
+            """W V W for every class, written into one flat vector."""
+            out = np.empty(v.size)
+            for (op, sl, shape), sc in zip(classes, scal):
+                out[sl] = op.congruence(sc["w"], v[sl].reshape(shape)).ravel()
+            return out
 
         wcw = congruence(c)
         v_vec = a_mat @ wcw
@@ -1022,18 +1021,18 @@ def solve(problem: SdpProblem) -> SdpSolution:
             return (dx + congruence(at_ey) - wcw * et, dy + ey,
                     ds + c * et - at_ey, dtau + et, dkappa - kappa * et / tau)
 
-        def max_step(hats):
-            return min(op.max_step(sc, hb) for (op, _, _), sc, hb in zip(classes, scal, hats))
-
-        def frame(dx, ds):
-            return [op.to_frame(sc, dxv, dsv) for (op, _, _), sc, dxv, dsv
-                    in zip(classes, scal, views(dx), views(ds))]
+        def framed(dx, ds):
+            """Every class's directions in the NT frame, and the largest step
+            that keeps every class in its cone."""
+            hats = [op.frame_step(sc, dx[sl].reshape(shape), ds[sl].reshape(shape))
+                    for (op, sl, shape), sc in zip(classes, scal)]
+            return [hat for hat, _ in hats], min(step for _, step in hats)
 
         # predictor; its directions in the NT frame also give the corrector
         dxa, dya, dsa, dtaua, dkappaa = newton_dir(-x, -tau * kappa)
-        hat_a = frame(dxa, dsa)
+        hat_a, step_a = framed(dxa, dsa)
 
-        alpha_aff = min(1.0, max_step(hat_a))
+        alpha_aff = min(1.0, step_a)
         if dtaua < 0:
             alpha_aff = min(alpha_aff, -tau / dtaua)
         if dkappaa < 0:
@@ -1043,19 +1042,20 @@ def solve(problem: SdpProblem) -> SdpSolution:
                   + (tau + alpha_aff * dtaua) * (kappa + alpha_aff * dkappaa)) / nu
         sigma = min(0.99999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
-        # corrector in the NT frame
-        r4 = per_class(lambda op, sc, hb: op.corrector(sc, hb, sigma * mu),
-                       scal, hat_a) - x
+        # corrector in the NT frame, written classwise into -x
+        r4 = -x
+        for (op, sl, _), sc, hb in zip(classes, scal, hat_a):
+            r4[sl] += op.corrector(sc, hb, sigma * mu).ravel()
         r5 = sigma * mu - tau * kappa - dtaua * dkappaa
 
         # refined on both equations, then on the primal one that dtau's correction disturbs
         direction = newton_dir(r4, r5)
         e1, e3 = leftover(*direction)
-        if np.linalg.norm(e1) > _TOL_FEAS * np.linalg.norm(r1) or abs(e3) > _TOL_FEAS * abs(r3):
+        if _norm(e1) > _TOL_FEAS * _norm(r1) or abs(e3) > _TOL_FEAS * abs(r3):
             direction = refine(refine(direction, True), False)
         dx, dy, ds, dtau, dkappa = direction
 
-        alpha = min(1.0 / _STEP_FRAC, max_step(frame(dx, ds)))
+        alpha = min(1.0 / _STEP_FRAC, framed(dx, ds)[1])
         if dtau < 0:
             alpha = min(alpha, -tau / dtau)
         if dkappa < 0:

@@ -5,10 +5,13 @@ then, with refute=True, the boundary points of the reduced inner set on
 chords through the origin (sampling.boundary_witness); a confirmed one
 refutes at once with method "boundary", and no relaxation is built.  A
 request above the bottom of the hierarchy (moment, or sos at order >= 1)
-then solves the order-0 Gram program, the cheapest certificate; when it
-certifies, the verdict is Certified with method "sos" and order 0 and the
-requested relaxation is never built, otherwise its reading goes to
-details["order0"].  Otherwise the requested one of the three
+then solves the order-0 Gram program, the cheapest certificate.  When it
+certifies, the verdict is Certified with method "sos" and order 0; with
+refute=True, when the x part of its solution (the first moments of its
+dual) is a confirmed point, the verdict is Refuted with method "sos",
+order 0 and witness source "solution".  Either way the requested
+relaxation is never built.  A stage that decides nothing leaves its
+reading in details["order0"].  Otherwise the requested one of the three
 semidefinite machines runs on the reduced pair, then a refutation pass
 when the bound comes back negative or unreliable.  The pass tries
 witness sources in order: first the x part of the machine's own solution
@@ -134,14 +137,15 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
     tried before any machine runs.  A moment request, or an sos request at
     order >= 1, first tries the order-0 Gram certificate and returns its
     Certified verdict (method "sos", order 0) without building the
-    requested relaxation; when it does not certify, its value and solve
-    status are kept in details["order0"].  The verdict's method, order and
-    value are those of the stage that decided.  A negative or failed bound
-    of the requested machine triggers a refutation pass: the machine's own
-    solution point first, the sampling search only if that point is not
-    confirmed.  Only a confirmed point yields Refuted.  An order below the
-    requested relaxation's least (2 for moment, 0 for sos) raises
-    OrderTooSmall before anything runs.
+    requested relaxation; with refute=True, a confirmed solution point of
+    that program returns Refuted from the same stage.  Otherwise its value
+    and solve status are kept in details["order0"].  The verdict's method,
+    order and value are those of the stage that decided.  A negative or
+    failed bound of the requested machine triggers a refutation pass: the
+    machine's own solution point first, the sampling search only if that
+    point is not confirmed.  Only a confirmed point yields Refuted.  An
+    order below the requested relaxation's least (2 for moment, 0 for sos)
+    raises OrderTooSmall before anything runs.
     """
     if method not in _METHODS:
         raise InvalidInput(f"unknown method {method!r}, expected {_METHODS}")
@@ -204,11 +208,16 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
     if method == "moment" or (method == "sos" and order >= 1):
         # the order-0 Gram program is the bottom of both hierarchies and the
         # cheapest certificate; when it certifies, the requested relaxation
-        # is never built.  Its solution point is not used for refutation.
-        det, certified, _ = _bound(ar, br, "sos", 0, r, R, tol)
+        # is never built, and neither is it when the stage's point refutes
+        det, certified, point = _bound(ar, br, "sos", 0, r, R, tol)
         if certified:
             return Verdict("Certified", det["value"], 0, "sos", None,
                            {**details, **det})
+        if refute and point is not None:
+            hit = confirm_witness(a, b, to_original(point), tol)
+            if hit is not None:
+                return Verdict("Refuted", det["value"], 0, "sos", hit,
+                               {**details, **det, "witness_source": "solution"})
         details["order0"] = {"value": det["value"],
                              "solve_status": det["solve_status"]}
 

@@ -79,6 +79,23 @@ def test_check_json_emits_details(tmp_path, capsys):
     assert len(payload["witness"]["x"]) == 2
 
 
+def test_check_json_names_the_order0_point(tmp_path, capsys):
+    prefix = str(tmp_path / "rand")
+    main(["gen", "random", "--seed", "11", "--out", prefix])
+    capsys.readouterr()
+    code = main(["check", prefix + "_a.json", prefix + "_b.json", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    # the boundary points miss; the order-0 Gram program's point refutes, so
+    # the order-2 relaxation is never built
+    assert payload["status"] == "Refuted"
+    assert (payload["method"], payload["order"]) == ("sos", 0)
+    assert payload["details"]["witness_source"] == "solution"
+    assert "order0" not in payload["details"]
+    assert len(payload["witness"]["x"]) == 3
+    assert payload["witness"]["b_margin"] < -payload["details"]["tolerance"]
+
+
 def test_check_json_arrays_and_non_finite_values(tmp_path, capsys):
     # lineality mismatch: details carry the direction array
     inner = pencil([np.eye(2), np.zeros((2, 2))])

@@ -637,14 +637,14 @@ def test_scaled_step_matches_cholesky_reference(seed):
     for _ in range(3):
         d = _sym(rng, n)
         # each side alone, the other moving along a psd direction
-        got_x = op.max_step(sc, op.to_frame(sc, d, psd))
-        got_s = op.max_step(sc, op.to_frame(sc, psd, d))
+        got_x = op.frame_step(sc, d, psd)[1]
+        got_s = op.frame_step(sc, psd, d)[1]
         assert got_x == pytest.approx(_cholesky_step(x, d), rel=1e-10)
         assert got_s == pytest.approx(_cholesky_step(s, d), rel=1e-10)
-        both = op.max_step(sc, op.to_frame(sc, d, -d))
+        both = op.frame_step(sc, d, -d)[1]
         assert both == pytest.approx(
             min(_cholesky_step(x, d), _cholesky_step(s, -d)), rel=1e-10)
-    assert op.max_step(sc, op.to_frame(sc, psd, psd)) == np.inf
+    assert op.frame_step(sc, psd, psd)[1] == np.inf
     # R lam^-1 R' is S^-1: the corrector with a zero predictor term
     sinv = op.corrector(sc, np.zeros((2, n, n)), 1.0)
     np.testing.assert_allclose(sinv, np.linalg.inv(s), rtol=0,
@@ -654,9 +654,9 @@ def test_scaled_step_matches_cholesky_reference(seed):
     xd, sd = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
     dd = rng.normal(size=n)
     scd = diag.nt_scaling(xd, sd)
-    assert diag.max_step(scd, diag.to_frame(scd, dd, np.ones(n))) == pytest.approx(
+    assert diag.frame_step(scd, dd, np.ones(n))[1] == pytest.approx(
         -1.0 / np.min(dd / xd), rel=1e-12)
-    assert diag.max_step(scd, diag.to_frame(scd, np.ones(n), np.ones(n))) == np.inf
+    assert diag.frame_step(scd, np.ones(n), np.ones(n))[1] == np.inf
     np.testing.assert_allclose(diag.corrector(scd, np.zeros((2, n)), 1.0), 1.0 / sd,
                                rtol=1e-12)
 
@@ -676,7 +676,7 @@ def test_stacked_ops_match_per_block_ops(nb, n):
     dx = np.stack([_sym(rng, n) for _ in range(nb)])
     ds = np.stack([_sym(rng, n) for _ in range(nb)])
     sc = op.nt_scaling(x, s)
-    hat = op.to_frame(sc, dx, ds)
+    hat, step = op.frame_step(sc, dx, ds)
     corr = op.corrector(sc, hat, 0.7)
     cong = op.congruence(sc["w"], dx)
     steps = []
@@ -684,12 +684,12 @@ def test_stacked_ops_match_per_block_ops(nb, n):
         sci = op.nt_scaling(x[i], s[i])
         assert _rel_close(sc["w"][i], sci["w"])
         assert _rel_close(sc["lam"][i], sci["lam"])
-        hat_i = op.to_frame(sci, dx[i], ds[i])
+        hat_i, step_i = op.frame_step(sci, dx[i], ds[i])
         assert _rel_close(hat[:, i], hat_i)
         assert _rel_close(corr[i], op.corrector(sci, hat_i, 0.7))
         assert _rel_close(cong[i], op.congruence(sci["w"], dx[i]))
-        steps.append(op.max_step(sci, hat_i))
-    assert op.max_step(sc, hat) == pytest.approx(min(steps), rel=1e-12)
+        steps.append(step_i)
+    assert step == pytest.approx(min(steps), rel=1e-12)
 
     # diagonal blocks merged into one class act as the blocks one by one
     sizes = (2, 3)
@@ -697,19 +697,51 @@ def test_stacked_ops_match_per_block_ops(nb, n):
     dxd, dsd = rng.normal(size=5), rng.normal(size=5)
     merged = sdpcore._DiagBlock(5)
     scd = merged.nt_scaling(xd, sd)
-    hatd = merged.to_frame(scd, dxd, dsd)
+    hatd, stepd = merged.frame_step(scd, dxd, dsd)
     corrd = merged.corrector(scd, hatd, 0.7)
     lo, parts = 0, []
     for size in sizes:
         part = sdpcore._DiagBlock(size)
         cut = slice(lo, lo + size)
         sci = part.nt_scaling(xd[cut], sd[cut])
-        hat_i = part.to_frame(sci, dxd[cut], dsd[cut])
+        hat_i, step_i = part.frame_step(sci, dxd[cut], dsd[cut])
         np.testing.assert_array_equal(hatd[:, cut], hat_i)
         np.testing.assert_array_equal(corrd[cut], part.corrector(sci, hat_i, 0.7))
-        parts.append(part.max_step(sci, hat_i))
+        parts.append(step_i)
         lo += size
-    assert merged.max_step(scd, hatd) == min(parts)
+    assert stepd == min(parts)
+
+
+def test_chol_with_jitter_factors_a_singular_psd_matrix():
+    v = np.array([1.0, 2.0, -1.0])
+    mat = np.outer(v, v)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(mat)
+    low = sdpcore._chol_with_jitter(mat)
+    # the first jitter is 1e-13 of the largest diagonal entry, 4
+    np.testing.assert_allclose(low @ low.T, mat + 4e-13 * np.eye(3), rtol=0,
+                               atol=1e-12)
+    with pytest.raises(np.linalg.LinAlgError):
+        sdpcore._chol_with_jitter(-np.eye(3))
+
+
+@pytest.mark.parametrize("side", ["x", "s"])
+def test_nt_scaling_rejects_an_iterate_outside_the_cone(side):
+    # "iterate left the cone interior" rests on these errors
+    rng = np.random.default_rng(3)
+    op = sdpcore._DenseBlock(4)
+    x = np.stack([_pd(rng, 4, 1.0) for _ in range(3)])
+    s = np.stack([_pd(rng, 4, 1.0) for _ in range(3)])
+    bad = x if side == "x" else s
+    bad[1] = -bad[1]
+    with pytest.raises(np.linalg.LinAlgError):
+        op.nt_scaling(x, s)
+
+    diag = sdpcore._DiagBlock(5)
+    xd, sd = rng.uniform(0.5, 2.0, 5), rng.uniform(0.5, 2.0, 5)
+    (xd if side == "x" else sd)[2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        diag.nt_scaling(xd, sd)
 
 
 def _permuted(prob, perm):

@@ -347,14 +347,15 @@ def _order0_certified_pairs():
     return [disk_pair(0.5), disk_pair(0.7), ball, random_pair(2)]
 
 
+def _no_lift_above_order0(a, b, t=0):
+    assert t == 0, "the requested relaxation should not be built"
+    return lambda_sos(a, b, t)
+
+
 @pytest.mark.parametrize("method, order", [("moment", 2), ("moment", 3), ("sos", 1)])
 def test_order0_certificate_spares_the_requested_machine(monkeypatch, method, order):
-    def no_lift(a, b, t=0):
-        assert t == 0, "the requested relaxation should not be built"
-        return lambda_sos(a, b, t)
-
     monkeypatch.setattr(verdict, "solve_mu_mom", _no_relaxation)
-    monkeypatch.setattr(verdict, "lambda_sos", no_lift)
+    monkeypatch.setattr(verdict, "lambda_sos", _no_lift_above_order0)
     for a, b in _order0_certified_pairs():
         v = check_containment(a, b, order=order, method=method)
         assert v.status == "Certified"
@@ -421,15 +422,91 @@ def test_inconclusive_verdict_reports_the_order0_bound():
     assert v.value == v.details["value"] == solve_mu_mom(*disk_pair(0.9), 2).value
 
 
+def _withhold_order0_point(monkeypatch):
+    """Let the order-0 stage run but hand back no solution point."""
+    real = verdict._bound
+
+    def bound(a, b, method, order, *rest):
+        det, certified, point = real(a, b, method, order, *rest)
+        return det, certified, None if (method, order) == ("sos", 0) else point
+
+    monkeypatch.setattr(verdict, "_bound", bound)
+
+
 def test_order0_stage_keeps_every_status():
     pairs = [(a, b) for a, b, *_ in criterion6_balls()]
     pairs += [disk_pair(nu / 10) for nu in range(5, 14)]
     pairs += [random_pair(seed) for seed in range(1, 31)]
     for method, order in (("moment", 2), ("sos", 1)):
-        staged = [check_containment(a, b, order=order, method=method).status
-                  for a, b in pairs]
+        def statuses():
+            return [check_containment(a, b, order=order, method=method).status
+                    for a, b in pairs]
+
+        staged = statuses()
         with pytest.MonkeyPatch.context() as m:
             _bypass_order0(m)
-            bypassed = [check_containment(a, b, order=order, method=method).status
-                        for a, b in pairs]
-        assert staged == bypassed
+            assert statuses() == staged
+        # the stage's point may only refute what would stay Inconclusive
+        with pytest.MonkeyPatch.context() as m:
+            _withhold_order0_point(m)
+            withheld = statuses()
+        for got, before in zip(staged, withheld):
+            assert got == before or (before, got) == ("Inconclusive", "Refuted")
+
+
+def _assert_confirmed(v, a, b):
+    x = v.witness["x"]
+    assert len(x) == a.n
+    assert float(np.linalg.eigvalsh(a.evaluate(x).mat).min()) >= -1e-9
+    assert float(np.linalg.eigvalsh(b.evaluate(x).mat).min()) < -certification_tolerance(b)
+
+
+# pairs that the boundary points miss and the order-0 stage's point refutes
+_ORDER0_REFUTED = [11, 2021, 3006]
+
+
+@pytest.mark.parametrize("seed", _ORDER0_REFUTED)
+@pytest.mark.parametrize("method, order", [("moment", 2), ("moment", 3), ("sos", 1)])
+def test_order0_point_refutes_before_the_requested_machine(monkeypatch, seed,
+                                                           method, order):
+    monkeypatch.setattr(verdict, "solve_mu_mom", _no_relaxation)
+    monkeypatch.setattr(verdict, "lambda_sos", _no_lift_above_order0)
+    monkeypatch.setattr(verdict, "refutation_search", _no_search)
+    a, b = random_pair(seed)
+    v = check_containment(a, b, order=order, method=method)
+    assert v.status == "Refuted"
+    assert (v.method, v.order) == ("sos", 0)
+    assert v.details["witness_source"] == "solution"
+    assert v.value == v.details["value"] < 0
+    assert "order0" not in v.details
+    _assert_confirmed(v, a, b)
+
+
+def _with_unused_variable(p):
+    """p with a new first variable that no coefficient uses."""
+    c = [m.mat for m in p.coeffs]
+    return pencil([c[0], np.zeros_like(c[0]), *c[1:]])
+
+
+def test_order0_point_is_mapped_back_through_the_lineality_split(monkeypatch):
+    monkeypatch.setattr(verdict, "solve_mu_mom", _no_relaxation)
+    a, b = (_with_unused_variable(p) for p in random_pair(11))
+    v = check_containment(a, b)
+    assert (v.status, v.method, v.order) == ("Refuted", "sos", 0)
+    assert v.details["lineality_dim"] == 1
+    assert v.details["witness_source"] == "solution"
+    _assert_confirmed(v, a, b)
+
+
+def test_refute_false_confirms_no_order0_point(monkeypatch):
+    def no_confirm(*args):
+        raise AssertionError("no point should be confirmed")
+
+    pair = random_pair(11)
+    monkeypatch.setattr(verdict, "confirm_witness", no_confirm)
+    origins = _count_solves(monkeypatch)
+    v = check_containment(*pair, refute=False)
+    assert origins == ["sos_gram", "containment_moment"]
+    assert (v.status, v.method, v.order) == ("Inconclusive", "moment", 2)
+    assert v.details["order0"]["solve_status"] == "optimal"
+
