@@ -183,19 +183,26 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("inner", help="pencil JSON of the inner set")
     c.add_argument("outer", help="pencil JSON of the outer set")
     c.add_argument("--method", choices=("moment", "sos", "sdfp"),
-                   default="moment")
+                   default="moment",
+                   help="machine of the requested bound: the moment or "
+                   "sos hierarchy, or the block certificate (sdfp)")
     c.add_argument("--order", type=int, default=2,
                    help="order of the requested relaxation; order 0 of the "
                    "sos hierarchy is tried first, and the verdict's method, "
                    "order and value name the stage that decided")
-    c.add_argument("--r", type=float, default=1.0)
-    c.add_argument("--R", type=float, default=2.0)
-    c.add_argument("--samples", type=int, default=400)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--r", type=float, default=1.0,
+                   help="inner radius of the moment machine's annulus r <= |z|")
+    c.add_argument("--R", type=float, default=2.0,
+                   help="outer radius of the moment machine's annulus |z| <= R")
+    c.add_argument("--samples", type=int, default=400,
+                   help="hit-and-run points of the sampling search")
+    c.add_argument("--seed", type=int, default=0,
+                   help="seed of the boundary chords and the sampling search")
     c.add_argument("--no-refute", action="store_true",
                    help="skip the boundary points, the solution points "
                    "and the sampling search")
-    c.add_argument("--json", action="store_true")
+    c.add_argument("--json", action="store_true",
+                   help="print the verdict as one JSON object instead of text")
     c.set_defaults(fn=_cmd_check)
 
     s = sub.add_parser("shrink", help="largest certified shrink factor")

@@ -17,15 +17,22 @@ lambda of U v = lambda A(x) v, so each step costs one LAPACK call (dsygv:
 one Cholesky factorization of A(x) and one small eigenvalue problem).  A
 point where A(x) does not factor gets the empty chord and the walk stays
 put.  The smallest eigenvalue of B at all sample points comes from one
-stacked eigvalsh over the same flattened coefficients, and so do the
-margins that the polish evaluates; confirm_witness is the one rule that
-turns a point into a witness, checked on the pencils themselves.
+stacked eigvalsh over the same flattened coefficients; confirm_witness is
+the one rule that turns a point into a witness, checked on the pencils
+themselves.
+
+The polish is Nelder-Mead (Nelder and Mead 1965) on a penalized margin,
+each margin one dsyevd call.  _nelder_mead is an in-package copy of
+scipy.optimize's non-adaptive, unbounded variant, step for step, so it
+returns scipy's points bit for bit.  Owning it keeps scipy.optimize, which
+loads about 200 more modules, out of every process that runs a search,
+and keeps the polish from changing with the installed scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dsygv
+from scipy.linalg.lapack import dsyevd, dsygv
 
 from .errors import InvalidInput, NoInteriorPoint
 from .pencil import LinearPencil
@@ -38,6 +45,13 @@ WITNESS_FEAS_TOL = 1e-9
 # The walk discards its first _BURN steps and keeps every _THIN-th after.
 _BURN = 50
 _THIN = 3
+
+# The Nelder-Mead polish runs at most _POLISH_ITER iterations per variable
+# and stops once the simplex spans at most _POLISH_XATOL in every coordinate
+# and _POLISH_FATOL in value.
+_POLISH_ITER = 400
+_POLISH_XATOL = 1e-10
+_POLISH_FATOL = 1e-12
 
 # A chord with no end on one side (a recession direction) is cut here.
 _CHORD_CAP = 1e6
@@ -184,15 +198,105 @@ def mu_grid(a: LinearPencil, b: LinearPencil, r: float = 1.0, R: float = 2.0,
     return float(np.min(vals, initial=np.inf))
 
 
+def _penalized_margin(flat_a, flat_b):
+    """The polish objective: lambda_min(B(x)) + 1e4 * max(0, -lambda_min(A(x))).
+
+    Each margin is one dsyevd call on the flattened pencil at x, which gives
+    eigvalsh's eigenvalues on these exactly symmetric matrices.
+    """
+    def margin(a0, f, x):
+        k = a0.shape[0]
+        w, _, info = dsyevd(a0 + (x @ f.T).reshape(k, k), compute_v=0, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return float(w[0])
+
+    def objective(x):
+        return margin(*flat_b, x) + 1e4 * max(0.0, -margin(*flat_a, x))
+    return objective
+
+
+def _nelder_mead(func, x0, maxiter: int, xatol: float,
+                 fatol: float) -> np.ndarray:
+    """Best vertex of a Nelder-Mead minimization of func from x0.
+
+    Step for step scipy.optimize.minimize(method="Nelder-Mead") with
+    adaptive=False, no bounds, and maxiter, xatol and fatol as given: the
+    same initial simplex, coefficients, trial points and reordering, and no
+    cap on evaluations.  func must not modify its argument.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([func(v) for v in sim])
+    # scipy sorts the initial simplex twice; argsort need not be stable
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = func(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            shrink = False
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = func(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:  # inside contraction
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = func(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0]
+
+
 def refutation_search(a: LinearPencil, b: LinearPencil, tol: float = 1e-7,
                       samples: int = 400, seed: int = 0,
                       x0: np.ndarray | None = None) -> dict | None:
     """Search for x with A(x) psd and B(x) not psd.
 
     The walk starts at x0, a strictly feasible point of S_A, or at
-    interior_point(a) when x0 is None.  Returns confirm_witness's dict for a
-    confirmed witness, None otherwise; unconfirmed negatives are never
-    reported.
+    interior_point(a) when x0 is None.  The three samples with the smallest
+    B-margin are tried as they are, then polished by _nelder_mead, scipy's
+    Nelder-Mead copied step for step so that the package never imports
+    scipy.optimize, on lambda_min(B) plus a penalty of 1e4 times A's
+    violation; a polished point outside S_A is pulled back toward its
+    sample.  Returns confirm_witness's dict for a confirmed witness, None
+    otherwise; unconfirmed negatives are never reported.
     """
     points = sample_spectrahedron(a, samples, seed=seed, x0=x0)
     flat_a, flat_b = _flatten(a), _flatten(b)
@@ -203,27 +307,19 @@ def refutation_search(a: LinearPencil, b: LinearPencil, tol: float = 1e-7,
         if hit is not None:
             return hit
 
-    # penalized local descent from the most negative candidates; imported
-    # here so that importing the package does not load scipy.optimize
-    from scipy import optimize
-
-    def objective(x):
-        am = float(_margins(*flat_a, x))
-        bm = float(_margins(*flat_b, x))
-        return bm + 1e4 * max(0.0, -am)
-
+    # penalized local descent from the most negative candidates
+    objective = _penalized_margin(flat_a, flat_b)
     for idx in order[:3]:
-        res = optimize.minimize(objective, points[idx], method="Nelder-Mead",
-                                options={"maxiter": 400 * a.n,
-                                         "xatol": 1e-10, "fatol": 1e-12})
-        hit = confirm_witness(a, b, res.x, tol)
+        x = _nelder_mead(objective, points[idx], _POLISH_ITER * a.n,
+                         _POLISH_XATOL, _POLISH_FATOL)
+        hit = confirm_witness(a, b, x, tol)
         if hit is not None:
             return hit
         # pull slightly inside A if the polish drifted out
-        if _margins(*flat_a, res.x) < 0:
+        if _margins(*flat_a, x) < 0:
             base = points[idx]
             for frac in (0.999, 0.99, 0.9, 0.5):
-                cand = base + frac * (res.x - base)
+                cand = base + frac * (x - base)
                 hit = confirm_witness(a, b, cand, tol)
                 if hit is not None:
                     return hit

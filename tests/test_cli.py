@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spectracon import sdpcore
-from spectracon.cli import main
+from spectracon.cli import build_parser, main
 from spectracon.families import disk_pair
 from spectracon.momrelax import solve_mu_mom
 from spectracon.pencil import (elliptope_pencil, ellipsoid_pencil, load_pencil, pencil,
@@ -256,3 +256,9 @@ def test_radius_without_a_reliable_bound_exits_70(tmp_path, capsys, monkeypatch)
     assert "no reliable bound (order 2, inaccurate)" in out
     assert "exceeds the dense Schur limit of 5" in out
     assert "<=" not in out
+
+
+def test_check_options_all_have_help():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    check = sub.choices["check"]
+    assert all(action.help for action in check._actions)

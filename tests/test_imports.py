@@ -48,11 +48,56 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_package_import_leaves_scipy_optimize_out():
-    # only refutation_search's polish uses it, and imports it there
+def _run_in_package(code: str) -> str:
+    """Standard output of ``code`` run by a fresh interpreter on ``src``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_package_import_leaves_scipy_optimize_out():
+    # no module of the package uses scipy.optimize (next two tests)
     code = "import sys, spectracon; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert _run_in_package(code).strip() == "False"
+
+
+def test_a_full_refutation_search_leaves_scipy_optimize_out():
+    # disk 0.9 is contained but its order-2 bound is negative, so the
+    # verdict walks and polishes before it gives up
+    code = """
+import sys
+from spectracon import check_containment
+from spectracon.families import disk_pair
+v = check_containment(*disk_pair(0.9))
+print(v.status, v.details["note"], sep="|")
+print("scipy.optimize" in sys.modules)
+"""
+    verdict, loaded = _run_in_package(code).strip().splitlines()
+    assert verdict == "Inconclusive|negative bound without a confirmed point"
+    assert loaded == "False"
+
+
+def imports_scipy_optimize(source: str) -> bool:
+    """Whether ``source`` imports scipy.optimize, a submodule or a name of it."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names += [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+    return any(n == "scipy.optimize" or n.startswith("scipy.optimize.") for n in names)
+
+
+def test_check_sees_scipy_optimize_imports():
+    for src in ("import scipy.optimize\n", "from scipy import optimize\n",
+                "from scipy.optimize import minimize\n",
+                "def f():\n    from scipy import optimize as o\n"):
+        assert imports_scipy_optimize(src)
+    assert not imports_scipy_optimize("import scipy.linalg\nfrom scipy import sparse\n")
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "spectracon").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_never_imports_scipy_optimize(path):
+    assert not imports_scipy_optimize(path.read_text())

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from scipy import optimize
 
 from builders import criterion6_balls, shifted_disks
 from spectracon.errors import InvalidInput
 from spectracon.families import ball_elliptope_pair, disk_pair, random_pair
 from spectracon.pencil import (ellipsoid_pencil, pencil, polytope_pencil,
                                random_pencil)
-from spectracon.sampling import (_CHORD_CAP, WITNESS_FEAS_TOL, _chord, _flatten,
-                                 _margins, boundary_witness, confirm_witness,
+from spectracon.sampling import (_CHORD_CAP, _POLISH_FATOL, _POLISH_ITER,
+                                 _POLISH_XATOL, WITNESS_FEAS_TOL, _chord, _flatten,
+                                 _margins, _nelder_mead, _penalized_margin,
+                                 boundary_witness, confirm_witness,
                                  eigen_margin, interior_point, mu_grid,
                                  refutation_search, sample_spectrahedron)
 from spectracon.symcore import min_eigenvalue
@@ -222,3 +225,117 @@ def test_boundary_witness_none_without_the_origin_inside():
     assert eigen_margin(a, np.zeros(2)) < 0
     assert boundary_witness(a, b, 1e-7, 0) is None
     assert refutation_search(a, b) is not None
+
+
+# -- the polish: scipy's Nelder-Mead, step for step, on exact margin reads
+
+DISKS = [disk_pair(nu) for nu in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2)]
+RANDOM_PAIRS = [random_pair(seed) for seed in range(1, 31)]
+
+
+def _margin_objective(flat_a, flat_b):
+    """The polish objective as it read its margins through _margins."""
+    def objective(x):
+        am = float(_margins(*flat_a, x))
+        bm = float(_margins(*flat_b, x))
+        return bm + 1e4 * max(0.0, -am)
+    return objective
+
+
+def test_penalized_margin_reads_the_margins_exactly():
+    balls = [(a, b) for a, b, *_ in criterion6_balls()]
+    assert len(balls) == 25
+    for a, b in DISKS + balls + RANDOM_PAIRS:
+        flat = (_flatten(a), _flatten(b))
+        got, want = _penalized_margin(*flat), _margin_objective(*flat)
+        points = sample_spectrahedron(a, 200, seed=2)
+        # twice a walk point may leave S_A, where the penalty counts
+        for x in np.vstack((points, 2.0 * points)):
+            assert got(x).hex() == want(x).hex()
+
+
+class _Logged:
+    """An objective that records the values it returns."""
+
+    def __init__(self, func):
+        self.func, self.values = func, []
+
+    def __call__(self, x):
+        value = self.func(x)
+        self.values.append(value)
+        return value
+
+
+def _branches(values, n):
+    """Nelder-Mead branches taken, replayed from the values of one run."""
+    fsim, i, seen = sorted(values[:n + 1]), n + 1, set()
+    while i < len(values):
+        fxr, shrink = values[i], False
+        if fxr < fsim[0]:
+            seen.add("expansion")
+            fsim[-1] = min(values[i + 1], fxr)
+            i += 2
+        elif fxr < fsim[-2]:
+            seen.add("reflection")
+            fsim[-1] = fxr
+            i += 1
+        elif fxr < fsim[-1]:
+            seen.add("outside contraction")
+            shrink = not values[i + 1] <= fxr
+            fsim[-1] = values[i + 1]
+            i += 2
+        else:
+            seen.add("inside contraction")
+            shrink = not values[i + 1] < fsim[-1]
+            fsim[-1] = values[i + 1]
+            i += 2
+        if shrink:
+            seen.add("shrink")
+            fsim[1:] = values[i:i + n]
+            i += n
+        fsim.sort()
+    assert i == len(values)
+    return seen
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def _terraces(x):
+    # flat steps, so trial values tie and the strict and weak tests differ
+    return float(np.floor(np.sum(x ** 2)))
+
+
+def _polish_corpus():
+    """(objective, start, maxiter): margin objectives from walk samples and
+    from the origin (a zero coordinate), Rosenbrock cut by maxiter, and a
+    terraced bowl whose values tie."""
+    cases = []
+    for a, b in DISKS + RANDOM_PAIRS:
+        objective = _penalized_margin(_flatten(a), _flatten(b))
+        starts = [*sample_spectrahedron(a, 20, seed=1)[::10], np.zeros(a.n)]
+        cases += [(objective, x0, _POLISH_ITER * a.n) for x0 in starts]
+    cases += [(_rosenbrock, np.array([-1.2, 1.0, 0.5]), 40),
+              (_rosenbrock, np.array([0.0, 2.0]), 25),
+              (_terraces, np.array([2.1, -2.8]), 200),
+              (_terraces, np.array([-2.4, 0.8, 2.6]), 200)]
+    return cases
+
+
+def test_nelder_mead_is_scipys_step_for_step():
+    branches, exits = set(), set()
+    for objective, x0, maxiter in _polish_corpus():
+        want = optimize.minimize(objective, x0, method="Nelder-Mead",
+                                 options={"maxiter": maxiter,
+                                          "xatol": _POLISH_XATOL,
+                                          "fatol": _POLISH_FATOL})
+        logged = _Logged(objective)
+        got = _nelder_mead(logged, x0, maxiter, _POLISH_XATOL, _POLISH_FATOL)
+        assert np.array_equal(got, want.x)
+        assert len(logged.values) == want.nfev
+        branches |= _branches(logged.values, len(x0))
+        exits.add(want.status)
+    assert branches == {"reflection", "expansion", "outside contraction",
+                        "inside contraction", "shrink"}
+    assert exits == {0, 2}  # the tolerance test and the iteration limit
