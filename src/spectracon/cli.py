@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--order", type=int, default=2,
                    help="order of the requested relaxation; order 0 of the "
                    "sos hierarchy is tried first, and the verdict's method, "
-                   "order and value name the stage that decided")
+                   "order and value name the rung that decided")
     c.add_argument("--r", type=float, default=1.0,
                    help="inner radius of the moment machine's annulus r <= |z|")
     c.add_argument("--R", type=float, default=2.0,

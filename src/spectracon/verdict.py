@@ -3,31 +3,26 @@
 check_containment runs the full pipeline: exact lineality preprocessing,
 then, with refute=True, the boundary points of the reduced inner set on
 chords through the origin (sampling.boundary_witness); a confirmed one
-refutes at once with method "boundary", and no relaxation is built.  A
-request above the bottom of the hierarchy (moment, or sos at order >= 1)
-then solves the order-0 Gram program, the cheapest certificate.  When it
-certifies, the verdict is Certified with method "sos" and order 0; with
-refute=True, when the x part of its solution (the first moments of its
-dual) is a confirmed point, the verdict is Refuted with method "sos",
-order 0 and witness source "solution".  Either way the requested
-relaxation is never built.  A stage that decides nothing leaves its
-reading in details["order0"].  Otherwise the requested one of the three
-semidefinite machines runs on the reduced pair, then a refutation pass
-when the bound comes back negative or unreliable.  The pass tries
-witness sources in order: first the x part of the machine's own solution
-(the first moments of the moment relaxation or of the Gram program's
-dual, the order-0 one for the block certificate), which is the minimizer
-whenever the relaxation is exact at a point mass; then, only if that
-point is not confirmed, a hit-and-run search of the inner set, which
-starts at the solution point when that is strictly inside it and solves
-a feasibility probe for a start point otherwise.
+refutes at once with method "boundary", and no relaxation is built.
+Then the verdict climbs a ladder of rungs on the reduced pair.  The
+bottom rung is the order-0 Gram program (method "sos", order 0), the
+solitary criterion and the cheapest certificate; a request above it
+(moment, or sos at order >= 1) adds its relaxation as the top rung.
+"sdfp" reads the same program as a block certificate (posmap.cp_sdfp)
+and is a ladder of that one rung.  Each rung runs through one call,
+_bound, which says whether it certifies; otherwise, with refute=True,
+the x part of the rung's solution (its first moments, the minimizer
+whenever the relaxation is exact at a point mass) refutes when
+confirm_witness confirms it.  A bottom rung that decides nothing leaves
+its reading in details["order0"].  After the top rung, a hit-and-run
+search of the inner set starts at that rung's point when it is strictly
+inside, and solves a feasibility probe for a start point otherwise.
 details["witness_source"] says which one refuted ("boundary", "solution"
 or "sampling").  Every verdict is one of Certified / Refuted /
-Inconclusive; Refuted always carries a point that confirm_witness
-confirmed, never just a negative bound.  A verdict's method, order and
-value always name the stage that decided.  Every machine runs through one
-call, _bound; a bound that is not reliable has value nan and carries its
-solve's message in details["solver_message"].
+Inconclusive; Refuted always carries a confirmed point, never just a
+negative bound.  A verdict's method, order and value name the rung that
+decided, or the top rung; a bound that is not reliable has value nan and
+carries its solve's message in details["solver_message"].
 """
 
 from __future__ import annotations
@@ -55,7 +50,7 @@ _TOL_FACTOR = 1e-7
 @dataclass(frozen=True)
 class Verdict:
     status: str          # Certified | Refuted | Inconclusive
-    value: float         # bound produced by the chosen machine
+    value: float         # bound of the rung that decided
     order: int | None
     method: str
     witness: dict | None
@@ -99,13 +94,18 @@ def _lineality_witness(a: LinearPencil, b: LinearPencil, direction, tol):
     return None
 
 
-def _bound(a: LinearPencil, b: LinearPencil, method: str, order: int,
+def _bound(a: LinearPencil, b: LinearPencil, method: str, order: int | None,
            r: float, R: float, tol: float):
-    """(details, certified, point) of one machine on the pair: moment and
-    sos certify with a reliable value >= -tol, sdfp with a Feasible block
-    certificate; point is the x part of the machine's solution or None."""
+    """(details, certified, point) of one rung on the pair: moment and sos
+    certify with a reliable value >= -tol, sdfp with a Feasible block
+    certificate; point is the x part of the rung's solution or None."""
     if method == "sdfp":
-        res = cp_sdfp(a, b)
+        try:
+            res = cp_sdfp(a, b)
+        except NumericalFailure as exc:
+            # a LAPACK failure outside the solve: the block witness's eigenvalues
+            return ({"value": float("nan"), "order": None,
+                     "solver_error": str(exc)}, False, None)
         det = {"value": res.margin, "order": None, "sdfp_kind": res.kind}
         if "solver_message" in res.details:
             det["solver_message"] = res.details["solver_message"]
@@ -130,21 +130,19 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
                       seed: int = 0) -> Verdict:
     """Decide whether S_A is contained in S_B.
 
-    method selects the machine run on the lineality-reduced pair:
-    "moment" (order-t bound on the containment functional), "sos"
-    (order-t eigenvalue certificate), or "sdfp" (positivity-map feasibility,
-    order ignored).  With refute=True, boundary points of the inner set are
-    tried before any machine runs.  A moment request, or an sos request at
-    order >= 1, first tries the order-0 Gram certificate and returns its
-    Certified verdict (method "sos", order 0) without building the
-    requested relaxation; with refute=True, a confirmed solution point of
-    that program returns Refuted from the same stage.  Otherwise its value
-    and solve status are kept in details["order0"].  The verdict's method,
-    order and value are those of the stage that decided.  A negative or
-    failed bound of the requested machine triggers a refutation pass: the
-    machine's own solution point first, the sampling search only if that
-    point is not confirmed.  Only a confirmed point yields Refuted.  An
-    order below the requested relaxation's least (2 for moment, 0 for sos)
+    method and order name the requested relaxation on the lineality-reduced
+    pair: "moment" (order-t bound on the containment functional), "sos"
+    (order-t eigenvalue certificate), or "sdfp" (the order-0 Gram program
+    read as a block certificate; order ignored).  With refute=True,
+    boundary points of the inner set are tried before any relaxation.
+    Then the rungs run from the bottom, the order-0 Gram program, to the
+    request: the first one that certifies, or whose confirmed solution
+    point refutes, decides, and the rest are never built.  The bottom
+    rung's reading is kept in details["order0"] when a rung follows it.
+    After the top rung, a sampling search looks for a witness.  Only a
+    confirmed point yields Refuted; the verdict's method, order and value
+    are those of the rung that decided, or of the top one.  An order
+    below the requested relaxation's least (2 for moment, 0 for sos)
     raises OrderTooSmall before anything runs.
     """
     if method not in _METHODS:
@@ -155,7 +153,7 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
         raise InvalidInput("samples must be positive")
     if not (0 < r <= R):
         raise InvalidInput("need 0 < r <= R")
-    # the relaxations' own order gates, checked before any stage can decide
+    # the relaxations' own order gates, checked before any rung can decide
     if method == "moment" and order < 2:
         raise OrderTooSmall("containment bounds need order t >= 2")
     if method == "sos" and order < 0:
@@ -205,71 +203,44 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
             return Verdict("Refuted", hit["b_margin"], None, "boundary", hit,
                            {**details, "witness_source": "boundary"})
 
+    rungs = [("sdfp", None) if method == "sdfp" else ("sos", 0)]
     if method == "moment" or (method == "sos" and order >= 1):
-        # the order-0 Gram program is the bottom of both hierarchies and the
-        # cheapest certificate; when it certifies, the requested relaxation
-        # is never built, and neither is it when the stage's point refutes
-        det, certified, point = _bound(ar, br, "sos", 0, r, R, tol)
+        rungs.append((method, order))
+    for step, (rung_method, rung_order) in enumerate(rungs, 1):
+        det, certified, point = _bound(ar, br, rung_method, rung_order, r, R, tol)
         if certified:
-            return Verdict("Certified", det["value"], 0, "sos", None,
-                           {**details, **det})
+            return Verdict("Certified", det["value"], rung_order, rung_method,
+                           None, {**details, **det})
+        # absence of a certificate at this order never refutes by itself
         if refute and point is not None:
             hit = confirm_witness(a, b, to_original(point), tol)
             if hit is not None:
-                return Verdict("Refuted", det["value"], 0, "sos", hit,
-                               {**details, **det, "witness_source": "solution"})
-        details["order0"] = {"value": det["value"],
-                             "solve_status": det["solve_status"]}
+                return Verdict("Refuted", det["value"], rung_order, rung_method,
+                               hit, {**details, **det, "witness_source": "solution"})
+        if step < len(rungs):
+            details["order0"] = {"value": det["value"],
+                                 "solve_status": det["solve_status"]}
 
-    def refutation(det, point):
-        """Verdict for a bound that did not certify; point is the x part of
-        the machine's solution on the reduced pair, or None."""
-        if not refute:
-            return Verdict("Inconclusive", det["value"], det.get("order"),
-                           method, None, {**details, **det,
-                                          "note": "refutation disabled"})
-
-        def refuted(x, source):
-            hit = confirm_witness(a, b, to_original(x), tol)
-            if hit is None:
-                return None
-            return Verdict("Refuted", det["value"], det.get("order"), method,
-                           hit, {**details, **det, "witness_source": source})
-
-        start = None
-        if point is not None:
-            verdict = refuted(point, "solution")
-            if verdict is not None:
-                return verdict
-            if eigen_margin(ar, point) > 0:
-                start = point
-        try:
-            hit = refutation_search(ar, br, tol=tol, samples=samples, seed=seed,
-                                    x0=start)
-        except InvalidInput as exc:
-            # no strictly feasible point; an empty inner set certifies vacuously
-            if isinstance(exc, NoInteriorPoint) and exc.kind == "Empty":
-                return Verdict("Certified", float("inf"), det.get("order"),
-                               method, None,
-                               {**details, **det, "note": "inner set is empty"})
-            hit = None
-            det = {**det, "refutation_error": str(exc)}
-        if hit is not None:
-            verdict = refuted(hit["x"], "sampling")
-            if verdict is not None:
-                return verdict
-        return Verdict("Inconclusive", det["value"], det.get("order"), method,
-                       None, {**details, **det,
-                              "note": "negative bound without a confirmed point"})
-
+    # past the loop, rung_method and rung_order name the top rung
+    if not refute:
+        return Verdict("Inconclusive", det["value"], rung_order, rung_method,
+                       None, {**details, **det, "note": "refutation disabled"})
+    start = point if point is not None and eigen_margin(ar, point) > 0 else None
     try:
-        det, certified, point = _bound(ar, br, method, order, r, R, tol)
-    except NumericalFailure as exc:
-        # a LAPACK failure outside the solve, such as a witness's eigenvalues
-        return refutation({"value": float("nan"), "order": None if method == "sdfp"
-                           else order, "solver_error": str(exc)}, None)
-    if certified:
-        return Verdict("Certified", det["value"], det["order"], method, None,
-                       {**details, **det})
-    # absence of a certificate at this order never refutes by itself
-    return refutation(det, point)
+        hit = refutation_search(ar, br, tol=tol, samples=samples, seed=seed,
+                                x0=start)
+    except InvalidInput as exc:
+        # no strictly feasible point; an empty inner set certifies vacuously
+        if isinstance(exc, NoInteriorPoint) and exc.kind == "Empty":
+            return Verdict("Certified", float("inf"), rung_order, rung_method, None,
+                           {**details, **det, "note": "inner set is empty"})
+        hit = None
+        det = {**det, "refutation_error": str(exc)}
+    if hit is not None:
+        hit = confirm_witness(a, b, to_original(hit["x"]), tol)
+    if hit is not None:
+        return Verdict("Refuted", det["value"], rung_order, rung_method, hit,
+                       {**details, **det, "witness_source": "sampling"})
+    return Verdict("Inconclusive", det["value"], rung_order, rung_method, None,
+                   {**details, **det,
+                    "note": "negative bound without a confirmed point"})

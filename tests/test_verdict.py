@@ -367,7 +367,7 @@ def test_order0_certificate_spares_the_requested_machine(monkeypatch, method, or
 
 @pytest.mark.parametrize("method, order", [("sos", 0), ("sdfp", 2)])
 def test_bottom_requests_solve_one_gram_program(monkeypatch, method, order):
-    # these requests are the order-0 stage itself
+    # each of these requests is a single rung on the order-0 Gram program
     origins = _count_solves(monkeypatch)
     for nu in (0.7, 0.9):
         origins.clear()
