@@ -27,7 +27,7 @@ from .sampling import (interior_point, mu_grid, refutation_search,
 from .sdpa import export_sdpa, parse_sdpa
 from .sdpcore import (SdpProblem, SdpSolution, SolveStatus, feasibility_probe,
                       solve)
-from .sosrelax import certificate_gap, count_unknowns, lambda_sos, sos_relaxation
+from .sosrelax import certificate_gap, lambda_sos, sos_relaxation
 from .symcore import SymMatrix, min_eigenvalue, sym
 from .verdict import Verdict, check_containment
 
@@ -38,7 +38,7 @@ __all__ = [
     "SdpSolution", "SolveStatus", "SpectraconError", "SymMatrix", "Verdict",
     "boundedness_certificate", "certificate_gap", "check_containment",
     "choi_matrix", "circumradius_sq", "containment_relaxation",
-    "count_unknowns", "cp_sdfp", "ellipsoid_pencil",
+    "cp_sdfp", "ellipsoid_pencil",
     "elliptope_pencil", "export_sdpa", "extend", "feasibility_probe",
     "implication_report", "interior_point", "InvalidInput",
     "InvariantViolation", "lambda_sos", "lineality_space", "load_pencil",

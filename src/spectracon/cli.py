@@ -55,8 +55,8 @@ def _cmd_check(args) -> int:
     a = _load(args.inner)
     b = _load(args.outer)
     v = check_containment(a, b, order=args.order, method=args.method,
-                          r=args.r, R=args.R, refute=not args.no_refute,
-                          samples=args.samples, seed=args.seed)
+                          refute=not args.no_refute, samples=args.samples,
+                          seed=args.seed)
     if args.json:
         payload = {"status": v.status, "value": v.value, "order": v.order,
                    "method": v.method, "witness": v.witness,
@@ -157,10 +157,9 @@ def _cmd_export(args) -> int:
 def _cmd_reproduce(args) -> int:
     from .reproduce import TABLES, run_all, write_csv
     if args.table == "all":
-        tables = run_all(args.out, full=args.full)
+        tables = run_all(args.out)
     else:
-        fn = TABLES[args.table]
-        table = fn(full=args.full) if args.table == "choi" else fn()
+        table = TABLES[args.table]()
         if args.out:
             write_csv(table, args.out)
         tables = [table]
@@ -190,10 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="order of the requested relaxation; order 0 of the "
                    "sos hierarchy is tried first, and the verdict's method, "
                    "order and value name the rung that decided")
-    c.add_argument("--r", type=float, default=1.0,
-                   help="inner radius of the moment machine's annulus r <= |z|")
-    c.add_argument("--R", type=float, default=2.0,
-                   help="outer radius of the moment machine's annulus |z| <= R")
     c.add_argument("--samples", type=int, default=400,
                    help="hit-and-run points of the sampling search")
     c.add_argument("--seed", type=int, default=0,
@@ -252,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", choices=("disk", "ball_elliptope", "choi",
                                        "circumradius", "all"), default="all")
     p.add_argument("--out", default=None, help="directory for CSV output")
-    p.add_argument("--full", action="store_true",
-                   help="include the expensive order-3 map bound")
     p.set_defaults(fn=_cmd_reproduce)
     return ap
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import InvalidInput, OrderTooSmall
 from .pencil import LinearPencil, pencil
-from .sdpcore import _LMI_STATUS, SdpProblem, SdpSolution, _block_data, solve
+from .sdpcore import _LMI_STATUS, SdpProblem, SdpSolution, _program_data, solve
 from .symcore import spectral_norm
 
 Exponent = tuple
@@ -261,17 +261,6 @@ def _localizing_entries(exps, mats, basis, block, moments: np.ndarray):
     return block[P], moment, local[P], local[Q], mats[term[nz], a[nz], b[nz]]
 
 
-def _localizing_blocks(m: int, block, blk, moment, i, j, v):
-    """(size, C, A rows) of each block of ``block``, in label order, from
-    entries (blk, moment, i, j, v) as :func:`_localizing_entries` gives
-    them: moment 0 is C and moment r in 1..m constraint r - 1."""
-    out = []
-    for label, size in enumerate(np.bincount(block)):
-        sel = blk == label
-        out.append((int(size), *_block_data(m, int(size), moment[sel], i[sel], j[sel], v[sel])))
-    return out
-
-
 def build_pmi_relaxation(objective, constraints, t: int,
                          sense: str = "min", metadata=None):
     """Order-t moment relaxation of optimizing objective over psd constraints.
@@ -318,7 +307,7 @@ def build_pmi_relaxation(objective, constraints, t: int,
     # on moment 0), A = -F and b = +-objective, and the bound is the
     # objective's constant +- the solve's value.
     sign = 1.0 if sense == "max" else -1.0
-    blocks = []
+    sizes, entries = [], []
     first = nvars  # the bit of the next index
     for (exps, mats), d in zip(terms, half_degs):
         k = mats.shape[1]
@@ -327,13 +316,14 @@ def build_pmi_relaxation(objective, constraints, t: int,
                                  classes[first:first + k])
         first += k
         blk, moment, i, j, v = _localizing_entries(exps, mats, basis, block, table)
-        blocks += _localizing_blocks(m, block, blk, moment, i, j, np.where(moment == 0, v, -v))
-    sizes, c_blocks, a_blocks = zip(*blocks)
+        entries.append((blk + len(sizes), moment, i, j, np.where(moment == 0, v, -v)))
+        sizes += np.bincount(block).tolist()
+    c, a = _program_data(m, sizes, *map(np.concatenate, zip(*entries)))
     obj = np.zeros(m + 1)
     np.add.at(obj, _positions(table, obj_exps), obj_coeffs.ravel())
     offset = obj[0]
-    problem = SdpProblem(sizes, list(c_blocks), list(a_blocks), sign * obj[1:],
-                         dict(metadata or {}))
+    sizes = tuple(sizes)
+    problem = SdpProblem(sizes, c, a, sign * obj[1:], dict(metadata or {}))
     info = RelaxationInfo(order=t, nvars=nvars, n_moments=len(moments) - 1,
                           block_sizes=sizes, moments=tuple(moments),
                           scale=np.ones(nvars))

@@ -102,14 +102,14 @@ def elliptope_table() -> Table:
                   "delta_lambda", "delta_mu", "sdfp_matches"], rows)
 
 
-def choi_table(full: bool = False) -> Table:
-    """The map example; full=True includes the order-3 sphere-slice bound,
-    which is the one expensive computation here (about a minute)."""
+def choi_table() -> Table:
+    """The map example, with the order-3 bound on the sphere slice r = R = 1."""
     a, b = choi_pair()
     cm = choi_matrix(choi_map_spec())
     min_eig = float(np.linalg.eigvalsh(cm).min())
     cp = cp_sdfp(a, b)
     lam = lambda_sos(a, b, 0)
+    m3 = solve_mu_mom(a, b, 3, r=1.0, R=1.0)
     rows = [
         ["matrix_min_eig", min_eig, CHOI_REFERENCE["matrix_min_eig"],
          min_eig - CHOI_REFERENCE["matrix_min_eig"]],
@@ -117,11 +117,9 @@ def choi_table(full: bool = False) -> Table:
          cp.margin - CHOI_REFERENCE["sdfp_margin"]],
         ["lambda_sos_0", lam.value, CHOI_REFERENCE["lambda_sos_0"],
          lam.value - CHOI_REFERENCE["lambda_sos_0"]],
+        ["mu_mom_3", m3.value, CHOI_REFERENCE["mu_mom_3"],
+         m3.value - CHOI_REFERENCE["mu_mom_3"]],
     ]
-    if full:
-        m3 = solve_mu_mom(a, b, 3, r=1.0, R=1.0)
-        rows.append(["mu_mom_3", m3.value, CHOI_REFERENCE["mu_mom_3"],
-                     m3.value - CHOI_REFERENCE["mu_mom_3"]])
     return Table("choi", ["quantity", "value", "reference", "delta"], rows)
 
 
@@ -152,10 +150,10 @@ def write_csv(table: Table, directory) -> str:
     return path
 
 
-def run_all(directory=None, full: bool = False) -> list[Table]:
+def run_all(directory=None) -> list[Table]:
     out = []
-    for name, fn in TABLES.items():
-        table = fn(full=full) if name == "choi" else fn()
+    for fn in TABLES.values():
+        table = fn()
         if directory is not None:
             write_csv(table, directory)
         out.append(table)

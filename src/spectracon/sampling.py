@@ -170,11 +170,14 @@ def boundary_witness(a: LinearPencil, b: LinearPencil, tol: float,
     directions end on the boundary; both ends are pulled 0.1% inside, as in
     the walk, and a capped end (a recession direction) is used as it is.  B
     is evaluated at all the ends at once, and the most negative one goes
-    through confirm_witness.
+    through confirm_witness.  Without variables the origin is the set's
+    only point, and it goes through confirm_witness itself.
     """
     origin = np.zeros(a.n)
     if eigen_margin(a, origin) <= 0:
         return None
+    if a.n == 0:
+        return confirm_witness(a, b, origin, tol)
     a0, f = _flatten(a)
     rand = np.random.default_rng(seed).standard_normal((_BOUNDARY_CHORDS, a.n))
     dirs = np.vstack((np.eye(a.n), rand / np.linalg.norm(rand, axis=1, keepdims=True)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput
-from .sdpcore import SdpProblem, _block_data
+from .sdpcore import SdpProblem, _program_data, _starts
 
 
 def export_sdpa(problem: SdpProblem, path, comment: str = "") -> None:
@@ -32,14 +32,17 @@ def export_sdpa(problem: SdpProblem, path, comment: str = "") -> None:
             if v != 0.0:
                 lines.append(f"{matno} {blkno} {i + 1} {j + 1} {v:.17g}")
 
-    for bi, (size, c) in enumerate(zip(problem.block_sizes, problem.c_blocks)):
+    starts = _starts(problem.block_sizes)
+    for bi, size in enumerate(problem.block_sizes):
+        c = problem.c[starts[bi]:starts[bi + 1]]
         if size > 0:
+            c = c.reshape(size, size)
             entries = [(i, j, -c[i, j]) for i in range(size) for j in range(i, size)]
         else:
             entries = [(i, i, -c[i]) for i in range(-size)]
         emit(0, bi + 1, size, entries)
-    for bi, (size, a) in enumerate(zip(problem.block_sizes, problem.a_blocks)):
-        coo = a.tocoo()
+    for bi, size in enumerate(problem.block_sizes):
+        coo = problem.a[:, starts[bi]:starts[bi + 1]].tocoo()
         if size > 0:
             for row, col, v in zip(coo.row, coo.col, coo.data):
                 i, j = divmod(int(col), size)
@@ -83,7 +86,7 @@ def parse_sdpa(path) -> SdpProblem:
     if any(s == 0 for s in sizes):
         raise InvalidInput("zero block size")
 
-    entries = [([], [], [], []) for _ in sizes]  # matrix, i, j, value per block
+    entries = ([], [], [], [], [])  # block, matrix, i, j, value
     for lineno, line in enumerate(raw[4:], start=5):
         toks = _tokens(line)
         if len(toks) != 5:
@@ -106,9 +109,8 @@ def parse_sdpa(path) -> SdpProblem:
             raise InvalidInput(f"line {lineno}: entry ({i + 1}, {j + 1}) out of range")
         if size < 0 and i != j:
             raise InvalidInput(f"line {lineno}: off-diagonal entry in diagonal block")
-        for column, v in zip(entries[blkno], (matno, i, j, val)):
+        for column, v in zip(entries, (blkno, matno, i, j, val)):
             column.append(v)
-    blocks = [_block_data(m, size, *block) for size, block in zip(sizes, entries)]
+    c, a = _program_data(m, sizes, *entries)
     # F_0 = -C
-    return SdpProblem(tuple(sizes), [-c for c, _ in blocks], [a for _, a in blocks], b,
-                      {"source": str(path)})
+    return SdpProblem(tuple(sizes), -c, a, b, {"source": str(path)})

@@ -6,7 +6,9 @@ Canonical form used throughout the package:
     dual:    max b' y     s.t.  sum_i y_i A_i + S = C,      S psd
 
 with X block diagonal.  Positive block sizes are dense symmetric blocks,
-negative sizes are diagonal (componentwise nonnegative) blocks.
+negative sizes are diagonal (componentwise nonnegative) blocks.  A program
+is held in one flat layout (:class:`SdpProblem`): the blocks in order,
+each as its vectorized entries, so C is one vector and A one CSR matrix.
 
 The solver is a Mehrotra-style predictor-corrector interior-point method on
 the homogeneous self-dual embedding, with Nesterov-Todd scaling for the
@@ -16,12 +18,14 @@ improving-ray certificate for one of the two sides.
 
 A solve works on one flat iterate in class order: the dense blocks grouped
 by size, each size a contiguous (nb, s, s) stack, then all diagonal blocks
-and 1 x 1 dense blocks merged into one.  A is one matrix with its
-transpose, so A(X), A*(y), <C, X> and <X, S> are one product each, and the
-cone arithmetic runs once per class.  A program whose A would hold at most
-``_DENSE_FLOATS`` floats stored dense (m times the iterate length) keeps
-A as one dense array; a larger one keeps it as one CSR matrix.  The rows
-of A are fully mirrored, so A*(y) is exactly symmetric, and so is every
+and 1 x 1 dense blocks merged into one.  A in class order is one column
+permutation of the problem's A, with each row's indices sorted; it is kept
+with its transpose, so A(X), A*(y), <C, X> and <X, S> are one product
+each, and the cone arithmetic runs once per class.  A program whose A
+would hold at most ``_DENSE_FLOATS`` floats stored dense (m times the
+iterate length) keeps A as one dense array; a larger one keeps it as one
+CSR matrix.  SdpProblem checks that the rows of A are fully mirrored, so
+A*(y) is exactly symmetric, and so is every
 direction and iterate built from it and from the symmetrized congruences:
 none is symmetrized again.
 The de-scaled residuals are the homogeneous ones, formed once per
@@ -83,11 +87,12 @@ length and the corrector's second-order term, and S^-1 = R lam^-1 R'.
 The Schur factor is used as the F-ordered upper factor that LAPACK's
 potrs, called directly, reads without a copy.
 
-Every program is assembled one block at a time from entry arrays by
-``_block_data``; outside the solver and the SDPA writer, it is the only
-code that knows the vectorized layout.  The moment relaxations, the Gram
-programs, SDPA files and the margin LMI shared by the interior probe and
-the boundedness searches (``_margin_lmi``) are built through it.  ``solve`` returns every outcome,
+Every program is assembled by one call of ``_program_data``, from entry
+arrays that carry a block label, into the flat C and A; it is the only
+code that turns matrix entries into positions of the layout.  The moment
+relaxations, the Gram programs, SDPA files and the margin LMI shared by the
+interior probe and the boundedness searches (``_margin_lmi``) are built
+through it.  ``solve`` returns every outcome,
 breakdowns included, as a status with the reason in ``message``; whether a
 returned iterate may be used is decided in one place,
 :attr:`SdpSolution.reliable`.
@@ -147,24 +152,28 @@ class SolveStatus(Enum):
 # Problem container
 
 
-def _block_veclen(size: int) -> int:
-    return size * size if size > 0 else -size
+def _starts(sizes) -> np.ndarray:
+    """Where each block starts in the flat layout, and where the last ends."""
+    sizes = np.asarray(sizes)
+    return np.concatenate(([0], np.cumsum(np.where(sizes > 0, sizes * sizes, -sizes))))
 
 
 @dataclass
 class SdpProblem:
-    """Canonical block SDP data.
+    """Canonical block SDP data in one flat layout.
 
-    ``a_blocks[bi]`` is a CSR matrix of shape (m, s*s) for a dense block of
-    size s (rows are fully mirrored vectorized constraint matrices) or
-    (m, d) for a diagonal block of size d.  ``c_blocks[bi]`` is the dense
-    (s, s) objective matrix, respectively a length-d vector.  The primal
-    objective is minimized.
+    The blocks lie in order, each as its vectorized entries: s*s row-major
+    entries for a dense block of size s, d entries for a diagonal block of
+    size -d.  ``c`` is the objective, a vector of the N entries of all
+    blocks, and ``a`` the (m, N) CSR matrix whose row i holds constraint
+    matrix A_i.  Each dense block of each row must be symmetric, entry for
+    entry: its stored entries, transposed, are its own.  C is symmetrized.
+    The primal objective is minimized.
     """
 
     block_sizes: tuple
-    c_blocks: list
-    a_blocks: list
+    c: np.ndarray
+    a: sp.csr_matrix
     b: np.ndarray
     metadata: dict = field(default_factory=dict)
 
@@ -182,34 +191,38 @@ class SdpProblem:
         m = self.b.size
         if m == 0:
             raise InvalidInput("problem needs at least one constraint")
-        if len(self.c_blocks) != len(self.block_sizes):
-            raise InvalidInput("one objective block per cone block required")
-        if len(self.a_blocks) != len(self.block_sizes):
-            raise InvalidInput("one constraint block per cone block required")
-        cleaned_c = []
-        cleaned_a = []
-        for size, c, a in zip(self.block_sizes, self.c_blocks, self.a_blocks):
-            c = np.asarray(c, dtype=float)
-            if size > 0:
-                if c.shape != (size, size):
-                    raise InvalidInput(f"objective block must be {size} x {size}")
-                c = (c + c.T) / 2.0
-            else:
-                if c.shape != (-size,):
-                    raise InvalidInput(f"diagonal objective block must have length {-size}")
-            if not np.all(np.isfinite(c)):
-                raise InvalidInput("objective has non-finite entries")
-            a = sp.csr_matrix(a)
-            if a.shape != (m, _block_veclen(size)):
-                raise InvalidInput(
-                    f"constraint block shape {a.shape} does not match "
-                    f"(m={m}, veclen={_block_veclen(size)})")
-            if a.nnz and not np.all(np.isfinite(a.data)):
-                raise InvalidInput("constraints have non-finite entries")
-            cleaned_c.append(c)
-            cleaned_a.append(a)
-        self.c_blocks = cleaned_c
-        self.a_blocks = cleaned_a
+        # the flat position of entry (j, i) for that of every entry (i, j)
+        sizes = np.array(self.block_sizes)
+        starts = _starts(sizes)
+        veclen = np.diff(starts)
+        start = np.repeat(starts[:-1], veclen)
+        side = np.repeat(np.maximum(sizes, 1), veclen)
+        n = start.size
+        i, j = np.divmod(np.arange(n) - start, side)
+        mirror = start + j * side + i
+        c = np.asarray(self.c, dtype=float)
+        if c.shape != (n,):
+            raise InvalidInput(f"objective must be a vector of length {n}")
+        if not np.all(np.isfinite(c)):
+            raise InvalidInput("objective has non-finite entries")
+        self.c = (c + c[mirror]) / 2.0
+        a = sp.csr_matrix(self.a)
+        if a.shape != (m, n):
+            raise InvalidInput(f"constraint matrix shape {a.shape} does not match "
+                               f"(m={m}, N={n})")
+        if not a.has_canonical_format:
+            a = a.copy()
+            a.sum_duplicates()
+        if a.nnz and not np.all(np.isfinite(a.data)):
+            raise InvalidInput("constraints have non-finite entries")
+        # each row mirrored: its stored entries, transposed, are its own
+        row = np.repeat(np.arange(m), np.diff(a.indptr))
+        key = row * n + mirror[a.indices]
+        order = np.argsort(key, kind="stable")
+        if not (np.array_equal(key[order], row * n + a.indices)
+                and np.array_equal(a.data[order], a.data)):
+            raise InvalidInput("constraint matrices must be symmetric")
+        self.a = a
 
     @property
     def m(self) -> int:
@@ -223,29 +236,11 @@ class SdpProblem:
         return float(np.linalg.norm(self.b))
 
     def norm_c(self) -> float:
-        return float(np.sqrt(sum(float(np.sum(np.square(c))) for c in self.c_blocks)))
-
-    def apply_a(self, x_blocks) -> np.ndarray:
-        """A(X): vector of <A_i, X>."""
-        out = np.zeros(self.m)
-        for size, a, x in zip(self.block_sizes, self.a_blocks, x_blocks):
-            out += a @ np.ravel(x)
-        return out
-
-    def apply_at(self, y) -> list:
-        """A*(y): list of blocks sum_i y_i A_{i,b}."""
-        out = []
-        for size, a in zip(self.block_sizes, self.a_blocks):
-            v = a.T @ y
-            if size > 0:
-                mat = v.reshape(size, size)
-                out.append((mat + mat.T) / 2.0)
-            else:
-                out.append(v)
-        return out
-
-    def inner_c(self, x_blocks) -> float:
-        return float(sum(np.sum(c * x) for c, x in zip(self.c_blocks, x_blocks)))
+        # block by block, in block order: this sets the solve's scaling, and
+        # a sum in another order moves every iterate in its last bits
+        starts = _starts(self.block_sizes)
+        return float(np.sqrt(sum(float(np.sum(np.square(self.c[lo:hi])))
+                                 for lo, hi in zip(starts[:-1], starts[1:]))))
 
 
 @dataclass
@@ -304,19 +299,16 @@ class SdpSolution:
 
 def compute_residuals(problem: SdpProblem, x_blocks, y, s_blocks) -> dict:
     """Feasibility and gap measures of an iterate, recomputed from scratch."""
-    ax = problem.apply_a(x_blocks)
-    primal_res = float(np.linalg.norm(ax - problem.b)) / (1.0 + problem.norm_b())
-    aty = problem.apply_at(y)
-    dual_sq = 0.0
-    for c, at, s in zip(problem.c_blocks, aty, s_blocks):
-        dual_sq += float(np.sum(np.square(at + s - c)))
-    dual_res = np.sqrt(dual_sq) / (1.0 + problem.norm_c())
-    pobj = problem.inner_c(x_blocks)
+    x, s = (np.concatenate([np.ravel(v) for v in blocks]) for blocks in (x_blocks, s_blocks))
+    primal_res = float(np.linalg.norm(problem.a @ x - problem.b)) / (1.0 + problem.norm_b())
+    dual_res = (float(np.linalg.norm(problem.a.T @ y + s - problem.c))
+                / (1.0 + problem.norm_c()))
+    pobj = float(problem.c @ x)
     dobj = float(problem.b @ y)
     gap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
     return {
         "primal_res": primal_res,
-        "dual_res": float(dual_res),
+        "dual_res": dual_res,
         "gap_rel": float(gap),
         "gap_abs": float(abs(pobj - dobj)),
         "primal_obj": pobj,
@@ -425,15 +417,34 @@ def _class_members(sizes):
     return list(groups.items()) + ([(0, diag)] if diag else [])
 
 
-def _entries(a_blocks, m):
-    """The stored entries of blocks of one width as (block, row, column,
-    value) arrays, blocks numbered in the order given."""
-    counts = [np.diff(a.indptr) for a in a_blocks]
-    blk = np.repeat(np.arange(len(a_blocks)), [a.indptr[-1] for a in a_blocks])
-    row = np.concatenate([np.repeat(np.arange(m), c) for c in counts])
-    col = np.concatenate([a.indices[:a.indptr[-1]] for a in a_blocks])
-    val = np.concatenate([a.data[:a.indptr[-1]] for a in a_blocks])
-    return blk, row, col, val
+def _class_order(problem):
+    """A with its columns in class order, the classes as (size, blocks,
+    columns), ``columns`` the class's slice of those columns, and the
+    permutation: class-order column p is column perm[p] of the problem.
+    The matrix is CSR with each row's indices sorted, so each row holds the
+    entries of its blocks in class order."""
+    members = _class_members(problem.block_sizes)
+    order = [bi for _, blocks in members for bi in blocks]
+    starts = _starts(problem.block_sizes)
+    veclen = np.diff(starts)
+    lengths = veclen[order]
+    perm = (np.repeat(starts[order] - np.cumsum(lengths) + lengths, lengths)
+            + np.arange(starts[-1]))
+    widths = [int(veclen[blocks].sum()) for _, blocks in members]
+    classes = [(size, blocks, slice(end - width, end)) for (size, blocks), width, end
+               in zip(members, widths, np.cumsum(widths))]
+    a = problem.a
+    if order == sorted(order):  # the blocks are in class order already
+        return a, classes, perm
+    # each row's entries, their columns renumbered, sorted again
+    col = np.empty_like(perm)
+    col[perm] = np.arange(perm.size)
+    col = col[a.indices]
+    key = np.repeat(np.arange(a.shape[0]) * perm.size, np.diff(a.indptr)) + col
+    sort = np.argsort(key, kind="stable")
+    a_csr = sp.csr_matrix((a.data[sort], col[sort].astype(a.indices.dtype), a.indptr),
+                          shape=a.shape)
+    return a_csr, classes, perm
 
 
 def _triangle(s):
@@ -521,8 +532,9 @@ def _operand_slices(cuts, group, s):
             yield lo, min(lo + step, b)
 
 
-def _schur_plan(problem):
-    """Per-class assembly plan; it depends only on the sparsity pattern.
+def _schur_plan(a_csr, classes):
+    """Per-class assembly plan of A, in class order (:func:`_class_order`);
+    it depends only on the sparsity pattern.
 
     The unit of work is a pair (constraint row, block) with stored entries.
     A class's pairs, in row and then block order, are cut into chunks of at
@@ -533,35 +545,27 @@ def _schur_plan(problem):
     padded to R entries of value 0; the pairs with r > 2s form one dense
     group.
     """
-    m = problem.m
+    m = a_csr.shape[0]
     plan = []
     u_len = g_len = 0  # the largest chunk and gather over the dense classes
-    for ci, (size, members) in enumerate(_class_members(problem.block_sizes)):
-        a_blocks = [problem.a_blocks[bi] for bi in members]
-        if not any(a.indptr[-1] for a in a_blocks):
+    for ci, (size, members, columns) in enumerate(classes):
+        sub = a_csr[:, columns]
+        if not sub.nnz:
             continue
-        blk, row, col, val = _entries(a_blocks, m)
+        rows = np.flatnonzero(np.diff(sub.indptr))
         if size == 0:
-            offsets = np.cumsum([0] + [a.shape[1] for a in a_blocks])
-            dense = np.zeros((m, offsets[-1]))
-            np.add.at(dense, (row, offsets[blk] + col), val)
-            rows = np.unique(row)
-            plan.append(_ClassPlan(ci, rows, sub_dense=dense[rows]))
+            plan.append(_ClassPlan(ci, rows, sub_dense=sub[rows].toarray()))
             continue
         s, ss = size, size * size
         tri_of, tri_pos = _triangle(s)
         tri_len = tri_pos.size
-        # canonical entries, sorted by (row, block, position) and summed
-        key = (row * len(members) + blk) * ss + col
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = _runs(key)[:-1]
-        val = np.add.reduceat(val[order], first)
-        pair, pos = np.divmod(key[first], ss)
+        # the stored entries, in (row, block, position) order
+        row = np.repeat(np.arange(m), np.diff(sub.indptr))
+        pair, pos = np.divmod(row * (len(members) * ss) + sub.indices, ss)
+        val = sub.data
         bounds = _runs(pair)
         start, count = bounds[:-1], np.diff(bounds)
         pair_row, pair_blk = np.divmod(pair[start], len(members))
-        rows = pair_row[_runs(pair_row)[:-1]]
         # fold: entries (p, q) and (q, p) add onto triangle position p <= q,
         # on (block, position) columns
         fkey = ((np.repeat(pair_row, count) * len(members)
@@ -716,17 +720,20 @@ def _symmetrize(a):
             a[j:j + t, i:i + t] = avg.T
 
 
-def _dense_rows(problem, members):
-    """A in class order as one dense (m, N) array, and the rows of each
-    class with stored entries as (class index, view of A): (m, nb, s, s) for
-    a dense class, (m, d) for the merged diagonal class."""
-    m, a_blocks = problem.m, problem.a_blocks
-    a_mat = np.hstack([a_blocks[bi].toarray() for _, blocks in members for bi in blocks])
-    rows, lo = [], 0
-    for ci, (size, blocks) in enumerate(members):
-        view = a_mat[:, lo:lo + sum(a_blocks[bi].shape[1] for bi in blocks)]
-        lo += view.shape[1]
-        if any(a_blocks[bi].nnz for bi in blocks):
+def _dense_rows(a_csr, classes):
+    """A, in class order (:func:`_class_order`), as one dense (m, N) array,
+    and the rows of each class with stored entries as (class index, view of
+    that array): (m, nb, s, s) for a dense class, (m, d) for the merged
+    diagonal class."""
+    a_mat = a_csr.toarray()
+    m = a_csr.shape[0]
+    ends = [cols.stop for *_, cols in classes]
+    stored = np.bincount(np.searchsorted(ends, a_csr.indices, side="right"),
+                         minlength=len(classes))
+    rows = []
+    for ci, (size, blocks, cols) in enumerate(classes):
+        if stored[ci]:
+            view = a_mat[:, cols]
             rows.append((ci, view.reshape(m, len(blocks), size, size) if size else view))
     return a_mat, rows
 
@@ -798,30 +805,24 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     # class order: the dense blocks grouped by size, sizes in order of first
     # appearance, then every diagonal block and every 1 x 1 dense block (a
-    # nonnegative entry), merged into one
-    sizes = problem.block_sizes
-    members = _class_members(sizes)
-    order = [bi for _, blocks in members for bi in blocks]
+    # nonnegative entry), merged into one; the flat iterate holds every
+    # class, and so every block, as a contiguous slice
+    a_csr, class_cols, perm = _class_order(problem)
     classes = []
-    for size, blocks in members:
-        if size:
-            classes.append((_DenseBlock(size), (len(blocks), size, size)))
-        else:
-            d = sum(_block_veclen(sizes[bi]) for bi in blocks)
-            classes.append((_DiagBlock(d), (d,)))
-    # the flat iterate: every class, and so every block, is a contiguous slice
-    ends = np.cumsum([np.prod(shape) for _, shape in classes])
-    classes = [(op, slice(end - np.prod(shape), end), shape)
-               for (op, shape), end in zip(classes, ends)]
-    starts = dict(zip(order, np.cumsum([0] + [_block_veclen(sizes[bi]) for bi in order])))
-
+    for size, members, cols in class_cols:
+        d = cols.stop - cols.start
+        classes.append((_DenseBlock(size), cols, (len(members), size, size)) if size
+                       else (_DiagBlock(d), cols, (d,)))
+    sizes = problem.block_sizes
+    starts = _starts(sizes)
     m = problem.m
 
     def blocks(v):
-        """The blocks of a flat vector, in the problem's block order."""
-        return [v[starts[bi]:starts[bi] + _block_veclen(size)]
-                .reshape((size, size) if size > 0 else (-size,)).copy()
-                for bi, size in enumerate(sizes)]
+        """The blocks of a class-ordered vector, in the problem's block order."""
+        flat = np.empty_like(v)
+        flat[perm] = v
+        return [flat[lo:hi].reshape((size, size) if size > 0 else (-size,))
+                for size, lo, hi in zip(sizes, starts[:-1], starts[1:])]
 
     x = np.concatenate([np.broadcast_to(np.eye(shape[-1]) if len(shape) == 3 else 1.0,
                                         shape).ravel() for _, _, shape in classes])
@@ -866,20 +867,20 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
     schur_work = np.empty((m, m))
     if m * x.size <= _DENSE_FLOATS:
-        a_mat, class_rows = _dense_rows(problem, members)
+        a_mat, class_rows = _dense_rows(a_csr, class_cols)
         a_t = a_mat.T
 
         def assemble(scal):
             return _dense_schur(class_rows, scal, schur_work)
     else:
-        a_mat = sp.hstack([problem.a_blocks[bi] for bi in order], format="csr")
+        a_mat = a_csr
         a_t = a_mat.T.tocsr()
-        plan = _schur_plan(problem)
+        plan = _schur_plan(a_csr, class_cols)
 
         def assemble(scal):
             return _schur_matrix(m, plan, scal, out=schur_work)
     b = problem.b / sigma_b
-    c = np.concatenate([problem.c_blocks[bi].ravel() for bi in order]) / sigma_c
+    c = problem.c[perm] / sigma_c
     nu = problem.cone_dim + 1.0
     norm_b = _norm(b)
     norm_c = _norm(c)
@@ -1074,46 +1075,49 @@ def solve(problem: SdpProblem) -> SdpSolution:
 
 
 # ---------------------------------------------------------------------------
-# Block assembly from entry arrays
+# Program assembly from entry arrays
 
 
-def _block_data(m: int, size: int, row, i, j, val):
-    """One block's C and A rows from entry arrays.
+def _program_data(m: int, sizes, blk, row, i, j, val):
+    """C and A of a program from entry arrays, in :class:`SdpProblem`'s layout.
 
-    Entry n adds val[n] at (i[n], j[n]) of matrix row[n], and off the
-    diagonal at (j[n], i[n]) as well; entries at one position are summed.
-    Matrix 0 is C, returned as an (s, s) array (a length-d vector for a
-    diagonal block of size -d, whose entries need i == j); matrix r in 1..m
-    is constraint r - 1, returned as row r - 1 of the block's CSR rows in
-    :class:`SdpProblem`'s layout.
+    Entry n adds val[n] at (i[n], j[n]) of block blk[n] of matrix row[n],
+    and off the diagonal at (j[n], i[n]) as well; entries at one position
+    are summed in the order given, so the two triangles of a dense block
+    are equal bit for bit.  A diagonal block (size -d) takes entries with
+    i == j.  Matrix 0 is C, returned as the flat vector; matrix r in 1..m
+    is constraint r - 1, row r - 1 of the returned (m, N) CSR matrix.
     """
-    row, i, j = (np.asarray(v, dtype=np.intp) for v in (row, i, j))
+    sizes = np.asarray(sizes, dtype=np.intp)
+    blk, row, i, j = (np.asarray(v, dtype=np.intp) for v in (blk, row, i, j))
     val = np.asarray(val, dtype=float)
-    col = i
-    if size > 0:
-        off = i != j
-        row = np.concatenate((row, row[off]))
-        col = np.concatenate((i * size + j, j[off] * size + i[off]))
-        val = np.concatenate((val, val[off]))
-    veclen = _block_veclen(size)
+    starts = _starts(sizes)
+    side = sizes[blk]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    col = starts[blk] + np.where(side > 0, lo * side + hi, lo)
+    off = (side > 0) & (lo != hi)
+    row = np.concatenate((row, row[off]))
+    col = np.concatenate((col, starts[blk[off]] + hi[off] * side[off] + lo[off]))
+    val = np.concatenate((val, val[off]))
+    n = int(starts[-1])
     head = row == 0
-    c = np.zeros(veclen)
+    c = np.zeros(n)
     np.add.at(c, col[head], val[head])
     # canonical CSR: entries sorted by (row, column), the entries at one
     # position summed in the order given
     body = ~head
     row, col, val = row[body] - 1, col[body], val[body]
-    key = row * veclen + col
+    key = row * n + col
     order = np.argsort(key, kind="stable")
     row, col = row[order], col[order]
     first = np.flatnonzero(np.diff(key[order], prepend=-1))
     indptr = np.searchsorted(row[first], np.arange(m + 1))
     # int32 indices unless they could overflow, so that scipy does not check
     # the entries to choose the index type itself
-    index = np.int32 if max(first.size, veclen) < 2**31 else np.int64
+    index = np.int32 if max(first.size, n) < 2**31 else np.int64
     a = sp.csr_matrix((np.add.reduceat(val[order], first), col[first].astype(index),
-                       indptr.astype(index)), shape=(m, veclen))
-    return c.reshape(size, size) if size > 0 else c, a
+                       indptr.astype(index)), shape=(m, n))
+    return c, a
 
 
 # the statuses of a program whose variables are the canonical dual's y (an
@@ -1145,20 +1149,20 @@ def _margin_lmi(f0, fs, cap: float, box: float | None = None,
                                   -np.asarray(fs, dtype=float).reshape(nq, k, k),
                                   np.eye(k)[None]))
     row, i, j = np.nonzero(np.triu(pencil_mats))
+    # entries (block, matrix, i, j, value): the pencil, then the cap, whose
+    # C holds cap and whose s has +1
     sizes = [k, -1]
-    blocks = [_block_data(nq + 1, k, row, i, j, pencil_mats[row, i, j]),
-              _block_data(nq + 1, -1, [0, nq + 1], [0, 0], [0, 0], [cap, 1.0])]
+    parts = [(np.zeros(row.size), row, i, j, pencil_mats[row, i, j]),
+             ([1, 1], [0, nq + 1], [0, 0], [0, 0], [cap, 1.0])]
     if box is not None and nq > 0:
         # C holds box twice per q; row q has +y_q and -y_q, none for s
         pos = np.arange(2 * nq)
         sizes.append(-2 * nq)
-        blocks.append(_block_data(
-            nq + 1, -2 * nq, np.concatenate((np.zeros(2 * nq), pos // 2 + 1)),
-            np.tile(pos, 2), np.tile(pos, 2),
-            np.concatenate((np.full(2 * nq, float(box)), np.tile([1.0, -1.0], nq)))))
-    c_blocks, a_blocks = zip(*blocks)
-    return SdpProblem(tuple(sizes), list(c_blocks), list(a_blocks), np.eye(nq + 1)[nq],
-                      dict(metadata or {}))
+        parts.append((np.full(4 * nq, 2), np.concatenate((np.zeros(2 * nq), pos // 2 + 1)),
+                      np.tile(pos, 2), np.tile(pos, 2),
+                      np.concatenate((np.full(2 * nq, float(box)), np.tile([1.0, -1.0], nq)))))
+    c, a = _program_data(nq + 1, sizes, *map(np.concatenate, zip(*parts)))
+    return SdpProblem(tuple(sizes), c, a, np.eye(nq + 1)[nq], dict(metadata or {}))
 
 
 # ---------------------------------------------------------------------------

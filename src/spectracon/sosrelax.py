@@ -47,37 +47,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, OrderTooSmall
-from .momrelax import (_exponent_array, _flip_classes, _localizing_blocks, _localizing_entries,
+from .momrelax import (_exponent_array, _flip_classes, _localizing_entries,
                        _monomial_classes, _pencil_terms, _position_blocks, _positions,
-                       basis_size, monomials_upto)
+                       monomials_upto)
 from .pencil import LinearPencil
-from .sdpcore import SdpProblem, SdpSolution, SolveStatus, solve
-
-
-def count_unknowns(n: int, k: int, l: int, t: int) -> dict:
-    """Closed-form size bookkeeping for both relaxation machines.
-
-    sos_gram counts the scalar unknowns of the order-t Gram formulation
-    (both Gram matrices plus the eigenvalue bound); moment_matrix counts
-    the strictly-upper entries of the order-t moment matrix in the joint
-    variables; sos_equations counts every coefficient match of the Gram
-    identity, and moment_total every moment of degree <= 2t but the pinned
-    constant.  These are the unreduced closed forms, not the sizes of the
-    assembled programs: the Gram program eliminates the match that defines
-    lambda (SosInfo.n_equations is sos_equations - 1) and keeps the
-    equations SosInfo.rows, and the moment relaxation drops the moments
-    that a sign symmetry makes odd (RelaxationInfo.n_moments <=
-    moment_total).
-    """
-    N = basis_size(n, t)
-    gram = 1 + N * (k * k * l * l * N + l * l * N + k * l + l) // 2
-    M = basis_size(n + l, t)
-    return {
-        "sos_gram": gram,
-        "sos_equations": basis_size(n, 2 * t + 1) * l * (l + 1) // 2,
-        "moment_matrix": M * (M - 1) // 2,
-        "moment_total": basis_size(n + l, 2 * t) - 1,
-    }
+from .sdpcore import SdpProblem, SdpSolution, SolveStatus, _program_data, solve
 
 
 @dataclass
@@ -169,7 +143,7 @@ def sos_relaxation(a: LinearPencil, b: LinearPencil, t: int):
     half = np.where(table[:, n:].max(axis=1) == 1, 0.5, 1.0)  # the u != v matches
     lam_rows = np.cumsum(kept)[diag[1:]] - 1  # the (1, u, u) matches, u > 0
     basis_rep = (_monomial_classes(xbasis, x_rep)[:, None] ^ b_rep).ravel()
-    blocks = []
+    sizes, entries = [], []
     for exps, mats, index_rep in ((a_exps, a_coeffs, rep[n:n + k]),
                                   (np.zeros((1, n + l), dtype=np.intp), np.ones((1, 1, 1)),
                                    np.zeros(1, dtype=object))):
@@ -182,13 +156,14 @@ def sos_relaxation(a: LinearPencil, b: LinearPencil, t: int):
         moment = np.concatenate((moment, np.tile(lam_rows, cost.size)))
         v = np.concatenate((v, np.repeat(-v[cost], l - 1)))
         info.parts.append([np.flatnonzero(block == c) for c in range(block.max() + 1)])
-        blocks += _localizing_blocks(info.rows.size, block, blk, moment, i, j, v)
+        entries.append((blk + len(sizes), moment, i, j, v))
+        sizes += np.bincount(block).tolist()
 
-    sizes, c_blocks, a_blocks = zip(*blocks)
+    c, a = _program_data(info.rows.size, sizes, *map(np.concatenate, zip(*entries)))
     rhs = np.zeros((len(gammas), npair))
     rhs[unit_rows] = b.coeff_array()[:, pi, pj]
     rhs[0, diag[1:]] -= rhs[0, 0]
-    problem = SdpProblem(sizes, list(c_blocks), list(a_blocks), rhs.ravel()[1:][info.rows],
+    problem = SdpProblem(sizes, c, a, rhs.ravel()[1:][info.rows],
                          {"origin": "sos_gram", "order": t})
     return problem, info
 

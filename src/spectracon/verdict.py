@@ -95,7 +95,7 @@ def _lineality_witness(a: LinearPencil, b: LinearPencil, direction, tol):
 
 
 def _bound(a: LinearPencil, b: LinearPencil, method: str, order: int | None,
-           r: float, R: float, tol: float):
+           tol: float):
     """(details, certified, point) of one rung on the pair: moment and sos
     certify with a reliable value >= -tol, sdfp with a Feasible block
     certificate; point is the x part of the rung's solution or None."""
@@ -111,9 +111,9 @@ def _bound(a: LinearPencil, b: LinearPencil, method: str, order: int | None,
             det["solver_message"] = res.details["solver_message"]
         return det, res.kind == "Feasible", res.first_moments
     if method == "moment":
-        res = solve_mu_mom(a, b, order, r=r, R=R)
+        res = solve_mu_mom(a, b, order)
         det = {"value": res.value, "order": order, "solve_status": res.status,
-               "r": r, "R": R, "moments": res.info.n_moments,
+               "r": res.r, "R": res.R, "moments": res.info.n_moments,
                "block_sizes": list(res.info.block_sizes)}
     else:
         res = lambda_sos(a, b, order)
@@ -125,13 +125,13 @@ def _bound(a: LinearPencil, b: LinearPencil, method: str, order: int | None,
 
 
 def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
-                      method: str = "moment", r: float = 1.0, R: float = 2.0,
-                      refute: bool = True, samples: int = 400,
+                      method: str = "moment", refute: bool = True, samples: int = 400,
                       seed: int = 0) -> Verdict:
     """Decide whether S_A is contained in S_B.
 
     method and order name the requested relaxation on the lineality-reduced
-    pair: "moment" (order-t bound on the containment functional), "sos"
+    pair: "moment" (order-t bound on the containment functional over the
+    annulus 1 <= |z| <= 2, solve_mu_mom's default), "sos"
     (order-t eigenvalue certificate), or "sdfp" (the order-0 Gram program
     read as a block certificate; order ignored).  With refute=True,
     boundary points of the inner set are tried before any relaxation.
@@ -151,8 +151,6 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
         raise InvalidInput("pencils must share the variable count")
     if samples < 1:
         raise InvalidInput("samples must be positive")
-    if not (0 < r <= R):
-        raise InvalidInput("need 0 < r <= R")
     # the relaxations' own order gates, checked before any rung can decide
     if method == "moment" and order < 2:
         raise OrderTooSmall("containment bounds need order t >= 2")
@@ -207,7 +205,7 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
     if method == "moment" or (method == "sos" and order >= 1):
         rungs.append((method, order))
     for step, (rung_method, rung_order) in enumerate(rungs, 1):
-        det, certified, point = _bound(ar, br, rung_method, rung_order, r, R, tol)
+        det, certified, point = _bound(ar, br, rung_method, rung_order, tol)
         if certified:
             return Verdict("Certified", det["value"], rung_order, rung_method,
                            None, {**details, **det})

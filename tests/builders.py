@@ -15,7 +15,9 @@ nullspace of the block equations that ``equation_system`` writes out; it
 is the reference for ``cp_sdfp``, which reads the decision, the margin and
 the witness off the order-0 Gram solve.  ``criterion6_balls`` are the balls
 in polytopes of acceptance criterion 6, and ``shifted_disks`` is a
-refutable disk pair whose inner set misses the origin.
+refutable disk pair whose inner set misses the origin.  ``stacked`` writes
+a problem given block by block in the package's flat layout, and
+``unstacked`` reads the blocks back out of it.
 """
 
 import numpy as np
@@ -26,9 +28,26 @@ from spectracon.errors import InvalidInput
 from spectracon.momrelax import _flip_classes, monomials_upto
 from spectracon.families import disk_pair
 from spectracon.pencil import ellipsoid_pencil, extend, pencil, polytope_pencil
-from spectracon.sdpcore import (SdpProblem, SdpSolution, SolveStatus,
-                                _block_veclen, _margin_lmi, solve)
+from spectracon.sdpcore import (SdpProblem, SdpSolution, SolveStatus, _margin_lmi,
+                                _starts, solve)
 from spectracon.symcore import min_eigenvalue, nullspace, smat, svec
+
+
+def stacked(sizes, c_blocks, a_blocks, b, metadata=None) -> SdpProblem:
+    """The problem with these blocks: the objective blocks raveled one after
+    another, the constraint blocks' columns side by side."""
+    return SdpProblem(tuple(sizes), np.concatenate([np.ravel(c) for c in c_blocks]),
+                      sp.hstack([sp.csr_matrix(a) for a in a_blocks], format="csr"), b,
+                      dict(metadata or {}))
+
+
+def unstacked(problem):
+    """The blocks of a problem as (size, C, A): C an (s, s) array or a
+    length-d vector, A the block's columns as CSR."""
+    starts = _starts(problem.block_sizes)
+    return [(size, problem.c[lo:hi].reshape((size, size) if size > 0 else (-size,)),
+             problem.a[:, lo:hi])
+            for size, lo, hi in zip(problem.block_sizes, starts[:-1], starts[1:])]
 
 
 class LmiBuilder:
@@ -95,7 +114,7 @@ class LmiBuilder:
         c_blocks = []
         for size, const, (vs, is_, js_, vals) in zip(
                 self.block_sizes, self._const, self._coo):
-            veclen = _block_veclen(size)
+            veclen = size * size if size > 0 else -size
             if size > 0:
                 s = size
                 rows = []
@@ -120,8 +139,7 @@ class LmiBuilder:
             a_blocks.append(a)
             c_blocks.append(const)
         b = self.obj if self.sense == "max" else -self.obj
-        return SdpProblem(tuple(self.block_sizes), c_blocks, a_blocks, b,
-                          dict(metadata or {}))
+        return stacked(self.block_sizes, c_blocks, a_blocks, b, metadata)
 
     def value_from(self, solution: SdpSolution) -> float:
         """Optimal value of the original LMI problem."""
@@ -217,11 +235,10 @@ class PrimalBuilder:
         a_blocks = []
         for size, (rows, cols, data) in zip(self.block_sizes, per_block):
             a = sp.coo_matrix((data, (rows, cols)),
-                              shape=(m, _block_veclen(size))).tocsr()
+                              shape=(m, size * size if size > 0 else -size)).tocsr()
             a.sum_duplicates()
             a_blocks.append(a)
-        return SdpProblem(tuple(self.block_sizes), list(self._cost), a_blocks,
-                          np.array(self._rhs), dict(metadata or {}))
+        return stacked(self.block_sizes, self._cost, a_blocks, np.array(self._rhs), metadata)
 
 
 def _eadd(a, b):
@@ -432,15 +449,13 @@ def principal_split(problem, parts, rows):
     for a sign symmetry's classes.  Every block of ``problem`` must be dense.
     """
     sizes, c_blocks, a_blocks = [], [], []
-    for size, c, a, idx_list in zip(problem.block_sizes, problem.c_blocks,
-                                    problem.a_blocks, parts):
+    for (size, c, a), idx_list in zip(unstacked(problem), parts):
         a = a[rows]
         for idx in idx_list:
             sizes.append(idx.size)
             c_blocks.append(c[np.ix_(idx, idx)])
             a_blocks.append(a[:, (idx[:, None] * size + idx).ravel()])
-    return SdpProblem(tuple(sizes), c_blocks, a_blocks, problem.b[rows],
-                      dict(problem.metadata))
+    return stacked(sizes, c_blocks, a_blocks, problem.b[rows], problem.metadata)
 
 
 def equation_system(a, b):
@@ -498,12 +513,10 @@ def assert_same_problem(got, want):
     assert got.block_sizes == want.block_sizes
     assert got.metadata == want.metadata
     assert _same_bits(got.b, want.b)
-    for cg, cw, ag, aw in zip(got.c_blocks, want.c_blocks, got.a_blocks,
-                              want.a_blocks):
-        assert _same_bits(cg, cw)
-        assert ag.shape == aw.shape
-        for part in ("indptr", "indices", "data"):
-            assert _same_bits(getattr(ag, part), getattr(aw, part))
+    assert _same_bits(got.c, want.c)
+    assert got.a.shape == want.a.shape
+    for part in ("indptr", "indices", "data"):
+        assert _same_bits(getattr(got.a, part), getattr(want.a, part))
 
 
 def criterion6_balls():

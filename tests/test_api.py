@@ -58,7 +58,7 @@ def test_settable_values_do_not_grow():
                 for p in inspect.signature(fn).parameters.values()
                 if p.default is not inspect.Parameter.empty
                 or p.kind is inspect.Parameter.VAR_KEYWORD]
-    assert len(settable) <= 66
+    assert len(settable) <= 62
 
 
 def test_solve_takes_only_the_problem():

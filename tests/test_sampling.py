@@ -227,6 +227,15 @@ def test_boundary_witness_none_without_the_origin_inside():
     assert refutation_search(a, b) is not None
 
 
+def test_boundary_witness_without_variables_reads_the_origin():
+    # the origin is the only point of S_A; a refuted pair and a contained one
+    hit = boundary_witness(pencil([np.eye(2)]), pencil([-np.eye(3)]), 1e-7, 0)
+    assert hit is not None
+    assert hit["x"].shape == (0,)
+    assert hit["b_margin"] == pytest.approx(-1.0)
+    assert boundary_witness(pencil([np.eye(2)]), pencil([np.eye(3)]), 1e-7, 0) is None
+
+
 # -- the polish: scipy's Nelder-Mead, step for step, on exact margin reads
 
 DISKS = [disk_pair(nu) for nu in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2)]

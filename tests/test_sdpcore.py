@@ -5,8 +5,9 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from builders import LmiBuilder, PrimalBuilder, as_terms
-from spectracon import momrelax, sdpcore
+from builders import (LmiBuilder, PrimalBuilder, as_terms, assert_same_problem, stacked,
+                      unstacked)
+from spectracon import momrelax, sdpcore, sosrelax
 
 from spectracon.errors import InvalidInput
 from spectracon.families import disk_pair, random_pair
@@ -128,15 +129,15 @@ def test_weak_duality_and_residuals(seed):
     for key, val in sol.residuals.items():
         assert again[key] == pytest.approx(val, rel=1e-9, abs=1e-12)
 
-    # primal residual by hand: || A(X) - b || / (1 + ||b||)
-    ax = prob.apply_a(sol.x_blocks)
+    # primal residual by hand: || A(X) - b || / (1 + ||b||), block by block
+    blocks = unstacked(prob)
+    ax = sum(a @ np.ravel(xb) for (_, _, a), xb in zip(blocks, sol.x_blocks))
     prim = float(np.linalg.norm(ax - prob.b)) / (1.0 + prob.norm_b())
     assert prim == pytest.approx(res["primal_res"], rel=1e-6, abs=1e-12)
     # dual residual by hand: || A'y + S - C ||_F over all blocks
-    at = prob.apply_at(sol.y)
     sq = 0.0
-    for q, size in enumerate(prob.block_sizes):
-        diff = at[q] + sol.s_blocks[q] - prob.c_blocks[q]
+    for (size, c, a), sb in zip(blocks, sol.s_blocks):
+        diff = (a.T @ sol.y).reshape(c.shape) + sb - c
         sq += float(np.sum(np.square(diff)))
     assert np.sqrt(sq) / (1.0 + prob.norm_c()) == pytest.approx(
         res["dual_res"], rel=1e-6, abs=1e-12)
@@ -197,8 +198,7 @@ def test_sdpa_round_trip_exact(tmp_path):
     parsed = parse_sdpa(path1)
     assert parsed.block_sizes == prob.block_sizes
     assert np.array_equal(parsed.b, prob.b)
-    for a, b in zip(parsed.c_blocks, prob.c_blocks):
-        assert np.array_equal(a, b)
+    assert np.array_equal(parsed.c, prob.c)
     # idempotence: writing the parsed problem reproduces the file verbatim
     export_sdpa(parsed, path2)
     assert path1.read_text() == path2.read_text()
@@ -272,25 +272,34 @@ def test_margin_lmi_slack_is_the_pencil(box):
     assert prob.block_sizes == ((k, -1) if box is None else (k, -1, -2 * nq))
     np.testing.assert_array_equal(prob.b, [0.0] * nq + [1.0])  # max s
     y, s = rng.normal(size=nq), float(rng.normal())
-    slack = [c - at for c, at in zip(prob.c_blocks,
-                                     prob.apply_at(np.append(y, s)))]
+    slack = prob.c - prob.a.T @ np.append(y, s)
     want = f0 + sum(yq * fq for yq, fq in zip(y, fs)) - s * np.eye(k)
-    np.testing.assert_allclose(slack[0], want, atol=1e-12)
-    np.testing.assert_allclose(slack[1], [cap - s], atol=1e-12)
+    np.testing.assert_allclose(slack[:k * k].reshape(k, k), want, atol=1e-12)
+    np.testing.assert_allclose(slack[k * k:k * k + 1], [cap - s], atol=1e-12)
     if box is not None:
         rows = np.ravel([[box - yq, box + yq] for yq in y])
-        np.testing.assert_allclose(slack[2], rows, atol=1e-12)
+        np.testing.assert_allclose(slack[k * k + 1:], rows, atol=1e-12)
 
 
 def test_problem_validation():
     with pytest.raises(InvalidInput):
-        SdpProblem(block_sizes=(2,), c_blocks=[np.zeros((3, 3))],
-                   a_blocks=[np.zeros((1, 4))], b=np.zeros(1))
+        SdpProblem(block_sizes=(2,), c=np.zeros(9), a=np.zeros((1, 4)), b=np.zeros(1))
 
 
 def test_program_without_constraints_is_rejected():
     with pytest.raises(InvalidInput, match="at least one constraint"):
-        SdpProblem((2,), [np.eye(2)], [sp.csr_matrix((0, 4))], np.zeros(0))
+        SdpProblem((2,), np.eye(2).ravel(), sp.csr_matrix((0, 4)), np.zeros(0))
+
+
+def test_asymmetric_constraint_rows_are_rejected():
+    # min tr X  s.t.  -2 X_12 = 1, optimum 1: A given by its upper triangle
+    # is not a symmetric matrix, and solve relies on mirrored rows
+    with pytest.raises(InvalidInput, match="symmetric"):
+        SdpProblem((2,), np.eye(2).ravel(), sp.csr_matrix([[0.0, -2.0, 0.0, 0.0]]), [1.0])
+    sol = solve(SdpProblem((2,), np.eye(2).ravel(),
+                           sp.csr_matrix([[0.0, -1.0, -1.0, 0.0]]), [1.0]))
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.value == pytest.approx(1.0, abs=1e-7)
 
 
 def test_parse_sdpa_rejects_a_file_without_constraints(tmp_path):
@@ -325,8 +334,8 @@ def _schur_fixture(seed):
     a_empty = sp.csr_matrix((m, 9))
     diag = rng.normal(size=(m, 4)) * (rng.random((m, 4)) < 0.4)
     a_diag = sp.csr_matrix(diag)
-    prob = SdpProblem((s, 3, -4), [np.zeros((s, s)), np.zeros((3, 3)), np.zeros(4)],
-                      [a_dense, a_empty, a_diag], np.zeros(m))
+    prob = stacked((s, 3, -4), [np.zeros((s, s)), np.zeros((3, 3)), np.zeros(4)],
+                   [a_dense, a_empty, a_diag], np.zeros(m))
     scal = []
     for size in prob.block_sizes:
         if size > 0:
@@ -341,7 +350,7 @@ def _schur_reference(prob, scal):
     """M_ij = sum_b <A_ib, W_b A_jb W_b> with dense matrices."""
     m = prob.m
     mat = np.zeros((m, m))
-    for size, a, sc in zip(prob.block_sizes, prob.a_blocks, scal):
+    for (size, _, a), sc in zip(unstacked(prob), scal):
         w = sc["w"]
         rows = a.toarray()
         for i in range(m):
@@ -355,15 +364,20 @@ def _schur_reference(prob, scal):
     return mat
 
 
+def _plan(prob):
+    """The Schur plan of a problem, built from its class-ordered A."""
+    return sdpcore._schur_plan(*sdpcore._class_order(prob)[:2])
+
+
 @pytest.mark.parametrize("small_chunks", [False, True])
 def test_schur_plan_matches_definition(monkeypatch, small_chunks):
     if small_chunks:
         # two rows of the size-6 block per chunk
         monkeypatch.setattr(sdpcore, "_CHUNK_TARGET", 2 * 36)
     prob, scal = _schur_fixture(5)
-    plan = sdpcore._schur_plan(prob)
+    plan = _plan(prob)
     assert [bp.block for bp in plan] == [0, 2]  # the empty block is skipped
-    counts = np.diff(prob.a_blocks[0].indptr)
+    counts = np.diff(unstacked(prob)[0][2].indptr)
     assert np.any(counts == 0) and np.any(counts > 12)
     assert np.unique(counts[(counts > 0) & (counts <= 12)]).size >= 3
     if small_chunks:
@@ -407,9 +421,8 @@ def test_schur_fold_matches_definition(monkeypatch):
     m = 30
     a0 = _mirrored_rows(rng, m, 5, range(m))
     a1 = _mirrored_rows(rng, m, 4, range(0, m, 2))
-    prob = SdpProblem((5, 4), [np.zeros((5, 5)), np.zeros((4, 4))], [a0, a1],
-                      np.zeros(m))
-    plan = sdpcore._schur_plan(prob)
+    prob = stacked((5, 4), [np.zeros((5, 5)), np.zeros((4, 4))], [a0, a1], np.zeros(m))
+    plan = _plan(prob)
     assert plan[0].rows.size == m and 0 < plan[1].rows.size < m
     work = np.empty((m, m))
     for _ in range(2):  # the second assembly reuses the work array
@@ -492,19 +505,19 @@ def test_class_plan_matches_definition(case):
     rng = np.random.default_rng(seed)
     a_blocks = [_covered_rows(rng, m, s, c) for s, c in zip(sizes, cover)]
     c_blocks = [np.zeros((s, s)) if s > 0 else np.zeros(-s) for s in sizes]
-    prob = SdpProblem(tuple(sizes), c_blocks, a_blocks, np.zeros(m))
+    prob = stacked(sizes, c_blocks, a_blocks, np.zeros(m))
     by_class, by_block = _class_scalings(prob, rng)
     with pytest.MonkeyPatch.context() as mp:
         # chunks of a few pairs, so that they span blocks and count groups
         mp.setattr(sdpcore, "_CHUNK_TARGET", target)
-        plan = sdpcore._schur_plan(prob)
+        plan = _plan(prob)
     got = sdpcore._schur_matrix(m, plan, by_class)
     _assert_schur_matches(got, _schur_reference(prob, by_block))
 
 
 def _dense_assembly(prob, by_class):
     """M from the dense path, into an array that starts as NaN."""
-    rows = sdpcore._dense_rows(prob, sdpcore._class_members(prob.block_sizes))[1]
+    rows = sdpcore._dense_rows(*sdpcore._class_order(prob)[:2])[1]
     return sdpcore._dense_schur(rows, by_class, np.full((prob.m, prob.m), np.nan))
 
 
@@ -520,7 +533,7 @@ def test_dense_class_assembly_matches_definition(case):
     rng = np.random.default_rng(seed)
     a_blocks = [_covered_rows(rng, m, s, c) for s, c in zip(sizes, cover)]
     c_blocks = [np.zeros((s, s)) if s > 0 else np.zeros(-s) for s in sizes]
-    prob = SdpProblem(tuple(sizes), c_blocks, a_blocks, np.zeros(m))
+    prob = stacked(sizes, c_blocks, a_blocks, np.zeros(m))
     by_class, by_block = _class_scalings(prob, rng)
     _assert_schur_matches(_dense_assembly(prob, by_class), _schur_reference(prob, by_block))
 
@@ -530,7 +543,7 @@ def _schur_by_batched_products(prob, by_block):
     formed densely for every row j in one batched product."""
     m = prob.m
     mat = np.zeros((m, m))
-    for size, a, sc in zip(prob.block_sizes, prob.a_blocks, by_block):
+    for (size, _, a), sc in zip(unstacked(prob), by_block):
         rows, w = a.toarray(), sc["w"]
         if size > 0:
             waw = w @ rows.reshape(m, size, size) @ w
@@ -560,15 +573,14 @@ def test_schur_matrix_matches_batched_definition(name):
     prob = _REAL_PROGRAMS[name]()
     by_class, by_block = _class_scalings(prob, np.random.default_rng(3))
     want = _schur_by_batched_products(prob, by_block)
-    _assert_schur_matches(sdpcore._schur_matrix(prob.m, sdpcore._schur_plan(prob), by_class),
-                          want)
+    _assert_schur_matches(sdpcore._schur_matrix(prob.m, _plan(prob), by_class), want)
 
 
 def test_class_chunks_span_blocks_and_count_groups(monkeypatch):
     prob = _REAL_PROGRAMS["random11-order2"]()
     assert prob.m == 109
     monkeypatch.setattr(sdpcore, "_CHUNK_TARGET", 40 * 144)
-    plan = sdpcore._schur_plan(prob)
+    plan = _plan(prob)
     chunks = [chunk for cp in plan if cp.sub_dense is None for chunk in cp.chunks]
     assert any(gather.slot is not None for gather, _ in chunks)
     assert any(len(parts) > 1 for _, parts in chunks)
@@ -583,7 +595,7 @@ def test_class_chunks_span_blocks_and_count_groups(monkeypatch):
 ], ids=["gram10-order1", "random15-order3"])
 def test_schur_plan_buffers_stay_within_the_chunk_target(make):
     prob = make()
-    plan = sdpcore._schur_plan(prob)
+    plan = _plan(prob)
     dense = [cp for cp in plan if cp.sub_dense is None]
     assert len(dense) > 1
     # the dense classes share one chunk buffer and one gather buffer
@@ -745,9 +757,8 @@ def test_nt_scaling_rejects_an_iterate_outside_the_cone(side):
 
 
 def _permuted(prob, perm):
-    return SdpProblem(tuple(prob.block_sizes[i] for i in perm),
-                      [prob.c_blocks[i] for i in perm],
-                      [prob.a_blocks[i] for i in perm], prob.b)
+    blocks = [unstacked(prob)[i] for i in perm]
+    return stacked(*zip(*blocks), prob.b)
 
 
 def test_block_order_round_trip():
@@ -775,7 +786,7 @@ def test_block_order_round_trip():
 def _as_unit_blocks(prob):
     """The problem with every diagonal block written as 1 x 1 dense blocks."""
     sizes, c_blocks, a_blocks = [], [], []
-    for size, c, a in zip(prob.block_sizes, prob.c_blocks, prob.a_blocks):
+    for size, c, a in unstacked(prob):
         if size > 0:
             sizes.append(size)
             c_blocks.append(c)
@@ -785,7 +796,7 @@ def _as_unit_blocks(prob):
             sizes.append(1)
             c_blocks.append(c[j:j + 1, None])
             a_blocks.append(a[:, [j]])
-    return SdpProblem(tuple(sizes), c_blocks, a_blocks, prob.b, prob.metadata)
+    return stacked(sizes, c_blocks, a_blocks, prob.b, prob.metadata)
 
 
 @pytest.mark.parametrize("make", [
@@ -863,11 +874,6 @@ def _margin_lmi_by_terms(f0, fs, cap, box=None, metadata=None):
     return builder.build(metadata=metadata)
 
 
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @pytest.mark.parametrize("k,nq,box", [(3, 2, None), (3, 2, 1e4), (3, 0, None),
                                       (3, 0, 2.0), (20, 12, None), (20, 12, 1.0)])
 def test_margin_lmi_matches_term_assembly(k, nq, box):
@@ -887,31 +893,27 @@ def test_margin_lmi_matches_term_assembly(k, nq, box):
     meta = {"origin": "test"}
     got = _margin_lmi(f0, fs, 1.5, box=box, metadata=meta)
     want = _margin_lmi_by_terms(f0, fs, 1.5, box=box, metadata=meta)
-    assert got.block_sizes == want.block_sizes
-    assert got.metadata == want.metadata
-    assert _same_bits(got.b, want.b)
-    for cg, cw in zip(got.c_blocks, want.c_blocks):
-        assert _same_bits(cg, cw)
-    for ag, aw in zip(got.a_blocks, want.a_blocks):
-        assert ag.shape == aw.shape
-        for part in ("indptr", "indices", "data"):
-            assert _same_bits(getattr(ag, part), getattr(aw, part))
+    assert_same_problem(got, want)
 
 
-def _coo_reference(m, size, row, i, j, val):
-    """The CSR rows of one block built by scipy's COO conversion, with its
-    own index types: the entries mirrored off the diagonal, row 0 (C)
-    dropped, duplicates summed."""
-    row, i, j, val = (np.asarray(v) for v in (row, i, j, val))
-    off = (i != j) if size > 0 else np.zeros(i.size, dtype=bool)
-    col = i * size + j if size > 0 else i
+def _coo_reference(m, sizes, blk, row, i, j, val):
+    """C and A of a program built by numpy's and scipy's COO conversion,
+    with their own index types: the entries mirrored off the diagonal of a
+    dense block, row 0 (C) summed into a vector, duplicates summed."""
+    sizes, blk, row, i, j, val = (np.asarray(v) for v in (sizes, blk, row, i, j, val))
+    veclen = np.where(sizes > 0, sizes * sizes, -sizes)
+    start = np.concatenate(([0], np.cumsum(veclen)))[blk]
+    side = sizes[blk]
+    dense = side > 0
+    off = dense & (i != j)
+    col = start + np.where(dense, i * side + j, i)
     row = np.concatenate((row, row[off]))
-    col = np.concatenate((col, j[off] * size + i[off]))
+    col = np.concatenate((col, start[off] + j[off] * side[off] + i[off]))
     val = np.concatenate((val, val[off]))
+    c = np.bincount(col[row == 0], val[row == 0], minlength=veclen.sum())
     body = row > 0
-    veclen = size * size if size > 0 else -size
-    return sp.coo_matrix((val[body], (row[body] - 1, col[body])),
-                         shape=(m, veclen)).tocsr()
+    return c, sp.coo_matrix((val[body], (row[body] - 1, col[body])),
+                            shape=(m, veclen.sum())).tocsr()
 
 
 @pytest.mark.parametrize("build", [
@@ -919,20 +921,22 @@ def _coo_reference(m, size, row, i, j, val):
     lambda: sos_relaxation(*random_pair(10), 1)],
     ids=["moment_disk_0.7", "gram_random_pair_10"])
 def test_block_rows_match_scipy_conversion(monkeypatch, build):
-    # _block_data hands scipy int32 indices; the rows it builds are those of
-    # scipy's own conversion, whatever their index type
+    # _program_data hands scipy int32 indices; the C and A it builds are
+    # those of numpy's and scipy's own conversion, whatever their index type
     calls = []
-    real = momrelax._block_data
+    real = sdpcore._program_data
 
     def recorded(*args):
         calls.append((args, real(*args)))
         return calls[-1][1]
 
-    monkeypatch.setattr(momrelax, "_block_data", recorded)
+    for mod in (momrelax, sosrelax):
+        monkeypatch.setattr(mod, "_program_data", recorded)
     build()
-    assert len(calls) > 1
-    for args, (_, got) in calls:
-        want = _coo_reference(*args)
+    assert calls
+    for args, (c, got) in calls:
+        want_c, want = _coo_reference(*args)
+        np.testing.assert_array_equal(c, want_c)
         assert got.shape == want.shape
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, part), getattr(want, part))
@@ -959,11 +963,11 @@ def _nan_factor(mat):
     return np.full_like(mat, np.nan)
 
 
-def _no_plan(problem):
+def _no_plan(a_csr, classes):
     raise AssertionError("the Schur plan should not be built")
 
 
-def _no_dense(problem, members):
+def _no_dense(a_csr, classes):
     raise AssertionError("A should not be made dense")
 
 
@@ -1039,7 +1043,7 @@ _real_plan = sdpcore._schur_plan
 
 def test_dense_path_selection_follows_size(monkeypatch):
     prob = _random_problem(0)
-    floats = prob.m * sum(sdpcore._block_veclen(s) for s in prob.block_sizes)
+    floats = prob.m * prob.c.size
     # at the limit: A dense, no plan
     monkeypatch.setattr(sdpcore, "_DENSE_FLOATS", floats)
     monkeypatch.setattr(sdpcore, "_schur_plan", _no_plan)
@@ -1048,11 +1052,11 @@ def test_dense_path_selection_follows_size(monkeypatch):
     # one float over it: the plan, and A kept sparse
     planned = []
     monkeypatch.setattr(sdpcore, "_DENSE_FLOATS", floats - 1)
-    monkeypatch.setattr(sdpcore, "_schur_plan",
-                        lambda problem: planned.append(problem) or _real_plan(problem))
+    monkeypatch.setattr(sdpcore, "_schur_plan", lambda a_csr, classes:
+                        planned.append(a_csr) or _real_plan(a_csr, classes))
     monkeypatch.setattr(sdpcore, "_dense_rows", _no_dense)
     sol = solve(prob)
-    assert planned == [prob]
+    assert len(planned) == 1
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.value == pytest.approx(dense.value, rel=1e-7)
 

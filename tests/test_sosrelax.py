@@ -6,19 +6,11 @@ from builders import (assert_same_problem, gram_program_by_terms, monomial_class
 from spectracon import sosrelax
 from spectracon.errors import InvalidInput
 from spectracon.families import ball_elliptope_pair, choi_pair, disk_pair, random_pair
-from spectracon.momrelax import _flip_classes, containment_relaxation, monomials_upto
+from spectracon.momrelax import (_flip_classes, basis_size, containment_relaxation,
+                                 monomials_upto)
 from spectracon.sdpcore import solve
-from spectracon.sosrelax import certificate_gap, count_unknowns, lambda_sos, sos_relaxation
+from spectracon.sosrelax import certificate_gap, lambda_sos, sos_relaxation
 from test_momrelax import _criterion6_ball
-
-
-def test_count_unknowns_closed_forms():
-    c = count_unknowns(2, 3, 2, 0)
-    assert c["sos_gram"] == 25
-    c = count_unknowns(2, 3, 2, 2)
-    assert c["moment_matrix"] == 105
-    # moment_total counts all moments except the pinned constant
-    assert c["moment_total"] == 69
 
 
 def test_disk_order0_reference():
@@ -86,11 +78,14 @@ def test_info_dimensions():
                          ids=["disk-0.7", "random-1"])
 def test_count_unknowns_are_the_unreduced_sizes(make):
     a, b = make()
-    n, k, l = a.n, a.k, b.k
+    n, l = a.n, b.k
+    # every coefficient match x^gamma z_u z_v, deg gamma <= 3, but the one
+    # that defines lambda
     _, info = sos_relaxation(a, b, 1)
-    assert info.n_equations == count_unknowns(n, k, l, 1)["sos_equations"] - 1
+    assert info.n_equations == basis_size(n, 3) * l * (l + 1) // 2 - 1
+    # at most every moment of (x, z) of degree <= 4 but the pinned constant
     _, _, moments = containment_relaxation(a, b, 2)
-    assert moments.n_moments <= count_unknowns(n, k, l, 2)["moment_total"]
+    assert moments.n_moments <= basis_size(n + l, 4) - 1
 
 
 @pytest.mark.parametrize("t", [0, 1])
@@ -156,7 +151,7 @@ def test_split_gram_program_keeps_the_value(name, t):
     assert res.reliable
     assert res.value == pytest.approx(want, abs=1e-6 * (1.0 + abs(want)))
     # the Gram pair, mapped back, solves the unsplit equations
-    resid = problem.apply_a([res.gram_s, res.gram_t]) - problem.b
+    resid = problem.a @ np.concatenate((res.gram_s.ravel(), res.gram_t.ravel())) - problem.b
     assert np.linalg.norm(resid) <= 1e-7 * (1.0 + problem.norm_b())
 
 

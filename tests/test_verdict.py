@@ -136,16 +136,6 @@ def _no_solves(monkeypatch):
         monkeypatch.setattr(mod, "solve", no_solve)
 
 
-@pytest.mark.parametrize("method", ["moment", "sos", "sdfp"])
-@pytest.mark.parametrize("r,R", [(-1.0, 2.0), (0.0, 2.0), (2.0, 1.0)])
-def test_annulus_is_checked_for_every_method(method, r, R, monkeypatch):
-    # sos and sdfp never read the annulus, but a bad one is still bad input,
-    # rejected before any solve
-    _no_solves(monkeypatch)
-    with pytest.raises(InvalidInput, match="0 < r <= R"):
-        check_containment(*disk_pair(0.7), method=method, r=r, R=R)
-
-
 def test_certification_tolerance_scales_with_outer():
     b = disk_pair(0.5)[1]
     tol = certification_tolerance(b)
