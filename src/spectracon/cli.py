@@ -92,7 +92,7 @@ def _cmd_radius(args) -> int:
     print(f"boundedness: {rep.kind}")
     if rep.kind == "Unbounded":
         print("recession direction:",
-              np.array2string(rep.certificate, precision=6))
+              np.array2string(rep.certificate, precision=6, suppress_small=True))
         print("squared circumradius: inf")
         return 0
     res = circumradius_sq(p, t=args.order)

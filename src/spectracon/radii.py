@@ -2,10 +2,10 @@
 
 The squared circumradius sup { |x|^2 : A(x) psd } is approached from above
 by moment relaxations of the maximization; the order-t value nu2(t) is a
-certified upper bound and tightens as t grows.  Boundedness itself is
-decided by duality: a positive definite W orthogonal to all linear
-coefficient matrices rules out recession directions, while a direction d
-with sum_p d_p A_p positive semidefinite exhibits one.
+certified upper bound and tightens as t grows.  Boundedness is decided by
+one search and its dual: a positive definite W orthogonal to all linear
+coefficient matrices rules out recession directions, and where none exists
+the search's multiplier gives a direction d with sum_p d_p A_p psd.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .reduce import lineality_space
 from .sdpcore import _LMI_STATUS, SdpSolution, _margin_lmi, solve
 from .symcore import min_eigenvalue, nullspace, smat, svec
 
-# Either search's margin must exceed this before its certificate is checked.
+# The search's margin must exceed this for W, and stay below it for d.
 _MARGIN_TOL = 1e-7
 
 
@@ -69,65 +69,65 @@ class BoundednessReport:
 
 
 def boundedness_certificate(p: LinearPencil) -> BoundednessReport:
-    """Certify boundedness or unboundedness of a spectrahedron.
+    """Certify boundedness or unboundedness of a spectrahedron by one search.
 
     Bounded comes with W positive definite and <A_q, W> = 0 for all linear
     coefficients; any recession direction d then forces sum d_q A_q = 0,
-    impossible once the lineality space is trivial.  The dual search
-    maximizes lambda_min(W) over tr W = 1, where no W exceeds 1/k; when
-    every A_q is traceless, W = I/k attains that bound and is returned with
-    margin 1/k without a solve.  Otherwise the margin LMI is solved.
-    Unbounded comes with an explicit recession direction d, re-checked to
-    make sum d_q A_q positive definite.  Degenerate boundary pencils yield
-    Unknown.
+    impossible once the lineality space is trivial.  The search maximizes
+    lambda_min(W) over tr W = 1 and <A_q, W> = 0, never above 1/k; when
+    every A_q is traceless, W = I/k attains 1/k and nothing is solved.
+    Unbounded comes from its dual: the multiplier Y of W - s I psd has
+    Y - s* I = sum d_q A_q, psd once the margin s* is at most
+    ``_MARGIN_TOL``.  d is its least-squares solution, or, with no solve,
+    that of sum d_q A_q = I when I lies in span{A_q} (no W meets the
+    equations).  Scaled to max |d_q| = 1, d is reported when
+    G = sum d_q A_q is positive definite, or psd to roundoff
+    (lambda_min(G) >= -k eps |G|_2) with A(0) positive definite: a
+    singular G proves a ray only from a feasible point.  The margin is
+    lambda_min(G), 0 for a singular G.  Anything else is Unknown.
     """
     n, k = p.n, p.k
     if n == 0:
         return BoundednessReport("Bounded", np.eye(k), 1.0, {"trivial": True})
     lin = lineality_space(p)
     if lin.shape[1] > 0:
-        d = lin[:, 0]
-        return BoundednessReport("Unbounded", d, 0.0,
-                                 {"reason": "lineality direction"})
+        return BoundednessReport("Unbounded", lin[:, 0], 0.0, {"reason": "lineality direction"})
 
     # W = I/k has the largest margin any W with tr W = 1 can have, so when
-    # it solves the dual search's equations it is that search's optimum
-    lin_res = float(np.linalg.norm(np.trace(p.coeff_array()[1:], axis1=1, axis2=2))) / k
+    # it solves the search's equations it is the search's optimum
+    lin_coeffs = p.coeff_array()[1:]
+    lin_res = float(np.linalg.norm(np.trace(lin_coeffs, axis1=1, axis2=2))) / k
     if lin_res <= 1e-9:
         return BoundednessReport("Bounded", np.eye(k) / k, 1.0 / k,
                                  {"equation_residual": lin_res})
 
-    # dual search: W in the orthogonal complement of the linear coefficients
+    # W in the orthogonal complement of the linear coefficients, tr W = 1
     rows = np.array([svec(c) for c in p.coeffs[1:]] + [svec(np.eye(k))])
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0  # trace normalization
+    rhs = np.eye(n + 1)[n]
     part = np.linalg.lstsq(rows, rhs, rcond=None)[0]
     lin_res = float(np.linalg.norm(rows @ part - rhs))
     details = {"equation_residual": lin_res}
-    if lin_res <= 1e-9:
+    growth = np.eye(k) if lin_res > 1e-9 else None  # what sum d_q A_q should be
+    if growth is None:
         null_basis = nullspace(rows, rank_tol=np.finfo(float).eps)
-        nullity = null_basis.shape[1]
         problem = _margin_lmi(smat(part, k), smat(null_basis.T, k),
                               2.0, metadata={"origin": "boundedness"})
         sol = solve(problem)
         if sol.reliable:
             margin = sol.value
             if margin > _MARGIN_TOL:
-                w = smat(part + null_basis @ sol.y[:nullity], k)
+                w = smat(part + null_basis @ sol.y[:null_basis.shape[1]], k)
                 if min_eigenvalue(w) > 0:
                     return BoundednessReport("Bounded", w, float(margin), details)
+            else:
+                growth = sol.x_blocks[0] - margin * np.eye(k)
             details["dual_margin"] = float(margin)
-
-    # primal search: recession direction within the unit box
-    lin_coeffs = p.coeff_array()[1:]
-    problem = _margin_lmi(np.zeros((k, k)), list(lin_coeffs), 2.0, box=1.0,
-                          metadata={"origin": "recession"})
-    sol = solve(problem)
-    if sol.reliable:
-        smargin = sol.value
-        details["recession_margin"] = float(smargin)
-        d = sol.y[:n].copy()
-        # the solve is trusted only up to its residuals: re-check sum d_q A_q
-        if smargin > _MARGIN_TOL and min_eigenvalue(np.tensordot(d, lin_coeffs, axes=1)) > 0:
-            return BoundednessReport("Unbounded", d, float(smargin), details)
+    if growth is not None:
+        d = np.linalg.lstsq(lin_coeffs.reshape(n, k * k).T, growth.ravel(), rcond=None)[0]
+        if np.any(d):
+            d /= np.max(np.abs(d))
+            eig = np.linalg.eigvalsh(np.tensordot(d, lin_coeffs, axes=1))
+            roundoff = k * np.finfo(float).eps * max(-eig[0], eig[-1])
+            if eig[0] > 0 or (eig[0] >= -roundoff and min_eigenvalue(p.coeffs[0]) > 0):
+                return BoundednessReport("Unbounded", d, max(float(eig[0]), 0.0), details)
     return BoundednessReport("Unknown", None, float("nan"), details)

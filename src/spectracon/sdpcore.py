@@ -90,9 +90,10 @@ potrs, called directly, reads without a copy.
 Every program is assembled by one call of ``_program_data``, from entry
 arrays that carry a block label, into the flat C and A; it is the only
 code that turns matrix entries into positions of the layout.  The moment
-relaxations, the Gram programs, SDPA files and the margin LMI shared by the
-interior probe and the boundedness searches (``_margin_lmi``) are built
-through it.  ``solve`` returns every outcome,
+relaxations, the Gram programs, SDPA files and the margin LMI
+(``_margin_lmi``) are built through it; the margin LMI serves the interior
+probe and the one boundedness search, and both read certificates off its
+dual as well as its point.  ``solve`` returns every outcome,
 breakdowns included, as a status with the reason in ``message``; whether a
 returned iterate may be used is decided in one place,
 :attr:`SdpSolution.reliable`.
@@ -206,6 +207,10 @@ class SdpProblem:
         if not np.all(np.isfinite(c)):
             raise InvalidInput("objective has non-finite entries")
         self.c = (c + c[mirror]) / 2.0
+        # |C| block by block, in block order: it sets the solve's scaling,
+        # and a sum in another order moves every iterate in its last bits
+        self._norm_c = float(np.sqrt(sum(float(np.sum(np.square(self.c[lo:hi])))
+                                         for lo, hi in zip(starts[:-1], starts[1:]))))
         a = sp.csr_matrix(self.a)
         if a.shape != (m, n):
             raise InvalidInput(f"constraint matrix shape {a.shape} does not match "
@@ -236,11 +241,8 @@ class SdpProblem:
         return float(np.linalg.norm(self.b))
 
     def norm_c(self) -> float:
-        # block by block, in block order: this sets the solve's scaling, and
-        # a sum in another order moves every iterate in its last bits
-        starts = _starts(self.block_sizes)
-        return float(np.sqrt(sum(float(np.sum(np.square(self.c[lo:hi])))
-                                 for lo, hi in zip(starts[:-1], starts[1:]))))
+        """|C|, computed once, when the problem is made."""
+        return self._norm_c
 
 
 @dataclass
@@ -1140,7 +1142,8 @@ def _margin_lmi(f0, fs, cap: float, box: float | None = None,
     F0 and the F_q are symmetric arrays of one size; only their upper
     triangles are read.  The variables are y_0..y_{len(fs)-1}, then s, so a
     solution's ``value`` is the margin and ``y[:len(fs)]`` the point.  Blocks
-    in order: the pencil, the cap, and the 2 len(fs) box rows if any.
+    in order: the pencil, the cap, and the 2 len(fs) box rows if any; a
+    solution's ``x_blocks`` hold their multipliers, the pencil's Y first.
     """
     nq = len(fs)
     k = f0.shape[0]
@@ -1189,15 +1192,21 @@ def feasibility_probe(p: LinearPencil) -> ProbeResult:
     s <= 1, within the coordinate box |x_p| <= ``_PROBE_BOX`` (1e4).  An
     optimum above ``_PROBE_TOL`` (1e-7) times 1 + max|A0| (and above 1e-9)
     certifies an interior point once A is re-checked positive definite
-    there; a margin below -1/(2 ``_PROBE_BOX``) reports emptiness within
-    the box.  Everything else is Unknown.  The box makes weakly infeasible
-    pencils (empty sets at zero distance from feasibility) detectable at
-    desk scale, at the price that "Empty" refers to the searched box.
+    there.  Empty needs the solve's dual to be a Farkas certificate: the
+    pencil block's multiplier Y (``details["farkas"]``) with <A_0, Y> < 0,
+    and the box rows' multipliers and sum_q |<A_q, Y>| at most
+    ``_PROBE_TOL`` |<A_0, Y>| / ``_PROBE_BOX``.  Then <A(x), Y> < 0, so
+    A(x) is not psd, wherever |x|_inf < 1e11, and in exact arithmetic
+    everywhere.  A negative optimum that the box explains, as for
+    {x >= 2e4}, is Unknown; so is a weakly infeasible pencil (empty at zero
+    distance from feasibility, such as [[x, 1], [1, 0]]), whose Y meets
+    the A_q only to about 1e-8.  Everything else is Unknown as well.
     """
     n = p.n
     a0 = p.coeffs[0].mat
-    prob = _margin_lmi(a0, [c.mat for c in p.coeffs[1:]], cap=1.0,
-                       box=_PROBE_BOX, metadata={"origin": "feasibility_probe"})
+    lin = [c.mat for c in p.coeffs[1:]]
+    prob = _margin_lmi(a0, lin, cap=1.0, box=_PROBE_BOX,
+                       metadata={"origin": "feasibility_probe"})
 
     sol = solve(prob)
     details = {"status": sol.status.value, "residuals": sol.residuals}
@@ -1213,6 +1222,10 @@ def feasibility_probe(p: LinearPencil) -> ProbeResult:
         if margin > 0:
             return ProbeResult("NonEmpty", xj, float(margin), float(s_star), details)
         return ProbeResult("Unknown", xj, float(margin), float(s_star), details)
-    if s_star < -0.5 / _PROBE_BOX:
+    y_pen = details["farkas"] = sol.x_blocks[0]
+    farkas = -float(np.sum(a0 * y_pen))
+    box_mult = sum(float(np.sum(v)) for v in sol.x_blocks[2:])
+    orth = sum(abs(float(np.sum(c * y_pen))) for c in lin)
+    if farkas > 0 and _PROBE_BOX * max(box_mult, orth) <= _PROBE_TOL * farkas:
         return ProbeResult("Empty", None, None, float(s_star), details)
     return ProbeResult("Unknown", None, None, float(s_star), details)

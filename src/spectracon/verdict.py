@@ -27,6 +27,7 @@ carries its solve's message in details["solver_message"].
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,12 +144,19 @@ def check_containment(a: LinearPencil, b: LinearPencil, order: int = 2,
     confirmed point yields Refuted; the verdict's method, order and value
     are those of the rung that decided, or of the top one.  An order
     below the requested relaxation's least (2 for moment, 0 for sos)
-    raises OrderTooSmall before anything runs.
+    raises OrderTooSmall, and an order, samples or seed that is not an
+    integer, or a negative seed, InvalidInput, before anything runs.
     """
     if method not in _METHODS:
         raise InvalidInput(f"unknown method {method!r}, expected {_METHODS}")
     if a.n != b.n:
         raise InvalidInput("pencils must share the variable count")
+    try:
+        order, samples, seed = (operator.index(v) for v in (order, samples, seed))
+    except TypeError:
+        raise InvalidInput("order, samples and seed must be integers") from None
+    if seed < 0:
+        raise InvalidInput("seed must be nonnegative")
     if samples < 1:
         raise InvalidInput("samples must be positive")
     # the relaxations' own order gates, checked before any rung can decide

@@ -177,6 +177,24 @@ def test_radius_command(tmp_path, capsys):
     assert any(abs(float(t) - 3.0) < 1e-4 for t in out.split() if _is_float(t))
 
 
+@pytest.mark.parametrize("shape, direction", [
+    # the half-line x >= -1 and the strip {1 +- x >= 0, 1 + y >= 0}
+    ([np.eye(2), np.diag([1.0, 0.0])], [1.0]),
+    ([np.eye(3), np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 0.0, 1.0])], [0.0, 1.0]),
+])
+def test_radius_of_an_unbounded_set_is_infinite(tmp_path, capsys, shape, direction):
+    path = str(tmp_path / "p.json")
+    save_pencil(pencil(shape), path)
+    code = main(["radius", path])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0] == "boundedness: Unbounded"
+    head, _, vec = lines[1].partition(": ")
+    assert head == "recession direction"
+    assert [float(t) for t in vec.strip("[]").split()] == pytest.approx(direction, abs=1e-6)
+    assert lines[2:] == ["squared circumradius: inf"]
+
+
 def test_radius_below_order_one_is_usage_error_before_any_solve(disk_files, capsys):
     a, _ = disk_files
     assert main(["radius", a, "--order", "0"]) == 64

@@ -70,12 +70,94 @@ def test_trivial_pencil_bounded():
     assert rep.kind == "Bounded"
 
 
-def test_unknown_when_neither_certificate_exists():
+def test_halfline_is_unbounded_along_its_psd_singular_direction():
+    # without lineality one of the two certificates always exists; here
+    # sum d_q A_q = diag(1, 0) is psd but singular, and A(0) = I
     halfline = pencil([np.diag([1.0, 1.0]), np.diag([1.0, 0.0])])
-    assert boundedness_certificate(halfline).kind == "Unknown"
+    rep = boundedness_certificate(halfline)
+    assert rep.kind == "Unbounded"
+    np.testing.assert_array_equal(rep.certificate, [1.0])
+    assert rep.margin == 0.0
 
 
-def test_unknown_after_both_searches_when_no_solve_is_reliable(monkeypatch):
+def test_strip_is_unbounded_along_its_open_side():
+    # {1 +- x >= 0, 1 + y >= 0}
+    strip = polytope_pencil(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]), np.ones(3))
+    rep = boundedness_certificate(strip)
+    assert rep.kind == "Unbounded"
+    np.testing.assert_allclose(rep.certificate, [0.0, 1.0], atol=1e-12)
+    assert rep.margin == 0.0
+
+
+def test_identity_in_the_span_gives_the_direction_without_a_solve(monkeypatch):
+    monkeypatch.setattr(radii, "solve", _no_solve)
+    quadrant = pencil([np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    wedge = pencil([np.eye(2), np.eye(2)])
+    for p, d in ((quadrant, [1.0, 1.0]), (wedge, [1.0])):
+        rep = boundedness_certificate(p)
+        assert rep.kind == "Unbounded"
+        np.testing.assert_allclose(rep.certificate, d, rtol=1e-12)
+        assert rep.margin == pytest.approx(1.0, rel=1e-12)
+
+
+def test_psd_singular_direction_of_an_empty_set_is_unknown():
+    # {diag(-1, x) psd} is empty: diag(0, 1) is a direction, but of no ray
+    empty = pencil([np.diag([-1.0, 0.0]), np.diag([0.0, 1.0])])
+    assert boundedness_certificate(empty).kind == "Unknown"
+
+
+def _planted_and_perturbed():
+    """Pencils with a planted diagonal psd A_1 (a zero on its diagonal, so
+    A_1 is singular), and random_pair pencils shifted to A0 + 0.3 I with
+    A_q + 0.5 diag(N(0, 1))."""
+    rng = np.random.default_rng(7)
+    out = []
+    for _ in range(30):
+        k, n = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        diag = np.abs(rng.standard_normal(k))
+        diag[rng.integers(k)] = 0.0
+        coeffs = [np.eye(k) + 0.1 * np.diag(rng.standard_normal(k)), np.diag(diag)]
+        for _ in range(n - 1):
+            m = rng.standard_normal((k, k))
+            coeffs.append(0.3 * (m + m.T))
+        out.append(pencil(coeffs))
+    for seed in range(1, 31):
+        for p in random_pair(seed):
+            c = p.coeff_array()
+            c[0] += 0.3 * np.eye(p.k)
+            c[1:] += 0.5 * np.stack([np.diag(rng.standard_normal(p.k)) for _ in range(p.n)])
+            out.append(pencil(list(c)))
+    return out
+
+
+def test_every_certificate_holds_and_one_solve_decides(monkeypatch):
+    kinds = []
+    for p in _planted_and_perturbed():
+        solves = []
+        with monkeypatch.context() as mp:
+            mp.setattr(radii, "solve", lambda prob: solves.append(prob) or sdpcore.solve(prob))
+            rep = boundedness_certificate(p)
+        assert len(solves) <= 1
+        kinds.append(rep.kind)
+        lin = p.coeff_array()[1:]
+        if rep.kind == "Bounded":
+            w = rep.certificate
+            assert np.linalg.eigvalsh(w)[0] > 0
+            assert max(abs(float(np.sum(w * c))) for c in lin) <= 1e-7
+        elif rep.kind == "Unbounded":
+            d = rep.certificate
+            assert np.max(np.abs(d)) == 1.0
+            eig = np.linalg.eigvalsh(np.tensordot(d, lin, axes=1))
+            assert rep.margin == max(eig[0], 0.0)
+            if eig[0] <= 0:
+                assert eig[0] >= -p.k * np.finfo(float).eps * max(-eig[0], eig[-1])
+                assert np.linalg.eigvalsh(p.coeffs[0].mat)[0] > 0
+    # every planted pencil is unbounded, and both answers occur
+    assert kinds[:30] == ["Unbounded"] * 30
+    assert "Bounded" in kinds[30:] and "Unbounded" in kinds[30:]
+
+
+def test_unknown_after_the_one_search_when_its_solve_is_unreliable(monkeypatch):
     origins = []
     real = radii.solve
 
@@ -89,7 +171,7 @@ def test_unknown_after_both_searches_when_no_solve_is_reliable(monkeypatch):
     # needs its solve
     rep = boundedness_certificate(_TRIANGLE)
     assert rep.kind == "Unknown"
-    assert origins == ["boundedness", "recession"]
+    assert origins == ["boundedness"]
 
 
 def test_triangle_is_bounded_by_the_margin_lmi():
@@ -114,7 +196,7 @@ def _solved_dual_margin(p):
 
 
 def _no_solve(problem):
-    raise AssertionError("a traceless pencil needs no solve")
+    raise AssertionError("this pencil needs no solve")
 
 
 def test_traceless_pencils_are_bounded_at_the_known_optimum(monkeypatch):

@@ -220,7 +220,23 @@ def test_probe_nonempty_and_empty():
     assert probe.kind == "NonEmpty"
     assert probe.point.shape == (3,)
     empty = pencil([np.diag([-1.0, -1.0]), np.diag([1.0, -1.0])])
-    assert feasibility_probe(empty).kind == "Empty"
+    probe = feasibility_probe(empty)
+    assert probe.kind == "Empty"
+    # the Farkas certificate: Y psd, orthogonal to A_1, negative on A_0
+    y = probe.details["farkas"]
+    assert np.linalg.eigvalsh(y)[0] >= 0
+    assert abs(float(np.sum(y * empty.coeffs[1].mat))) <= 1e-12
+    assert float(np.sum(y * empty.coeffs[0].mat)) < 0
+
+
+@pytest.mark.parametrize("p", [
+    pencil([[[-2e4]], [[1.0]]]),  # x >= 2e4: nonempty, outside the box
+    pencil([np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 0.0])]),  # weakly infeasible
+], ids=["outside-the-box", "weakly-infeasible"])
+def test_probe_without_a_farkas_certificate_is_unknown(p):
+    probe = feasibility_probe(p)
+    assert probe.details["margin"] < 0
+    assert probe.kind == "Unknown"
 
 
 def _solution(status, primal_res, dual_res, gap_rel):

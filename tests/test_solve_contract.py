@@ -48,8 +48,8 @@ def test_no_handler_around_solve_catches_numerical_failure():
             for handler in node.handlers:
                 if _caught_names(handler) & _CATCHERS:
                     offenders.append(f"{name}:{handler.lineno}")
-    # probe, both boundedness searches, circumradius, moment, sos
-    assert calls >= 6
+    # probe, the boundedness search, circumradius, moment, sos
+    assert calls >= 5
     assert offenders == []
 
 

@@ -128,6 +128,26 @@ def test_samples_must_be_positive():
         check_containment(*disk_pair(1.2), samples=0)
 
 
+@pytest.mark.parametrize("option", [{"order": 2.0}, {"seed": -1}, {"seed": 0.5},
+                                    {"samples": 400.0}], ids=str)
+def test_integer_options_are_checked_before_any_solve(monkeypatch, option):
+    _no_solves(monkeypatch)
+    with pytest.raises(InvalidInput):
+        check_containment(*disk_pair(0.5), **option)
+
+
+@pytest.mark.parametrize("method, order", MACHINES,
+                         ids=[f"{m}{o}" for m, o in MACHINES])
+def test_a_set_outside_the_probe_box_is_not_empty(method, order):
+    # S_A = {x >= 2e4} lies outside the probe's box |x| <= 1e4 and is not
+    # inside S_B = {x <= 1}
+    a = pencil([[[-2e4]], [[1.0]]])
+    b = pencil([[[1.0]], [[-1.0]]])
+    v = check_containment(a, b, method=method, order=order)
+    assert v.status != "Certified"
+    assert v.details.get("note") != "inner set is empty"
+
+
 def _no_solves(monkeypatch):
     def no_solve(problem):
         raise AssertionError("solved before the input check")
